@@ -25,11 +25,11 @@ kernel = toric_kernel(inst)
 print("\ntoric kernel (reduced basis under the tau order):")
 for g in kernel.generators:
     print("  ", g)
-print("squarefree incomparable leading terms:", verify_squarefree_initial(inst))
+print("squarefree incomparable leading terms:", verify_squarefree_initial(kernel))
 
 print("\nsubduction of each lifted binomial:")
 for g in kernel.generators:
     lifted = lift_to_generators(mam, g)
     remainder = subduce(inst, lifted, mam=mam)
     print(f"  lift of {g}  ->  remainder {remainder}")
-print("Sagbi certificate:", verify_sagbi(inst))
+print("Sagbi certificate:", verify_sagbi(kernel))

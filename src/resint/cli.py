@@ -1,6 +1,10 @@
 """Command-line surface: artifact generation, verification pipelines with
 machine-readable reports, and the bound-comparison table.
 
+`verify` runs the selected checks one after another, in `ALL_CHECKS`
+order, on one instance per field; results that several checks use (the
+toric kernel, the transcendence certificate) are computed once per run.
+
 Exit codes for `verify`: 0 all checks true, 1 some check false, 2 resource
 budget exhausted (partial report still written), 3 two modules disagreed
 on a number that must match.
@@ -14,8 +18,8 @@ import json
 import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 from pathlib import Path
 
 from . import __version__
@@ -60,7 +64,6 @@ class RunConfig:
     field_name: str = "Q"
     degree_bound: int = 3
     budget: Budget = dc_field(default_factory=Budget)
-    seed: int = 0
     output_dir: Path = dc_field(default_factory=lambda: Path("."))
     timings: bool = False
 
@@ -84,7 +87,6 @@ class RunConfig:
                 "max_terms": self.budget.max_terms,
                 "wall_seconds": self.budget.wall_seconds,
             },
-            "seed": self.seed,
         }
 
 
@@ -147,62 +149,80 @@ def cmd_generate(config: RunConfig) -> list[Path]:
 # verify
 
 
-def _check_radical(config: RunConfig) -> dict:
-    instance = build_instance(config.m, config.n, field=config.field)
-    cert = verify_ara_witness(instance, budget=config.budget)
-    return {"verdict": cert.verdict, "certificate": cert.as_dict(timings=config.timings)}
+class _Run:
+    """One `verify` run: its config and the results its checks share, each
+    computed on first use.  A computation that raises (a budget hit) stores
+    nothing, so every check that needs it reports its own budget hit."""
+
+    def __init__(self, config: RunConfig):
+        self.config = config
+
+    @cached_property
+    def instance(self):
+        return build_instance(self.config.m, self.config.n, field=self.config.field)
+
+    @cached_property
+    def rational_instance(self):
+        if self.config.field == QQ:
+            return self.instance
+        return build_instance(self.config.m, self.config.n, field=QQ)
+
+    @cached_property
+    def kernel(self):
+        return toric_kernel(self.rational_instance, budget=self.config.budget)
+
+    @cached_property
+    def transcendence(self):
+        return verify_transcendence_basis(self.config.m, self.config.n)
 
 
-def _check_colon(config: RunConfig) -> dict:
-    instance = build_instance(config.m, config.n, field=config.field)
-    ok = verify_colon_identity(instance, budget=config.budget)
-    return {"verdict": ok}
+def _check_radical(run: _Run) -> dict:
+    cert = verify_ara_witness(run.instance, budget=run.config.budget)
+    return {"verdict": cert.verdict, "certificate": cert.as_dict(timings=run.config.timings)}
 
 
-def _check_asl(config: RunConfig) -> dict:
-    instance = build_instance(config.m, config.n, field=QQ)
-    ok1 = verify_asl1(instance, config.degree_bound)
-    ok2 = verify_asl2(instance)
-    return {"verdict": ok1 and ok2, "asl1": ok1, "asl2": ok2, "degree_bound": config.degree_bound}
+def _check_colon(run: _Run) -> dict:
+    return {"verdict": verify_colon_identity(run.instance, budget=run.config.budget)}
 
 
-def _check_wonderful(config: RunConfig) -> dict:
-    instance = build_instance(config.m, config.n, field=QQ)
-    return {"verdict": is_wonderful(instance.poset)}
+def _check_asl(run: _Run) -> dict:
+    ok1 = verify_asl1(run.rational_instance, run.config.degree_bound)
+    ok2 = verify_asl2(run.rational_instance)
+    return {"verdict": ok1 and ok2, "asl1": ok1, "asl2": ok2, "degree_bound": run.config.degree_bound}
 
 
-def _check_sagbi(config: RunConfig) -> dict:
-    instance = build_instance(config.m, config.n, field=QQ)
-    return {"verdict": verify_sagbi(instance, budget=config.budget)}
+def _check_wonderful(run: _Run) -> dict:
+    return {"verdict": is_wonderful(run.rational_instance.poset)}
 
 
-def _check_squarefree(config: RunConfig) -> dict:
-    instance = build_instance(config.m, config.n, field=QQ)
-    kernel = toric_kernel(instance, budget=config.budget)
+def _check_sagbi(run: _Run) -> dict:
+    return {"verdict": verify_sagbi(run.kernel)}
+
+
+def _check_squarefree(run: _Run) -> dict:
     return {
-        "verdict": verify_squarefree_initial(instance, budget=config.budget),
-        "legend": kernel.legend_lines(),
-        "kernel": [poly_text(g) for g in kernel.generators],
+        "verdict": verify_squarefree_initial(run.kernel),
+        "legend": run.kernel.legend_lines(),
+        "kernel": [poly_text(g) for g in run.kernel.generators],
     }
 
 
-def _check_transbasis(config: RunConfig) -> dict:
-    if config.n < 2:
+def _check_transbasis(run: _Run) -> dict:
+    if run.config.n < 2:
         return {"verdict": True, "skipped": "n = 1 has no transcendence certificate"}
-    cert = verify_transcendence_basis(config.m, config.n)
-    out = cert.as_dict()
+    out = run.transcendence.as_dict()
     out.pop("rewrites")
-    return {"verdict": cert.verdict, "certificate": out}
+    return {"verdict": run.transcendence.verdict, "certificate": out}
 
 
-def _check_dims(config: RunConfig) -> dict:
+def _check_dims(run: _Run) -> dict:
     """Three independent computations of one number must agree (n >= 2)."""
-    instance = build_instance(config.m, config.n, field=QQ)
+    instance = run.rational_instance
     from_poset = instance.poset.poset_rank()
     from_semigroup = semigroup_dimension(initial_generators(instance))
     values = {"poset_rank": from_poset, "semigroup_rank": from_semigroup}
-    if config.n >= 2:
-        values["transcendence"] = verify_transcendence_basis(config.m, config.n).dimension
+    if run.config.n >= 2:
+        values["transcendence"] = run.transcendence.dimension
     agree = len(set(values.values())) == 1
     return {"verdict": agree, "values": values, "consistent": agree}
 
@@ -241,27 +261,24 @@ def cmd_verify(config: RunConfig, checks: list[str]) -> tuple[dict, int]:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
     selected = [name for name in ALL_CHECKS if name in checks]
 
-    def run_one(name: str) -> dict:
+    run = _Run(config)
+    results = {}
+    for name in selected:
         started = time.monotonic()
         try:
-            outcome = _CHECK_RUNNERS[name](config)
+            outcome = _CHECK_RUNNERS[name](run)
         except BudgetExceeded as exc:
             outcome = {"verdict": None, "budget_exceeded": True, "stats": exc.stats}
         if config.timings:
             outcome["seconds"] = round(time.monotonic() - started, 3)
-        return outcome
-
-    # checks are pure and independent; assembly stays in declaration order
-    with ThreadPoolExecutor(max_workers=min(4, len(selected))) as pool:
-        futures = {name: pool.submit(run_one, name) for name in selected}
-    results = {name: futures[name].result() for name in selected}
-    if not config.timings:
-        results = {name: _scrub_wall_times(r) for name, r in results.items()}
+        else:
+            outcome = _scrub_wall_times(outcome)
+        results[name] = outcome
     exit_code = 0
     budget_hit = any(r.get("budget_exceeded") for r in results.values())
     inconsistency = results.get("dims", {}).get("consistent") is False
 
-    instance = build_instance(config.m, config.n, field=config.field)
+    instance = run.instance
     witness_texts = [poly_text(w) for w in hsop(instance)]
     report = {
         "tool": "resint",
@@ -330,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--budget-max-pairs", type=int, default=Budget.max_pairs)
         p.add_argument("--budget-max-terms", type=int, default=Budget.max_terms)
         p.add_argument("--budget-wall-seconds", type=float, default=Budget.wall_seconds)
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument(
             "--out",
             default=os.environ.get(OUTPUT_DIR_ENV, "."),
@@ -365,7 +381,6 @@ def _config_from_args(args) -> RunConfig:
             max_terms=args.budget_max_terms,
             wall_seconds=args.budget_wall_seconds,
         ),
-        seed=args.seed,
         output_dir=Path(args.out),
         timings=args.timings,
     )

@@ -1,46 +1,22 @@
-"""Small exact linear algebra over the rationals (fractions.Fraction)."""
+"""Small exact linear algebra over the coefficient fields of `ring`: one
+Gaussian elimination, used for ranks and for solving linear systems."""
 
 from __future__ import annotations
 
-from fractions import Fraction
+from .ring import QQ
 
 
-def rank(matrix: list[list]) -> int:
-    """Rank over Q of a matrix of ints/Fractions, by Gaussian elimination."""
-    a = [[Fraction(x) for x in row] for row in matrix]
-    if not a:
-        return 0
-    rows, cols = len(a), len(a[0])
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        r += 1
-        if r == rows:
-            break
-    return r
-
-
-def solve_field(field, matrix: list[list], rhs: list) -> list | None:
-    """Solve A x = b over one of the exact coefficient fields; None if inconsistent.
-
-    Free variables (underdetermined systems) are set to zero.
-    """
-    zero, one = field.zero, field.one
-    a = [[field.coerce(x) for x in row] + [field.coerce(b)] for row, b in zip(matrix, rhs)]
+def _row_reduce(field, a: list[list], cols: int) -> list[int]:
+    """Reduce the rows of `a` in place over `field`, looking for pivots in
+    the first `cols` columns only; returns the pivot columns.  Pivot rows
+    come first, each scaled to a leading 1 and cleared above and below."""
+    zero = field.zero
     rows = len(a)
-    cols = len(matrix[0]) if rows else 0
     pivots: list[int] = []
     r = 0
     for c in range(cols):
+        if r == rows:
+            break
         pivot = next((i for i in range(r, rows) if a[i][c] != zero), None)
         if pivot is None:
             continue
@@ -53,47 +29,26 @@ def solve_field(field, matrix: list[list], rhs: list) -> list | None:
                 a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
         pivots.append(c)
         r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != zero:
-            return None
-    x = [zero] * cols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][cols]
-    return x
+    return pivots
 
 
-def solve(matrix: list[list], rhs: list) -> list[Fraction] | None:
-    """Solve A x = b exactly; returns None when inconsistent.
+def rank(matrix: list[list]) -> int:
+    """Rank over Q of a matrix of ints/Fractions."""
+    a = [[QQ.coerce(x) for x in row] for row in matrix]
+    return len(_row_reduce(QQ, a, len(a[0]) if a else 0))
 
-    When the system is underdetermined, free variables are set to 0; the
-    callers here only use it on systems with a unique solution.
+
+def solve_field(field, matrix: list[list], rhs: list) -> list | None:
+    """Solve A x = b over one of the exact coefficient fields; None if inconsistent.
+
+    Free variables (underdetermined systems) are set to zero.
     """
-    a = [[Fraction(x) for x in row] + [Fraction(b)] for row, b in zip(matrix, rhs)]
-    rows = len(a)
-    cols = len(matrix[0]) if rows else 0
-    pivots: list[int] = []
-    r = 0
-    for c in range(cols):
-        pivot = next((i for i in range(r, rows) if a[i][c] != 0), None)
-        if pivot is None:
-            continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-        if r == rows:
-            break
-    for i in range(r, rows):
-        if a[i][cols] != 0:
-            return None
-    x = [Fraction(0)] * cols
+    a = [[field.coerce(x) for x in row] + [field.coerce(b)] for row, b in zip(matrix, rhs)]
+    cols = len(matrix[0]) if a else 0
+    pivots = _row_reduce(field, a, cols)
+    if any(row[cols] != field.zero for row in a[len(pivots):]):
+        return None
+    x = [field.zero] * cols
     for i, c in enumerate(pivots):
         x[c] = a[i][cols]
     return x

@@ -146,14 +146,6 @@ def hasse_edges(poset: BPoset) -> list[tuple[GeneratorLabel, GeneratorLabel]]:
     return poset.hasse_edges()
 
 
-def rank(poset: BPoset, e: GeneratorLabel) -> int:
-    return poset.rank(e)
-
-
-def poset_rank(poset: BPoset) -> int:
-    return poset.poset_rank()
-
-
 def witness_chain(m: int, n: int) -> list[GeneratorLabel]:
     """An explicit maximum chain: Q1<..<Qn<[1..n]<... of length n(m-n+1)+1.
 

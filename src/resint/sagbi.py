@@ -31,12 +31,6 @@ class SubductionFailure(Exception):
     """A leading monomial could not be cleared by products of generators."""
 
 
-def _rational_instance(instance: ResidualInstance) -> ResidualInstance:
-    if instance.field == QQ:
-        return instance
-    return build_instance(instance.m, instance.n, field=QQ)
-
-
 @dataclass
 class MonomialAlgebraMap:
     """Presentation variables Y[k] -> initial monomials of the generators."""
@@ -112,7 +106,8 @@ def toric_kernel(instance: ResidualInstance, budget: Budget | None = None) -> To
     the tau order; the ambient-free part is then re-reduced in the
     presentation ring.
     """
-    instance = _rational_instance(instance)
+    if instance.field != QQ:
+        instance = build_instance(instance.m, instance.n, field=QQ)
     mam = initial_generators(instance)
     ambient = instance.ring
     pring = mam.pring
@@ -164,10 +159,9 @@ def lift_to_generators(mam: MonomialAlgebraMap, f: Polynomial) -> Polynomial:
     return f.substitute(assignment, instance.ring)
 
 
-def verify_squarefree_initial(instance: ResidualInstance, budget: Budget | None = None) -> bool:
+def verify_squarefree_initial(kernel: ToricKernel) -> bool:
     """Leading terms of the reduced kernel basis are squarefree products of
     incomparable presentation-variable pairs."""
-    kernel = toric_kernel(instance, budget=budget)
     mam = kernel.mam
     for g in kernel.generators:
         lm = g._terms[0][0]
@@ -247,7 +241,7 @@ def subduce(
     return f
 
 
-def verify_sagbi(instance: ResidualInstance, budget: Budget | None = None) -> bool:
+def verify_sagbi(kernel: ToricKernel) -> bool:
     """Sagbi certificate by the kernel-lift criterion.
 
     Every binomial generator of the toric kernel of the initial monomials,
@@ -256,9 +250,8 @@ def verify_sagbi(instance: ResidualInstance, budget: Budget | None = None) -> bo
     initial monomials in every degree at once.  A subduction that fails to
     terminate within its step cap counts as a failed certificate.
     """
-    instance = _rational_instance(instance)
-    kernel = toric_kernel(instance, budget=budget)
     mam = kernel.mam
+    instance = mam.instance
     for g in kernel.generators:
         lifted = lift_to_generators(mam, g)
         try:

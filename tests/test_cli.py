@@ -92,6 +92,27 @@ def test_verify_42_all_checks(tmp_path):
     assert report["witness_count"] == {"actual": 7, "expected": 7}
 
 
+def test_verify_32_matches_golden_report(tmp_path):
+    cmd_verify(config(tmp_path, m=3, n=2), list(ALL_CHECKS))
+    assert (tmp_path / "report.json").read_bytes() == (GOLDEN / "report_3_2.json").read_bytes()
+
+
+def test_verify_computes_shared_results_once(tmp_path, monkeypatch):
+    from resint import cli
+
+    calls = {"build_instance": 0, "toric_kernel": 0, "verify_transcendence_basis": 0}
+    for name in calls:
+        def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
+            calls[_name] += 1
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(cli, name, counted)
+    _, code = cmd_verify(config(tmp_path), list(ALL_CHECKS))
+    assert code == 0
+    # one instance over Fp:32003 and one over Q
+    assert calls == {"build_instance": 2, "toric_kernel": 1, "verify_transcendence_basis": 1}
+
+
 def test_verify_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     cmd_verify(config(a, m=3, n=2), ["radical", "dims", "wonderful"])

@@ -184,7 +184,7 @@ def test_kernel_legend_header(inst42):
 @pytest.mark.parametrize("m,n", [(4, 2), (3, 3), (3, 2), (2, 2)])
 def test_squarefree_initial(m, n):
     inst = build_instance(m, n)
-    assert verify_squarefree_initial(inst)
+    assert verify_squarefree_initial(toric_kernel(inst))
 
 
 def test_squarefree_leading_terms_are_incomparable_products(inst42):
@@ -226,7 +226,7 @@ def test_subduction_remainder_outside_algebra(inst42):
 @pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (3, 3), (2, 2)])
 def test_verify_sagbi(m, n):
     inst = build_instance(m, n)
-    assert verify_sagbi(inst)
+    assert verify_sagbi(toric_kernel(inst))
 
 
 def test_kernel_lifts_subduce_to_zero(inst42):
