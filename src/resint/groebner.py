@@ -4,6 +4,15 @@ Provides reduced Groebner bases, normal forms, ideal membership and
 equality, radical membership through the slack-variable trick, colon and
 intersection via elimination, and the combinatorial Krull dimension of a
 quotient read off the initial ideal.
+
+The engine (buchberger, normal_form and the heap-division reducer behind
+them) runs on packed monomials: each exponent vector is one int with an
+8-bit field per variable whose top bit is a guard, so divisibility, product
+and lcm are a few integer operations, and each monomial order is folded
+into one linear integer key.  Exponents must stay below EXPONENT_LIMIT
+(128); an input or a product that would reach it raises BudgetExceeded,
+never a wrong basis.  Polynomials keep tuple exponents: the engine packs
+on entry and unpacks the basis or remainder it returns.
 """
 
 from __future__ import annotations
@@ -12,6 +21,9 @@ import hashlib
 import heapq
 import time
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import compress
+from operator import mul
 from typing import Iterable, Sequence
 
 from .ring import (
@@ -120,6 +132,12 @@ class GroebnerBasis:
     def is_unit(self) -> bool:
         return len(self.elements) == 1 and self.elements[0].is_constant()
 
+    @cached_property
+    def _packed(self) -> tuple:
+        """The packing and the reducers normal_form divides by."""
+        pk = _Packing(self.ring)
+        return pk, _Reducers(pk.guard, pk.nvars, [pk.pack_terms(g) for g in self.elements])
+
     def __iter__(self):
         return iter(self.elements)
 
@@ -140,62 +158,207 @@ def _input_hash(gens: Sequence[Polynomial], order: MonomialOrder) -> str:
 
 
 # ---------------------------------------------------------------------------
-# reduction
+# packed monomials
+#
+# The engine works on exponent vectors packed into one int: variable i owns
+# bits [8i, 8i + 8), and the top bit of each field is a guard that every
+# exponent below EXPONENT_LIMIT leaves clear.  Then b divides a iff
+# (a - b) & guard == 0, the product is a + b, a product whose exponent
+# overflows shows as a set guard bit, and the lcm is a SWAR max.  The order
+# key is linear: the order's weight rows are folded into one integer weight
+# per variable, so key(a + b) = key(a) + key(b).  Polynomials keep tuple
+# exponents; the engine packs on entry and unpacks what it returns.
+
+FIELD_BITS = 8
+#: every exponent the engine sees, inputs and products alike, stays below this
+EXPONENT_LIMIT = 1 << (FIELD_BITS - 1)
 
 
-def _reduce_terms(f: dict, basis: list, ring: PolynomialRing, trace: RunTrace | None = None):
-    """Full normal form of the term-dict f modulo basis entries.
+def _overflow(trace: RunTrace | None) -> BudgetExceeded:
+    return BudgetExceeded(
+        f"exponent overflow: the Groebner engine holds exponents below {EXPONENT_LIMIT}",
+        trace.as_dict() if trace is not None else {},
+    )
 
-    basis entries are (lm_exps, terms_tuple) with terms monic and sorted.
-    Returns a new term dict.  Uses a lazy max-heap over the order's negkey.
+
+class _Packing:
+    """Packed exponent vectors of one ring and the integer key of its order.
+
+    key() orders packed monomials exactly as the ring order's key() orders
+    their tuples, as long as every exponent is below EXPONENT_LIMIT: each
+    folded row gets a bit width wider than the spread of its values.
+    pair_key() orders by (total degree, key), the pair-selection order.
+    Both are linear in the exponents.
     """
-    field = ring.field
+
+    def __init__(self, ring: PolynomialRing):
+        n = len(ring.vars)
+        self.nvars = n
+        self.guard = int.from_bytes(bytes([EXPONENT_LIMIT]) * n, "little")
+        rows = ring.order.weight_rows(n)
+        top = EXPONENT_LIMIT - 1
+        width = 1 + max(((top * sum(map(abs, row))).bit_length() for row in rows), default=0)
+        last = len(rows) - 1
+        self.weights = tuple(
+            sum(row[i] << (width * (last - r)) for r, row in enumerate(rows)) for i in range(n)
+        )
+        self.degree_shift = 1 + (top * sum(map(abs, self.weights))).bit_length()
+
+    def key(self, m: int) -> int:
+        return sum(map(mul, self.weights, m.to_bytes(self.nvars, "little")))
+
+    def pair_key(self, m: int) -> int:
+        exps = m.to_bytes(self.nvars, "little")
+        return (sum(exps) << self.degree_shift) + sum(map(mul, self.weights, exps))
+
+    def unpack(self, m: int) -> tuple[int, ...]:
+        return tuple(m.to_bytes(self.nvars, "little"))
+
+    def pack(self, exps: tuple[int, ...], trace: RunTrace | None = None) -> int:
+        if exps and max(exps) >= EXPONENT_LIMIT:
+            raise _overflow(trace)
+        return int.from_bytes(bytes(exps), "little")
+
+    def pack_terms(self, f: Polynomial, trace: RunTrace | None = None) -> list:
+        """f's terms as (key, packed monomial, coefficient), in f's order."""
+        out = []
+        for e, c in f._terms:
+            m = self.pack(e, trace)
+            out.append((self.key(m), m, c))
+        return out
+
+    def polynomial(self, ring: PolynomialRing, terms: list) -> Polynomial:
+        return Polynomial(ring, tuple((self.unpack(m), c) for _, m, c in terms))
+
+
+def _lcm(a: int, b: int, guard: int) -> int:
+    """Fieldwise max of two packed monomials."""
+    ge = ((a | guard) - b) & guard  # the guard bit of each field where a >= b
+    return b ^ ((a ^ b) & (ge - (ge >> (FIELD_BITS - 1))))
+
+
+def _monic(terms: list, field) -> list:
+    lc = terms[0][2]
+    if lc == field.one:
+        return terms
+    return [(k, m, field.div(c, lc)) for k, m, c in terms]
+
+
+def _is_constant(terms: list) -> bool:
+    return all(m == 0 for _, m, _ in terms)
+
+
+class _Reducers:
+    """Monic packed polynomials to divide by, in basis order.
+
+    Each entry is (lead, lead key, fieldwise max of all its monomials,
+    tail terms).  divisor(e) is the index of the first entry whose lead
+    divides e, or -1.  Leads are bucketed by their largest variable, which
+    e must contain for the lead to divide it, so a lookup scans only the
+    buckets of e's variables.
+    """
+
+    def __init__(self, guard: int, nvars: int, polys: Iterable[list] = ()):
+        self.guard = guard
+        self.nvars = nvars
+        self.entries: list[tuple] = []
+        self.leads: list[int] = []
+        self.buckets: list[list] = [[] for _ in range(nvars + 1)]  # last: lead 1
+        for terms in polys:
+            self.append(terms)
+
+    def append(self, terms: list):
+        key, lead, _ = terms[0]
+        top = lead
+        for _, m, _ in terms:
+            top = _lcm(top, m, self.guard)
+        idx = len(self.leads)
+        self.entries.append((lead, key, top, tuple(terms[1:])))
+        self.leads.append(lead)
+        bucket = (lead.bit_length() - 1) // FIELD_BITS if lead else self.nvars
+        self.buckets[bucket].append((idx, lead))
+
+    def divisor(self, e: int) -> int:
+        guard = self.guard
+        eg = e | guard  # (eg - lead) keeps every guard bit iff lead divides e
+        n = found = len(self.leads)
+        for var in compress(range(self.nvars + 1), e.to_bytes(self.nvars, "little") + b"\1"):
+            for idx, lead in self.buckets[var]:
+                if idx >= found:
+                    break
+                if (eg - lead) & guard == guard:
+                    found = idx
+                    break
+        return found if found < n else -1
+
+
+#: the reducer reads the clock once per this many reduction steps
+CLOCK_STEPS = 256
+
+
+def _reduce(
+    f: dict,
+    heap: list,
+    reducers: _Reducers,
+    field,
+    trace: RunTrace | None = None,
+    deadline: float | None = None,
+) -> list:
+    """Full normal form of f modulo the reducers, as terms in descending order.
+
+    f maps packed monomials to nonzero coefficients; heap holds
+    (-key, monomial) for every monomial of f (stale entries are skipped).
+    Each step takes the largest monomial left and reduces it by the first
+    entry whose lead divides it, as heap division does.
+    """
     zero = field.zero
-    negkey = ring.order.negkey
-    heap = [(negkey(e), e) for e in f]
-    heapq.heapify(heap)
-    out: dict = {}
-    nvars = len(ring.vars)
+    add, mul, neg = field.add, field.mul, field.neg
+    guard = reducers.guard
+    entries = reducers.entries
+    divisor = reducers.divisor
+    out = []
+    steps = 0
     while heap:
-        _, e = heapq.heappop(heap)
-        c = f.get(e, zero)
+        negkey, e = heapq.heappop(heap)
+        c = f.pop(e, zero)
         if c == zero:
             continue
-        reducer = None
-        for lm, terms in basis:
-            ok = True
-            for a, b in zip(lm, e):
-                if a > b:
-                    ok = False
-                    break
-            if ok:
-                reducer = (lm, terms)
-                break
-        if reducer is None:
-            out[e] = c
-            del f[e]
+        idx = divisor(e)
+        if idx < 0:
+            out.append((-negkey, e, c))
             continue
-        lm, terms = reducer
-        shift = tuple(b - a for a, b in zip(lm, e))
-        # terms are monic: coefficient of lm is 1
-        del f[e]
-        for te, tc in terms[1:]:
-            me = tuple(a + b for a, b in zip(te, shift))
-            old = f.get(me, zero)
-            new = field.sub(old, field.mul(c, tc))
-            if new == zero:
-                f.pop(me, None)
+        lead, lead_key, top, tail = entries[idx]
+        shift = e - lead
+        if (top + shift) & guard:
+            raise _overflow(trace)
+        shift_key = -negkey - lead_key
+        nc = neg(c)
+        for k, m, tc in tail:
+            m += shift
+            term = mul(nc, tc)
+            old = f.get(m)
+            if old is None:
+                f[m] = term
+                heapq.heappush(heap, (-k - shift_key, m))
             else:
-                if me not in f:
-                    heapq.heappush(heap, (negkey(me), me))
-                f[me] = new
+                new = add(old, term)
+                if new == zero:
+                    del f[m]
+                else:
+                    f[m] = new
         if trace is not None and len(f) > trace.max_terms:
             trace.max_terms = len(f)
+        steps += 1
+        if deadline is not None and steps % CLOCK_STEPS == 0 and time.monotonic() > deadline:
+            raise BudgetExceeded("wall-clock budget exhausted", trace.as_dict())
     return out
 
 
-def _poly_from_dict(ring: PolynomialRing, d: dict) -> Polynomial:
-    return ring._from_dict(d, sort=True)
+def _reduce_terms(terms: list, reducers: _Reducers, field, trace=None, deadline=None) -> list:
+    f = {m: c for _, m, c in terms}
+    heap = [(-k, m) for k, m, _ in terms]
+    heapq.heapify(heap)
+    return _reduce(f, heap, reducers, field, trace, deadline)
 
 
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
@@ -204,9 +367,9 @@ def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
         f = f.convert(G.ring)
     elif f.ring.order is not G.ring.order:
         f = f.convert(G.ring)
-    basis = [(g._terms[0][0], g._terms) for g in G.elements]
-    rem = _reduce_terms(dict(f._terms), basis, G.ring)
-    return _poly_from_dict(G.ring, rem)
+    pk, reducers = G._packed
+    rem = _reduce_terms(pk.pack_terms(f), reducers, G.ring.field)
+    return pk.polynomial(G.ring, rem)
 
 
 # ---------------------------------------------------------------------------
@@ -239,137 +402,141 @@ def buchberger(
     budget = budget or DEFAULT_BUDGET
     trace = RunTrace(_input_hash(gens, ring.order), ring.order.kind)
     start = time.monotonic()
+    deadline = start + budget.wall_seconds
 
     field = ring.field
-    okey = ring.order.key
+    pk = _Packing(ring)
+    guard = pk.guard
+    polys: list[list] = []  # monic packed terms, in basis order
+    reducers = _Reducers(guard, pk.nvars)
+    leads = reducers.leads
+    done: list[set[int]] = []  # done[i]: every k whose pair with i was popped
 
-    G: list[Polynomial] = []
-    lms: list[tuple[int, ...]] = []
-
-    def basis_view():
-        return [(g._terms[0][0], g._terms) for g in G]
-
-    def add_element(h: Polynomial):
-        G.append(h)
-        lms.append(h._terms[0][0])
+    def add_element(terms: list):
+        polys.append(terms)
+        reducers.append(terms)
+        done.append(set())
 
     # seed with the (monic) inter-reduced input
-    for g in sorted((g.monic() for g in gens if g), key=lambda p: okey(p._terms[0][0])):
-        rem = _reduce_terms(dict(g._terms), basis_view(), ring, trace)
-        h = _poly_from_dict(ring, rem)
-        if h:
-            add_element(h.monic())
-    if any(g.is_constant() for g in G):
+    seeds = sorted(
+        (pk.pack_terms(g.monic(), trace) for g in gens if g), key=lambda terms: terms[0][0]
+    )
+    for terms in seeds:
+        rem = _reduce_terms(terms, reducers, field, trace, deadline)
+        if rem:
+            add_element(_monic(rem, field))
+    if any(_is_constant(terms) for terms in polys):
         trace.wall_seconds = time.monotonic() - start
         return GroebnerBasis(ring, [ring.one], trace)
 
-    pairs: list[tuple[tuple, tuple[int, int]]] = []
-    removed: set[tuple[int, int]] = set()
+    pairs: list[tuple[int, int, int]] = []
+    # the pair key is linear: key(lcm) = key(lm_k) + key(lm_t) - key(gcd),
+    # and the few distinct gcds get their key computed once
+    lead_pair_keys: list[int] = []
+    gcd_pair_keys: dict[int, int] = {}
 
-    def lcm_exps(i, j):
-        return tuple(max(a, b) for a, b in zip(lms[i], lms[j]))
+    def push_pairs(t: int):
+        lt = leads[t]
+        kt = pk.pair_key(lt)
+        lead_pair_keys.append(kt)
+        ltg = lt | guard
+        for k in range(t):
+            lk = leads[k]
+            ge = (ltg - lk) & guard  # the gcd, as in _lcm: lk where lt >= lk
+            gcd = lt ^ ((lt ^ lk) & (ge - (ge >> (FIELD_BITS - 1))))
+            kg = gcd_pair_keys.get(gcd)
+            if kg is None:
+                kg = gcd_pair_keys[gcd] = pk.pair_key(gcd)
+            heapq.heappush(pairs, (lead_pair_keys[k] + kt - kg, k, t))
 
-    def push_pair(i, j):
-        lcm = lcm_exps(i, j)
-        heapq.heappush(pairs, ((sum(lcm), okey(lcm)), (i, j)))
+    for t in range(len(polys)):
+        push_pairs(t)
 
-    for i in range(len(G)):
-        for j in range(i + 1, len(G)):
-            push_pair(i, j)
-
-    unit = None
+    unit = False
     while pairs:
         if trace.pairs >= budget.max_pairs or trace.max_terms >= budget.max_terms:
             raise BudgetExceeded("pair/term budget exhausted", trace.as_dict())
         if time.monotonic() - start > budget.wall_seconds:
             raise BudgetExceeded("wall-clock budget exhausted", trace.as_dict())
-        _, (i, j) = heapq.heappop(pairs)
-        if (i, j) in removed:
+        _, i, j = heapq.heappop(pairs)
+        done_i, done_j = done[i], done[j]
+        if j in done_i:
             continue
-        removed.add((i, j))
+        done_i.add(j)
+        done_j.add(i)
         trace.pairs += 1
-        li, lj = lms[i], lms[j]
-        lcm = tuple(max(a, b) for a, b in zip(li, lj))
+        li, lj = leads[i], leads[j]
+        lcm = _lcm(li, lj, guard)
         # coprime criterion
-        if all(a + b == c for a, b, c in zip(li, lj, lcm)):
+        if lcm == li + lj:
             continue
         # chain criterion: some k with lm_k | lcm and both sibling pairs done
-        skip = False
-        for k in range(len(G)):
-            if k == i or k == j:
-                continue
-            if all(a <= b for a, b in zip(lms[k], lcm)):
-                pik = (min(i, k), max(i, k))
-                pjk = (min(j, k), max(j, k))
-                if pik in removed and pjk in removed:
-                    skip = True
-                    break
-        if skip:
+        # (the intersection never holds i or j themselves)
+        if any(not (lcm - leads[k]) & guard for k in done_i & done_j):
             continue
-        # S-polynomial (both elements monic)
-        fi, fj = G[i], G[j]
-        si = tuple(c - a for a, c in zip(li, lcm))
-        sj = tuple(c - a for a, c in zip(lj, lcm))
+        # S-polynomial of the two monic elements, without the cancelled lcm
+        _, lead_key_i, top_i, tail_i = reducers.entries[i]
+        _, lead_key_j, top_j, tail_j = reducers.entries[j]
+        si, sj = lcm - li, lcm - lj
+        if (top_i + si) & guard or (top_j + sj) & guard:
+            raise _overflow(trace)
+        lcm_key = pk.key(lcm)
+        ki, kj = lcm_key - lead_key_i, lcm_key - lead_key_j
         s: dict = {}
-        for e, c in fi._terms:
-            s[tuple(a + b for a, b in zip(e, si))] = c
-        for e, c in fj._terms:
-            me = tuple(a + b for a, b in zip(e, sj))
-            old = s.get(me, field.zero)
-            new = field.sub(old, c)
-            if new == field.zero:
-                s.pop(me, None)
+        heap = []
+        for k, m, c in tail_i:
+            m += si
+            s[m] = c
+            heap.append((-k - ki, m))
+        for k, m, c in tail_j:
+            m += sj
+            old = s.get(m)
+            if old is None:
+                s[m] = field.sub(field.zero, c)
+                heap.append((-k - kj, m))
             else:
-                s[me] = new
-        rem = _reduce_terms(s, basis_view(), ring, trace)
-        h = _poly_from_dict(ring, rem)
-        if not h:
+                new = field.sub(old, c)
+                if new == field.zero:
+                    del s[m]
+                else:
+                    s[m] = new
+        heapq.heapify(heap)
+        rem = _reduce(s, heap, reducers, field, trace, deadline)
+        if not rem:
             continue
-        h = h.monic()
-        if h.is_constant():
-            unit = h
+        h = _monic(rem, field)
+        if _is_constant(h):
+            unit = True
             break
-        t = len(G)
         add_element(h)
-        for k in range(t):
-            push_pair(k, t)
+        push_pairs(len(polys) - 1)
 
-    if unit is not None:
+    if unit:
         elements = [ring.one]
     else:
-        elements = _interreduce(ring, G, trace)
+        reduced = _interreduce(polys, leads, guard, pk.nvars, field, trace)
+        elements = [pk.polynomial(ring, h) for h in reduced]
     trace.wall_seconds = time.monotonic() - start
     return GroebnerBasis(ring, elements, trace)
 
 
-def _interreduce(ring: PolynomialRing, G: list[Polynomial], trace: RunTrace) -> list[Polynomial]:
-    """Minimalize and tail-reduce a Groebner basis; sort by leading monomial."""
-    okey = ring.order.key
+def _interreduce(polys: list, leads: list, guard: int, nvars: int, field, trace: RunTrace) -> list:
+    """Minimalize and tail-reduce a packed Groebner basis; sort by lead."""
     # minimal: drop g whose lm is divisible by another's lm
-    keep: list[Polynomial] = []
-    lms = [g._terms[0][0] for g in G]
-    for idx, g in enumerate(G):
-        lm = lms[idx]
-        divisible = False
-        for jdx, other_lm in enumerate(lms):
-            if jdx == idx:
-                continue
-            if all(a <= b for a, b in zip(other_lm, lm)) and (
-                other_lm != lm or jdx < idx
-            ):
-                divisible = True
-                break
-        if not divisible:
-            keep.append(g)
-    # reduce each element modulo the others
-    reduced: list[Polynomial] = []
-    for idx, g in enumerate(keep):
-        others = [(h._terms[0][0], h._terms) for jdx, h in enumerate(keep) if jdx != idx]
-        rem = _reduce_terms(dict(g._terms), others, ring, trace)
-        h = _poly_from_dict(ring, rem)
-        if h:
-            reduced.append(h.monic())
-    reduced.sort(key=lambda p: okey(p._terms[0][0]))
+    keep = [
+        terms
+        for idx, (terms, lm) in enumerate(zip(polys, leads))
+        if not any(
+            jdx != idx and not (lm - other) & guard and (other != lm or jdx < idx)
+            for jdx, other in enumerate(leads)
+        )
+    ]
+    # reduce each element's tail modulo the others: in a minimal basis no
+    # lead divides another lead or any monomial below it, so dividing by all
+    # of keep picks the same divisors as dividing by the others
+    reducers = _Reducers(guard, nvars, keep)
+    reduced = [[terms[0]] + _reduce_terms(terms[1:], reducers, field, trace) for terms in keep]
+    reduced.sort(key=lambda terms: terms[0][0])
     return reduced
 
 

@@ -81,11 +81,41 @@ class RationalField:
         return hash("QQ")
 
 
+#: Miller-Rabin with these bases decides primality exactly for n < 2**64.
+_MILLER_RABIN_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin, exact for n < 2**64."""
+    if n < 2:
+        return False
+    for a in _MILLER_RABIN_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MILLER_RABIN_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
+
+
 class PrimeField:
     """F_p; elements are ints in 0..p-1, arithmetic never mixes primes."""
 
     def __init__(self, p: int):
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if p >= 1 << 64:
+            raise ValueError(f"{p} is too large: prime fields need p < 2**64")
+        if not _is_prime(p):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.zero = 0
@@ -208,8 +238,15 @@ def pvar(k: int) -> VariableId:
 #
 # An order works on dense exponent tuples relative to a ring's variable
 # sequence, which is listed ascending: vars[0] is the least variable.
-# key() is monotone (bigger key = bigger monomial), negkey() is its
-# reversal, used for min-heaps that must pop the largest monomial.
+# key() is monotone (bigger key = bigger monomial).  weight_rows() gives
+# the same order as integer rows: two monomials compare as the tuples of
+# their row values (sum of row[i] * exps[i]) compare, exactly as their
+# key() values do; the Groebner engine folds the rows into one linear
+# integer key.
+
+
+def _unit_row(nvars: int, i: int, value: int = 1) -> tuple[int, ...]:
+    return tuple(value if j == i else 0 for j in range(nvars))
 
 
 class MonomialOrder:
@@ -218,7 +255,7 @@ class MonomialOrder:
     def key(self, exps: tuple[int, ...]):
         raise NotImplementedError
 
-    def negkey(self, exps: tuple[int, ...]):
+    def weight_rows(self, nvars: int) -> list[tuple[int, ...]]:
         raise NotImplementedError
 
     def __repr__(self):
@@ -238,8 +275,8 @@ class Lex(MonomialOrder):
     def key(self, exps):
         return exps[::-1]
 
-    def negkey(self, exps):
-        return tuple(-e for e in reversed(exps))
+    def weight_rows(self, nvars):
+        return [_unit_row(nvars, i) for i in reversed(range(nvars))]
 
 
 class GrevLex(MonomialOrder):
@@ -250,8 +287,8 @@ class GrevLex(MonomialOrder):
     def key(self, exps):
         return (sum(exps), tuple(-e for e in exps))
 
-    def negkey(self, exps):
-        return (-sum(exps), exps)
+    def weight_rows(self, nvars):
+        return [(1,) * nvars] + [_unit_row(nvars, i, -1) for i in range(nvars)]
 
 
 class TauOrder(MonomialOrder):
@@ -270,8 +307,8 @@ class TauOrder(MonomialOrder):
     def key(self, exps):
         return (sum(exps), tuple(-exps[i] for i in self.sequence))
 
-    def negkey(self, exps):
-        return (-sum(exps), tuple(exps[i] for i in self.sequence))
+    def weight_rows(self, nvars):
+        return [(1,) * nvars] + [_unit_row(nvars, i, -1) for i in self.sequence]
 
 
 class BlockOrder(MonomialOrder):
@@ -293,11 +330,12 @@ class BlockOrder(MonomialOrder):
             for blk in self.blocks
         )
 
-    def negkey(self, exps):
-        return tuple(
-            (-sum(exps[i] for i in blk), tuple(exps[i] for i in blk))
-            for blk in self.blocks
-        )
+    def weight_rows(self, nvars):
+        rows = []
+        for blk in self.blocks:
+            rows.append(tuple(int(i in blk) for i in range(nvars)))
+            rows.extend(_unit_row(nvars, i, -1) for i in blk)
+        return rows
 
 
 # ---------------------------------------------------------------------------

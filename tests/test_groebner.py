@@ -7,17 +7,28 @@ literally as well.
 
 from __future__ import annotations
 
+import json
 import random
+import sys
+from pathlib import Path
 
 import pytest
 import sympy as sp
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from groebner_runs import collect_runs
+from resint import groebner
 from resint.groebner import (
+    EXPONENT_LIMIT,
     BadColon,
     Budget,
     BudgetExceeded,
     EMPTY_VARIETY_DIMENSION,
     IdealBasis,
+    _lcm,
+    _Packing,
+    _Reducers,
     buchberger,
     colon_ideal,
     ideal_equal,
@@ -30,8 +41,11 @@ from resint.residual import build_instance
 from resint.ring import (
     GF,
     QQ,
+    BlockOrder,
     GrevLex,
+    Lex,
     PolynomialRing,
+    TauOrder,
     ambient_ring,
     minor,
     poly_text,
@@ -426,3 +440,131 @@ def test_budget_exceeded_carries_stats():
         buchberger(inst.ideal(), order=GrevLex(), budget=Budget(max_pairs=2))
     assert err.value.stats["pairs"] >= 2
     assert "max_terms" in err.value.stats
+
+
+# ---------------------------------------------------------------------------
+# the packed engine: integer keys and SWAR monomial arithmetic
+
+
+NVARS = 6
+ORDERS = [Lex(), GrevLex(), TauOrder([3, 0, 5, 1, 4, 2]), BlockOrder([[4, 1], [0, 2, 3, 5]])]
+
+
+def packing(order):
+    return _Packing(PolynomialRing(QQ, [yvar(i) for i in range(1, NVARS + 1)], order))
+
+
+# small exponents make divisibility and equal keys common; large ones reach
+# the top of the field
+exponent = st.one_of(st.integers(0, 2), st.integers(0, EXPONENT_LIMIT - 1))
+exponents = st.tuples(*[exponent] * NVARS)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(ORDERS), exponents, exponents)
+def test_integer_key_orders_like_order_key(order, a, b):
+    pk = packing(order)
+    ka, kb = pk.key(pk.pack(a)), pk.key(pk.pack(b))
+    ta, tb = order.key(a), order.key(b)
+    assert (ka < kb, ka == kb) == (ta < tb, ta == tb)
+    pa, pb = pk.pair_key(pk.pack(a)), pk.pair_key(pk.pack(b))
+    assert (pa < pb, pa == pb) == ((sum(a), ta) < (sum(b), tb), (sum(a), ta) == (sum(b), tb))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.sampled_from(ORDERS), exponents, exponents)
+def test_integer_key_is_linear(order, a, b):
+    pk = packing(order)
+    a = tuple(x // 2 for x in a)
+    b = tuple(x // 2 for x in b)
+    s = tuple(x + y for x, y in zip(a, b))
+    assert pk.key(pk.pack(s)) == pk.key(pk.pack(a)) + pk.key(pk.pack(b))
+    assert pk.pair_key(pk.pack(s)) == pk.pair_key(pk.pack(a)) + pk.pair_key(pk.pack(b))
+
+
+@settings(max_examples=300, deadline=None)
+@given(exponents, exponents)
+def test_packed_divisibility_lcm_and_product(a, b):
+    pk = packing(GrevLex())
+    guard = pk.guard
+    pa, pb = pk.pack(a), pk.pack(b)
+    assert pk.unpack(pa) == a
+    assert (not (pa - pb) & guard) == all(y <= x for x, y in zip(a, b))
+    assert pk.unpack(_lcm(pa, pb, guard)) == tuple(map(max, a, b))
+    product = tuple(x + y for x, y in zip(a, b))
+    overflow = max(product) >= EXPONENT_LIMIT
+    assert bool((pa + pb) & guard) == overflow
+    if not overflow:
+        assert pk.unpack(pa + pb) == product
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(exponents, min_size=1, max_size=12), exponents)
+def test_first_divisor_is_the_first_in_basis_order(leads, e):
+    pk = packing(GrevLex())
+    leads = [tuple(x % 3 for x in lead) for lead in leads]
+    reducers = _Reducers(pk.guard, NVARS, [[(0, pk.pack(lead), 1)] for lead in leads])
+    expected = next(
+        (i for i, lead in enumerate(leads) if all(x <= y for x, y in zip(lead, e))), -1
+    )
+    assert reducers.divisor(pk.pack(e)) == expected
+
+
+def test_exponent_at_field_limit_raises_budget_exceeded():
+    R = ambient_ring(1, 1, field=FP)
+    x, y = R.var(xvar(1, 1)), R.var(yvar(1))
+    with pytest.raises(BudgetExceeded, match="exponent overflow"):
+        buchberger(IdealBasis(R, [x**EXPONENT_LIMIT - y]))
+    assert buchberger(IdealBasis(R, [x ** (EXPONENT_LIMIT - 1) - y])).elements
+
+
+def test_product_past_field_limit_raises_budget_exceeded():
+    # under lex x is the lead of x - y^100; reducing x^2 by it twice needs
+    # y^200, past the field, so the run stops instead of wrapping around
+    R = ambient_ring(1, 1, field=FP, order=Lex())
+    x, y = R.var(xvar(1, 1)), R.var(yvar(1))
+    with pytest.raises(BudgetExceeded, match="exponent overflow") as err:
+        buchberger(IdealBasis(R, [x - y**100, x**2 + y]))
+    assert err.value.stats["pairs"] == 0
+    G = buchberger(IdealBasis(R, [x - y**100]))
+    with pytest.raises(BudgetExceeded, match="exponent overflow"):
+        normal_form(x**2, G)
+    assert normal_form(x * y, G) == y**101
+
+
+def test_wall_clock_budget_is_checked_inside_a_reduction(monkeypatch):
+    # the clock reads as expired only inside the reducer, so the raise can
+    # come from nowhere else; seeding (x21 - x11, (x11 + x21 + y1)^25)
+    # takes hundreds of reduction steps in one call
+    def clock():
+        return 1e9 if sys._getframe(1).f_code.co_name == "_reduce" else 0.0
+
+    monkeypatch.setattr(groebner.time, "monotonic", clock)
+    R = ambient_ring(2, 1, field=FP, order=GrevLex())
+    x11, x21, y1 = R.var(xvar(1, 1)), R.var(xvar(2, 1)), R.var(yvar(1))
+    gens = [x21 - x11, (x11 + x21 + y1) ** 25]
+    with pytest.raises(BudgetExceeded, match="wall-clock") as err:
+        buchberger(IdealBasis(R, gens), budget=Budget(wall_seconds=60))
+    assert err.traceback[-1].name == "_reduce"
+    assert err.value.stats["pairs"] == 0
+
+
+GOLDEN_RUNS = Path(__file__).parent / "golden" / "groebner_runs.json"
+
+
+def test_groebner_runs_match_golden(monkeypatch):
+    # pairs, peak terms and bases of every run of a small workload over both
+    # fields and all four order kinds, pinned from the tuple-exponent engine;
+    # that engine also ran 1002 reductions there (seeds, S-polynomials, tail
+    # reductions, normal forms), and a pair criterion that dropped fewer
+    # pairs would reduce more S-polynomials
+    real = groebner._reduce
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(groebner, "_reduce", counting)
+    assert collect_runs() == json.loads(GOLDEN_RUNS.read_text())
+    assert len(calls) == 1002

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import time
 from fractions import Fraction
 
 import pytest
@@ -105,6 +106,40 @@ def test_mixed_primes_raise():
     b = ambient_ring(2, 2, field=GF(7)).one
     with pytest.raises(IncompatibleField):
         a * b
+
+
+def test_large_mersenne_prime_field_is_fast():
+    start = time.monotonic()
+    field = GF(2**61 - 1)
+    assert time.monotonic() - start < 0.5
+    assert field.mul(field.inv(3), 3) == 1
+
+
+@pytest.mark.parametrize("composite", [1, 561, 3215031751, 2**61 + 1])
+def test_composites_rejected(composite):
+    # 561 is a Carmichael number; 3215031751 is a strong pseudoprime to
+    # the bases 2, 3, 5 and 7
+    with pytest.raises(ValueError, match="not prime"):
+        GF(composite)
+
+
+def test_prime_fields_agree_with_trial_division():
+    def accepted(p):
+        try:
+            GF(p)
+        except ValueError:
+            return False
+        return True
+
+    def trial(p):
+        return p >= 2 and all(p % q for q in range(2, int(p**0.5) + 1))
+
+    assert [p for p in range(3000) if accepted(p)] == [p for p in range(3000) if trial(p)]
+
+
+def test_prime_beyond_64_bits_rejected():
+    with pytest.raises(ValueError, match="2\\*\\*64"):
+        GF(2**89 - 1)
 
 
 # ---------------------------------------------------------------------------
