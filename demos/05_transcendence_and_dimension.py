@@ -21,17 +21,18 @@ from resint.transcendence import (
 )
 
 m, n = 4, 2
+inst = build_instance(m, n)
 D = build_D(m, n)
 print("D =", [l.text for l in D.labels], f" (size {len(D)} = {n}*({m}-{n}+1)+1)")
 
 print("\nspecialized closed forms (each a single signed monomial):")
-for label, poly in specialize_D(m, n).items():
+for label, poly in specialize_D(inst).items():
     print(f"  {label.text:6s} -> {poly}")
 
-report = independence_by_exponents(m, n)
+report = independence_by_exponents(inst)
 print(f"\nexponent matrix rank {report.rank} of {report.size} rows: independent = {report.verdict}")
 
-R = build_instance(m, n).ring
+R = inst.ring
 rec = plucker_relation(R, (1,), (2, 3, 4))
 print("\nthe three-term exchange relation:")
 for t in rec.terms:
@@ -39,11 +40,10 @@ for t in rec.terms:
         print(f"  {t.coeff:+d} * {list(t.rows_a)} * {list(t.rows_b)}")
 print("expands to:", rec.expand(R))
 
-inst = build_instance(m, n)
 ctx = DContext(inst)
 frac = ctx.fraction(M([2, 3]))
 print("\n[2,3] over D:", json.dumps(_prefix(frac)))
 print("cleared-denominator identity holds:", verify_rewrite(ctx, M([2, 3]), frac))
 
-cert = verify_transcendence_basis(m, n)
+cert = verify_transcendence_basis(inst)
 print("\nfull certificate verdict:", cert.verdict, "| dimension:", cert.dimension)

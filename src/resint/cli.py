@@ -173,7 +173,7 @@ class _Run:
 
     @cached_property
     def transcendence(self):
-        return verify_transcendence_basis(self.config.m, self.config.n)
+        return verify_transcendence_basis(self.rational_instance)
 
 
 def _check_radical(run: _Run) -> dict:

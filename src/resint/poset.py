@@ -272,9 +272,12 @@ def enumerate_standard_monomials(poset: BPoset, degree: int) -> list[StandardMon
 
 def expand_labels(instance, labels: Iterable[GeneratorLabel]) -> Polynomial:
     """Product in the ambient ring of the polynomials behind the labels."""
-    result = instance.ring.one
-    for l in labels:
-        result = result * instance.polynomials[l]
+    polys = [instance.polynomials[l] for l in labels]
+    if not polys:
+        return instance.ring.one
+    result = polys[0]
+    for p in polys[1:]:
+        result = result * p
     return result
 
 
@@ -357,13 +360,11 @@ def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningR
             if less_eq(c_lab, d_lab):
                 candidates.append((c_lab, d_lab))
         candidates = sorted(set(candidates), key=lambda p: (p[0].sort_key, p[1].sort_key))
-        target = expand_labels(instance, (a, b))
-        expansions = [expand_labels(instance, pair) for pair in candidates]
-        monos = sorted(
-            {e for p in expansions + [target] for e, _ in p._terms}
-        )
-        matrix = [[p.ring.field.coerce(dict(p._terms).get(mo, 0)) for p in expansions] for mo in monos]
-        rhs = [dict(target._terms).get(mo, field.zero) for mo in monos]
+        target = dict(expand_labels(instance, (a, b))._terms)
+        expansions = [dict(expand_labels(instance, pair)._terms) for pair in candidates]
+        monos = sorted({e for p in expansions + [target] for e in p})
+        matrix = [[p.get(mo, field.zero) for p in expansions] for mo in monos]
+        rhs = [target.get(mo, field.zero) for mo in monos]
         sol = linalg.solve_field(field, matrix, rhs)
         if sol is None:
             raise ValueError(f"no standard expansion found for {a.text}*{b.text}")
@@ -412,32 +413,38 @@ def straighten_product(
 def verify_asl1(instance, degree: int) -> bool:
     """Distinct leading monomials of standard monomials, and spanning.
 
-    Degree by degree up to the bound: every standard monomial expands with
-    a leading monomial no other one shares, and every plain product of
-    generators straightens to a standard combination that re-expands to it.
+    Degree by degree up to the bound, in one pass over the sorted products
+    of generators, each expanded once: the standard ones (multichains) have
+    leading monomials no other one shares, and every product straightens
+    to a standard combination that re-expands to it.
     """
     poset = instance.poset
+    field = instance.ring.field
     for d in range(degree + 1):
-        stds = enumerate_standard_monomials(poset, d)
         lms = set()
-        for s in stds:
-            p = expand_labels(instance, s.labels)
-            lm = p._terms[0][0]
-            if lm in lms:
+        for combo in itertools.combinations_with_replacement(poset.elements, d):
+            target = expand_labels(instance, combo)
+            if is_standard(combo):
+                lm = target._terms[0][0]
+                if lm in lms:
+                    return False
+                lms.add(lm)
+            if d < 2:
+                continue
+            expansion = straighten_product(instance, combo)
+            if not all(is_standard(ls) for ls in expansion):
                 return False
-            lms.add(lm)
-        if len(lms) != len(stds):
+            rebuilt: dict = {}
+            for ls, c in expansion.items():
+                # a standard product straightens to itself
+                p = target if ls == combo else expand_labels(instance, ls)
+                for e, pc in p._terms:
+                    prod = field.mul(pc, c)
+                    rebuilt[e] = field.add(rebuilt[e], prod) if e in rebuilt else prod
+            if {e: c for e, c in rebuilt.items() if c != field.zero} != dict(target._terms):
+                return False
+        if len(lms) != len(enumerate_standard_monomials(poset, d)):
             return False
-        if d >= 2:
-            for combo in itertools.combinations_with_replacement(poset.elements, d):
-                expansion = straighten_product(instance, combo)
-                if not all(is_standard(ls) for ls in expansion):
-                    return False
-                rebuilt = instance.ring.zero
-                for ls, c in expansion.items():
-                    rebuilt = rebuilt + expand_labels(instance, ls) * c
-                if rebuilt != expand_labels(instance, combo):
-                    return False
     return True
 
 

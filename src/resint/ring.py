@@ -10,6 +10,7 @@ All values are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
+import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
@@ -517,21 +518,15 @@ class Polynomial:
             mul = self.ring.field.mul
             return Polynomial(self.ring, tuple((e, mul(cc, c)) for e, cc in self._terms))
         self._check(other)
-        field = self.ring.field
-        zero = field.zero
+        # over a field a product of nonzero coefficients is nonzero;
+        # _from_dict drops the sums that cancel
+        mul, add = self.ring.field.mul, self.ring.field.add
         d: dict = {}
         for e1, c1 in self._terms:
             for e2, c2 in other._terms:
-                e = tuple(a + b for a, b in zip(e1, e2))
-                prod = field.mul(c1, c2)
-                if e in d:
-                    s = field.add(d[e], prod)
-                    if s == zero:
-                        del d[e]
-                    else:
-                        d[e] = s
-                elif prod != zero:
-                    d[e] = prod
+                e = tuple(map(operator.add, e1, e2))
+                prod = mul(c1, c2)
+                d[e] = add(d[e], prod) if e in d else prod
         return self.ring._from_dict(d, sort=True)
 
     def __rmul__(self, other):
@@ -590,20 +585,31 @@ class Polynomial:
     def substitute(
         self, assignment: Mapping[VariableId, "Polynomial"], target: "PolynomialRing"
     ) -> "Polynomial":
-        """Evaluate under a total assignment of this ring's variables."""
+        """Evaluate under a total assignment of this ring's variables.
+
+        Each power of an image is computed once per call, and the terms are
+        summed into one dict that is sorted once.
+        """
         images = []
         for v in self.ring.vars:
             if v not in assignment:
                 raise KeyError(f"assignment missing {v.text}")
             images.append(assignment[v])
-        result = target.zero
+        field = target.field
+        powers: dict = {}
+        d: dict = {}
         for e, c in self._terms:
-            term = target.const(c)
-            for img, exp in zip(images, e):
+            term = target.one
+            for i, exp in enumerate(e):
                 if exp:
-                    term = term * img**exp
-            result = result + term
-        return result
+                    if (i, exp) not in powers:
+                        powers[i, exp] = images[i] ** exp
+                    term = powers[i, exp] if term is target.one else term * powers[i, exp]
+            c = field.coerce(c)
+            for te, tc in term._terms:
+                prod = field.mul(tc, c)
+                d[te] = field.add(d[te], prod) if te in d else prod
+        return target._from_dict(d, sort=True)
 
     def convert(self, target: "PolynomialRing") -> "Polynomial":
         """Reinterpret in a ring whose variables include this ring's."""

@@ -132,11 +132,10 @@ def closed_form(ring: PolynomialRing, n: int, label: GeneratorLabel) -> Polynomi
     return prod if (n + j) % 2 == 0 else -prod
 
 
-def specialize_D(m: int, n: int, field=QQ) -> dict[GeneratorLabel, Polynomial]:
+def specialize_D(instance: ResidualInstance) -> dict[GeneratorLabel, Polynomial]:
     """Substitute the special matrices into the D polynomials and certify
     the closed forms by exact comparison."""
-    instance = build_instance(m, n, field=field)
-    ring = instance.ring
+    m, n, ring = instance.m, instance.n, instance.ring
     assignment = special_assignment(m, n, ring)
     out: dict[GeneratorLabel, Polynomial] = {}
     for label in build_D(m, n).labels:
@@ -161,7 +160,7 @@ class IndependenceReport:
         return self.rank == self.size
 
 
-def independence_by_exponents(m: int, n: int) -> IndependenceReport:
+def independence_by_exponents(instance: ResidualInstance) -> IndependenceReport:
     """Algebraic independence of the specialized D by exponent-matrix rank.
 
     Each specialized element is (up to sign) a single monomial; monomials
@@ -169,7 +168,7 @@ def independence_by_exponents(m: int, n: int) -> IndependenceReport:
     independent.  Support distinctness is reported alongside as the weaker
     statement the finer counting argument would use.
     """
-    specialized = specialize_D(m, n)
+    specialized = specialize_D(instance)
     rows = []
     supports = set()
     for label, poly in specialized.items():
@@ -441,13 +440,16 @@ class TransCertificate:
         return json.dumps(self.as_dict(), indent=2, sort_keys=True)
 
 
-def verify_transcendence_basis(m: int, n: int, verbose: bool = False) -> TransCertificate:
+def verify_transcendence_basis(instance: ResidualInstance, verbose: bool = False) -> TransCertificate:
     """The full certificate: monomial independence of the specialized D,
     every generator rewritten over D with the identity checked exactly, and
-    the size count n(m-n+1)+1 -- an independent derivation of the dimension."""
-    instance = build_instance(m, n, field=QQ)
-    independence = independence_by_exponents(m, n)
+    the size count n(m-n+1)+1 -- an independent derivation of the dimension.
+    The certificate runs over Q, on the instance's Q twin if it has another
+    field."""
     context = DContext(instance)
+    instance = context.instance
+    m, n = instance.m, instance.n
+    independence = independence_by_exponents(instance)
     rewrites = []
     all_ok = True
     for label in instance.labels:

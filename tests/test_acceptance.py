@@ -155,7 +155,7 @@ def test_criterion_11_dimension_triple_agreement():
         inst = build_instance(m, n)
         a = inst.poset.poset_rank()
         b = semigroup_dimension(initial_generators(inst))
-        c = verify_transcendence_basis(m, n).dimension
+        c = verify_transcendence_basis(inst).dimension
         ok = ok and a == b == c == n * (m - n + 1) + 1
     report(11, "poset rank = semigroup rank = transcendence dimension", ok, started, 60.0)
 
@@ -164,7 +164,7 @@ def test_criterion_12_transcendence_certificates():
     started = time.monotonic()
     ok = True
     for m, n in [(4, 2), (3, 2), (3, 3)]:
-        cert = verify_transcendence_basis(m, n)
+        cert = verify_transcendence_basis(build_instance(m, n))
         ok = (
             ok
             and cert.verdict

@@ -113,6 +113,52 @@ def test_verify_computes_shared_results_once(tmp_path, monkeypatch):
     assert calls == {"build_instance": 2, "toric_kernel": 1, "verify_transcendence_basis": 1}
 
 
+def test_transbasis_and_dims_share_the_run_instance(tmp_path, monkeypatch):
+    from resint import cli, transcendence
+
+    built = []
+    for module in (cli, transcendence):
+        def counted(*args, _real=module.build_instance, **kwargs):
+            built.append(args)
+            return _real(*args, **kwargs)
+
+        monkeypatch.setattr(module, "build_instance", counted)
+    _, code = cmd_verify(config(tmp_path, field_name="Q"), ["transbasis", "dims"])
+    assert code == 0
+    assert len(built) == 1
+
+
+def test_verify_asl1_expands_each_product_once(monkeypatch):
+    import itertools
+
+    from resint.poset import is_standard, straighten_product, verify_asl1, verify_asl2
+    from resint.residual import build_instance
+    from resint.ring import Polynomial
+
+    inst = build_instance(4, 2)
+    # straighten every incomparable pair first, so that only the products
+    # verify_asl1 expands itself are counted
+    assert verify_asl2(inst)
+    products = 0
+    real_mul = Polynomial.__mul__
+
+    def counted(self, other):
+        nonlocal products
+        products += isinstance(other, Polynomial)
+        return real_mul(self, other)
+
+    monkeypatch.setattr(Polynomial, "__mul__", counted)
+    assert verify_asl1(inst, 2)
+    monkeypatch.undo()
+    combos = [
+        c for d in range(3) for c in itertools.combinations_with_replacement(inst.poset.elements, d)
+    ]
+    rhs_terms = sum(
+        len(straighten_product(inst, c)) for c in combos if len(c) == 2 and not is_standard(c)
+    )
+    assert products <= len(combos) + rhs_terms
+
+
 def test_verify_reports_are_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     cmd_verify(config(a, m=3, n=2), ["radical", "dims", "wonderful"])

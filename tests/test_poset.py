@@ -4,9 +4,12 @@ the two ASL axioms, and the wonderful-poset condition."""
 from __future__ import annotations
 
 import itertools
+import json
+from pathlib import Path
 
 import pytest
 
+from resint import poset as poset_module
 from resint.labels import M, Q, canonical_labels
 from resint.poset import (
     BPoset,
@@ -24,7 +27,10 @@ from resint.poset import (
     verify_asl2,
     witness_chain,
 )
+from resint.residual import build_instance
 from resint.ring import NotIncomparable
+
+GOLDEN_RELATIONS = Path(__file__).parent / "golden" / "straighten_relations.json"
 
 
 # ---------------------------------------------------------------------------
@@ -281,6 +287,67 @@ def test_asl1_22_any_degree(inst22):
 
 def test_asl1_33_degree2(inst33):
     assert verify_asl1(inst33, 2)
+
+
+def straighten_relation_texts() -> dict[str, list[str]]:
+    """The text of every straightening relation at (4,2), (4,3), (5,3) over Q."""
+    out = {}
+    for m, n in ((4, 2), (4, 3), (5, 3)):
+        inst = build_instance(m, n)
+        out[f"{m},{n}"] = [straighten(inst, a, b).text for a, b in incomparable_pairs(inst.poset)]
+    return out
+
+
+def test_straighten_relations_match_golden():
+    # golden written by json.dumps(straighten_relation_texts(), indent=1)
+    assert straighten_relation_texts() == json.loads(GOLDEN_RELATIONS.read_text())
+
+
+#: an incomparable product of (4,2) whose straightening has two terms
+TAMPERED = (Q(3), M([1, 2]))
+
+
+def tamper_straightening(monkeypatch, tamper):
+    """verify_asl1 sees `tamper(expansion)` as the straightening of TAMPERED."""
+    real = poset_module.straighten_product
+
+    def tampered(instance, labels, *args, **kwargs):
+        expansion = real(instance, labels, *args, **kwargs)
+        return tamper(dict(expansion)) if tuple(labels) == TAMPERED else expansion
+
+    monkeypatch.setattr(poset_module, "straighten_product", tampered)
+
+
+def test_asl1_rejects_a_dropped_term(monkeypatch):
+    tamper_straightening(monkeypatch, lambda e: dict(list(e.items())[1:]))
+    assert not verify_asl1(build_instance(4, 2), 2)
+
+
+def test_asl1_rejects_a_scaled_coefficient(monkeypatch):
+    def scale_first(e):
+        first = next(iter(e))
+        e[first] = e[first] * 2
+        return e
+
+    tamper_straightening(monkeypatch, scale_first)
+    assert not verify_asl1(build_instance(4, 2), 2)
+
+
+def test_asl1_rejects_a_non_standard_expansion(monkeypatch):
+    # the product itself re-expands to the target; only its shape is wrong
+    tamper_straightening(monkeypatch, lambda e: {TAMPERED: 1})
+    assert not verify_asl1(build_instance(4, 2), 2)
+
+
+def test_asl1_rejects_a_shared_leading_monomial(monkeypatch):
+    real = poset_module.expand_labels
+    twin, other = (Q(1), Q(1)), (Q(1), Q(2))
+
+    def expand(instance, labels):
+        return real(instance, twin if tuple(labels) == other else labels)
+
+    monkeypatch.setattr(poset_module, "expand_labels", expand)
+    assert not verify_asl1(build_instance(4, 2), 2)
 
 
 def test_asl2_42_exhaustive(inst42):

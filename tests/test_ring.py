@@ -346,6 +346,35 @@ def test_leading_monomial_multiplicative(f, g):
     assert (f * g).leading_monomial() == f.leading_monomial() * g.leading_monomial()
 
 
+def substitute_by_hand(f, images, target):
+    """Oracle: each term as a plain product, one factor per unit of exponent."""
+    acc = target.zero
+    for c, mono in f.terms:
+        term = target.const(c)
+        for img, k in zip(images, mono.exps):
+            for _ in range(k):
+                term = term * img
+        acc = acc + term
+    return acc
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.sampled_from([RQ, RP]).flatmap(
+        lambda R: st.tuples(
+            polys(R, max_terms=6, max_exp=3),
+            st.lists(polys(R, max_terms=3), min_size=len(R.vars), max_size=len(R.vars)),
+        )
+    )
+)
+def test_substitute_matches_term_by_term_products(case):
+    # repeated powers of one image across terms exercise the power memo
+    f, images = case
+    R = f.ring
+    got = f.substitute(dict(zip(R.vars, images)), R)
+    assert got.terms == substitute_by_hand(f, images, R).terms
+
+
 @settings(max_examples=40, deadline=None)
 @given(polys(RQ))
 def test_one_is_least_monomial(f):

@@ -80,7 +80,7 @@ def test_special_pair_zero_pattern(m, n):
 
 
 def test_specialized_closed_forms_42():
-    specialized = specialize_D(4, 2)
+    specialized = specialize_D(build_instance(4, 2))
     R = next(iter(specialized.values())).ring
     assert specialized[Q(3)] == R.var(xvar(3, 1))
     assert specialized[M([1, 2])] == R.var(xvar(1, 1)) * R.var(xvar(2, 2))
@@ -97,7 +97,7 @@ def test_closed_form_sign():
 @pytest.mark.parametrize("m", range(2, 7))
 def test_closed_forms_match_substitution_everywhere(m):
     for n in range(2, m + 1):
-        specialize_D(m, n)  # raises StructureViolation on any mismatch
+        specialize_D(build_instance(m, n))  # raises StructureViolation on any mismatch
 
 
 # ---------------------------------------------------------------------------
@@ -109,7 +109,7 @@ def test_closed_forms_match_substitution_everywhere(m):
     [(4, 2, 7), (3, 3, 4), (2, 2, 3), (3, 2, 5), (5, 3, 10)],
 )
 def test_independence_rank(m, n, rank):
-    report = independence_by_exponents(m, n)
+    report = independence_by_exponents(build_instance(m, n))
     assert report.rank == rank == report.size
     assert report.verdict
     assert report.supports_distinct
@@ -117,7 +117,7 @@ def test_independence_rank(m, n, rank):
 
 def test_independence_matrix_shape_42():
     # 7 specialized monomials over the 10 ambient variables
-    specialized = specialize_D(4, 2)
+    specialized = specialize_D(build_instance(4, 2))
     assert len(specialized) == 7
     some_poly = next(iter(specialized.values()))
     assert len(some_poly.ring.vars) == 10
@@ -230,21 +230,21 @@ def test_rewrite_denominators_only_main_minor_and_q1():
 
 @pytest.mark.parametrize("m,n,dim", [(4, 2, 7), (3, 2, 5), (3, 3, 4)])
 def test_transcendence_certificate(m, n, dim):
-    cert = verify_transcendence_basis(m, n)
+    cert = verify_transcendence_basis(build_instance(m, n))
     assert cert.verdict
     assert cert.dimension == dim
     assert all(r["verified"] for r in cert.rewrites)
 
 
 def test_certificate_verbose_identities():
-    cert = verify_transcendence_basis(2, 2, verbose=True)
+    cert = verify_transcendence_basis(build_instance(2, 2), verbose=True)
     assert all("cleared_identity" in r for r in cert.rewrites)
 
 
 def test_certificate_json_roundtrip():
     import json
 
-    cert = verify_transcendence_basis(3, 2)
+    cert = verify_transcendence_basis(build_instance(3, 2))
     data = json.loads(cert.to_json())
     assert data["dimension"] == 5
     assert data["independence"]["rank"] == 5
@@ -256,5 +256,5 @@ def test_triple_dimension_agreement(m, n):
     inst = build_instance(m, n)
     from_poset = inst.poset.poset_rank()
     from_semigroup = semigroup_dimension(initial_generators(inst))
-    from_transcendence = verify_transcendence_basis(m, n).dimension
+    from_transcendence = verify_transcendence_basis(inst).dimension
     assert from_poset == from_semigroup == from_transcendence == n * (m - n + 1) + 1
