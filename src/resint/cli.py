@@ -7,7 +7,9 @@ toric kernel, the transcendence certificate) are computed once per run.
 
 Exit codes for `verify`: 0 all checks true, 1 some check false, 2 resource
 budget exhausted (partial report still written), 3 two modules disagreed
-on a number that must match.
+on a number that must match.  Every command exits 4 on a usage error (bad
+arguments or an invalid configuration), after one `resint: error: ...`
+line on stderr and before any work.
 """
 
 from __future__ import annotations
@@ -55,6 +57,9 @@ ALL_CHECKS = (
 )
 
 OUTPUT_DIR_ENV = "RESINT_OUT"
+
+#: exit code of a command line that names no valid run
+USAGE_ERROR = 4
 
 
 @dataclass
@@ -252,15 +257,19 @@ def _scrub_wall_times(value):
     return value
 
 
-def cmd_verify(config: RunConfig, checks: list[str]) -> tuple[dict, int]:
-    """Run the selected pipelines, write report.json, return (report, exit code)."""
+def _select_checks(checks: list[str]) -> list[str]:
+    """The named checks in `ALL_CHECKS` order; ValueError for none or an unknown name."""
     if not checks:
         raise ValueError("no checks selected")
     unknown = [c for c in checks if c not in _CHECK_RUNNERS]
     if unknown:
         raise ValueError(f"unknown checks: {', '.join(unknown)}")
-    selected = [name for name in ALL_CHECKS if name in checks]
+    return [name for name in ALL_CHECKS if name in checks]
 
+
+def cmd_verify(config: RunConfig, checks: list[str]) -> tuple[dict, int]:
+    """Run the selected pipelines, write report.json, return (report, exit code)."""
+    selected = _select_checks(checks)
     run = _Run(config)
     results = {}
     for name in selected:
@@ -331,8 +340,16 @@ def cmd_table(max_m: int, stream=None) -> None:
 # argument parsing
 
 
+class _Parser(argparse.ArgumentParser):
+    """Raises a parse error as a ValueError instead of printing usage and
+    exiting 2, so that `main` reports it like every other usage error."""
+
+    def error(self, message):
+        raise ValueError(message)
+
+
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="resint",
         description="Exact toolkit for generic residual intersections of an "
         "ideal of indeterminates: witness generation and verification.",
@@ -387,19 +404,25 @@ def _config_from_args(args) -> RunConfig:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+        if args.command != "table":
+            config = _config_from_args(args)
+        if args.command == "verify":
+            checks = _select_checks([c.strip() for c in args.checks.split(",") if c.strip()])
+    except ValueError as exc:
+        print(f"resint: error: {exc}", file=sys.stderr)
+        return USAGE_ERROR
     if args.command == "table":
         if args.max_m > 12:
             print("table is pure arithmetic but capped at max-m 12", file=sys.stderr)
             return 1
         cmd_table(args.max_m)
         return 0
-    config = _config_from_args(args)
     if args.command == "generate":
         for path in cmd_generate(config):
             print(path)
         return 0
-    checks = [c.strip() for c in args.checks.split(",") if c.strip()]
     report, code = cmd_verify(config, checks)
     for name, outcome in report["checks"].items():
         verdict = outcome.get("verdict")

@@ -33,7 +33,7 @@ def _row_reduce(field, a: list[list], cols: int) -> list[int]:
 
 
 def rank(matrix: list[list]) -> int:
-    """Rank over Q of a matrix of ints/Fractions."""
+    """Rank over Q of a matrix of elements of Q."""
     a = [[QQ.coerce(x) for x in row] for row in matrix]
     return len(_row_reduce(QQ, a, len(a[0]) if a else 0))
 

@@ -301,11 +301,16 @@ class StraighteningRelation:
         return True
 
     def verify(self, instance) -> bool:
-        lhs = expand_labels(instance, self.left)
-        rhs = instance.ring.zero
+        """Re-expand both sides independently of `straighten` and compare;
+        the right-hand side is summed into one dict."""
+        ring = instance.ring
+        mul, add = ring.field.mul, ring.field.add
+        rhs: dict = {}
         for coeff, pair in self.right:
-            rhs = rhs + expand_labels(instance, pair) * coeff
-        return lhs == rhs
+            for e, c in expand_labels(instance, pair)._terms:
+                prod = mul(c, coeff)
+                rhs[e] = add(rhs[e], prod) if e in rhs else prod
+        return expand_labels(instance, self.left) == ring._from_dict(rhs)
 
     @property
     def text(self) -> str:

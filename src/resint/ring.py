@@ -5,6 +5,10 @@ subduction, transcendence certificates) is built on the types here:
 variables, monomial orders, monomials, polynomials, and the determinant
 constructors for the generic matrix of indeterminates.
 
+Coefficients over Q are ints while they are integers and reduced
+Fractions only after a division leaves a remainder; over F_p they are
+residues in 0..p-1.
+
 All values are immutable after construction; operations are pure.
 """
 
@@ -39,38 +43,58 @@ class NotIncomparable(Exception):
 # coefficient fields
 
 
+def _from_fraction(q: Fraction):
+    """An integral Fraction as its numerator; any other Fraction as is."""
+    return q.numerator if q.denominator == 1 else q
+
+
 class RationalField:
-    """The rationals; elements are `fractions.Fraction` (always reduced)."""
+    """The rationals; an element is an `int` when it is an integer and a
+    reduced `fractions.Fraction` otherwise.
+
+    Every polynomial the certificates multiply has integer coefficients, so
+    the arithmetic stays on ints until a division leaves a remainder.  An
+    int and the Fraction of the same value agree in `str`, `==`, `hash` and
+    `<`, so no text or hash depends on which of the two holds a value.
+    """
 
     name = "Q"
 
-    zero = Fraction(0)
-    one = Fraction(1)
+    zero = 0
+    one = 1
 
-    def coerce(self, a) -> Fraction:
-        if isinstance(a, Fraction):
+    def coerce(self, a):
+        if type(a) is int:
             return a
+        if isinstance(a, Fraction):
+            return _from_fraction(a)
         if isinstance(a, int):
-            return Fraction(a)
+            return int(a)
         raise IncompatibleField(f"cannot coerce {a!r} into Q")
 
     def add(self, a, b):
-        return a + b
+        c = a + b
+        return c if type(c) is int else _from_fraction(c)
 
     def sub(self, a, b):
-        return a - b
+        c = a - b
+        return c if type(c) is int else _from_fraction(c)
 
     def mul(self, a, b):
-        return a * b
+        c = a * b
+        return c if type(c) is int else _from_fraction(c)
 
     def neg(self, a):
         return -a
 
     def inv(self, a):
-        return 1 / a
+        return self.div(1, a)
 
     def div(self, a, b):
-        return a / b
+        if type(a) is int and type(b) is int:
+            q, r = divmod(a, b)
+            return q if r == 0 else Fraction(a, b)
+        return _from_fraction(a / b)
 
     def __repr__(self):
         return "QQ"

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from fractions import Fraction
 
 from . import linalg
 from .labels import GeneratorLabel, M, Q
@@ -346,12 +345,12 @@ class DContext:
                 target_coeff = t.coeff
                 continue
             part = self.fraction(M(t.rows_a)) * self.fraction(M(t.rows_b))
-            part = part.scale(Fraction(t.coeff))
+            part = part.scale(t.coeff)
             acc = part if acc is None else acc + part
         if target_coeff is None:
             raise AssertionError(f"exchange relation missed {label.text}")
         # target * main = -acc  =>  target = -acc / (coeff * main)
-        acc = acc.scale(Fraction(-1, target_coeff))
+        acc = acc.scale(QQ.div(-1, target_coeff))
         self._table[label] = acc.divided_by_var(self.position[main])
 
     def _build_row1_free(self, label: GeneratorLabel):
@@ -366,10 +365,10 @@ class DContext:
                 target_sign = sign
                 continue
             part = self.fraction(Q(q_idx)) * self.fraction(M(complement))
-            part = part.scale(Fraction(sign))
+            part = part.scale(sign)
             acc = part if acc is None else acc + part
         # sign * [rows] * Q1 + acc = 0
-        acc = acc.scale(Fraction(-1, target_sign))
+        acc = acc.scale(QQ.div(-1, target_sign))
         self._table[label] = acc.divided_by_var(self.position[Q(1)])
 
 
@@ -469,12 +468,13 @@ def verify_transcendence_basis(instance: ResidualInstance, verbose: bool = False
                 frac.num.substitute(assignment, instance.ring),
             )
         rewrites.append(entry)
-    size_ok = len(build_D(m, n).labels) == n * (m - n + 1) + 1
+    dimension = len(context.D.labels)
+    size_ok = dimension == n * (m - n + 1) + 1
     verdict = independence.verdict and all_ok and size_ok
     return TransCertificate(
         m=m,
         n=n,
-        dimension=len(build_D(m, n).labels),
+        dimension=dimension,
         independence=independence,
         rewrites=rewrites,
         verdict=verdict,

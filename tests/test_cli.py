@@ -307,3 +307,32 @@ def test_config_validation(tmp_path):
         RunConfig(m=2, n=2, budget=Budget(max_pairs=0), output_dir=tmp_path)
     with pytest.raises(ValueError):
         RunConfig(m=2, n=2, field_name="Fp:4", output_dir=tmp_path)
+
+
+@pytest.mark.parametrize(
+    "args, message",
+    [
+        (["--m", "2", "--n", "3"], "need m >= n >= 1"),
+        (["--m", "3", "--n", "2", "--field", "Fp:91"], "91 is not prime"),
+        (["--m", "3", "--n", "2", "--checks", "bogus"], "unknown checks: bogus"),
+        (["--m", "3", "--n", "2", "--degree-bound", "-1"], "degree bound must be >= 0"),
+        (["--n", "2"], "the following arguments are required: --m"),
+    ],
+)
+def test_usage_errors_exit_4_with_one_line(tmp_path, capsys, args, message):
+    assert main(["verify", *args, "--out", str(tmp_path)]) == 4
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"resint: error: {message}\n"
+    assert not (tmp_path / "report.json").exists()
+
+
+def test_value_error_inside_a_check_is_not_a_usage_error(tmp_path, monkeypatch):
+    from resint import cli
+
+    def broken(run):
+        raise ValueError("a bug inside a check")
+
+    monkeypatch.setitem(cli._CHECK_RUNNERS, "wonderful", broken)
+    with pytest.raises(ValueError, match="a bug inside a check"):
+        main(["verify", "--m", "2", "--n", "2", "--checks", "wonderful", "--out", str(tmp_path)])

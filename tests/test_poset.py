@@ -14,6 +14,7 @@ from resint.labels import M, Q, canonical_labels
 from resint.poset import (
     BPoset,
     StandardMonomial,
+    StraighteningRelation,
     enumerate_standard_monomials,
     hasse_edges,
     incomparable,
@@ -368,6 +369,25 @@ def test_asl2_33_vacuous(inst33):
 
 def test_asl2_sampling_path(inst42):
     assert verify_asl2(inst42, sample=2, seed=5)
+
+
+def test_asl2_rejects_a_scaled_coefficient(monkeypatch):
+    # min_label_condition still holds; only the re-expansion can tell
+    inst = build_instance(4, 2)
+    a, b = incomparable_pairs(inst.poset)[-1]
+    real = poset_module.straighten
+
+    def tampered(instance, x, y):
+        rel = real(instance, x, y)
+        if (x, y) != (a, b):
+            return rel
+        (coeff, pair), *rest = rel.right
+        return StraighteningRelation(rel.left, ((coeff * 2, pair), *rest))
+
+    monkeypatch.setattr(poset_module, "straighten", tampered)
+    assert not verify_asl2(inst)
+    monkeypatch.undo()
+    assert verify_asl2(inst)
 
 
 # ---------------------------------------------------------------------------

@@ -388,6 +388,52 @@ def test_one_is_least_monomial(f):
         )
 
 
+def assert_q_element(got, value: Fraction):
+    """`got` is `value` as an element of Q: an int exactly when integral."""
+    assert got == value
+    assert type(got) is (int if value.denominator == 1 else Fraction)
+
+
+rationals = st.one_of(
+    st.integers(-30, 30), st.fractions(min_value=-20, max_value=20, max_denominator=12)
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(rationals, rationals)
+def test_rational_field_matches_fraction_arithmetic(p, q):
+    p, q = Fraction(p), Fraction(q)
+    a, b = QQ.coerce(p), QQ.coerce(q)
+    assert_q_element(a, p)
+    assert_q_element(b, q)
+    assert_q_element(QQ.coerce(p.numerator), Fraction(p.numerator))
+    assert_q_element(QQ.add(a, b), p + q)
+    assert_q_element(QQ.sub(a, b), p - q)
+    assert_q_element(QQ.mul(a, b), p * q)
+    assert_q_element(QQ.neg(a), -p)
+    if q:
+        assert_q_element(QQ.div(a, b), p / q)
+        assert_q_element(QQ.inv(b), 1 / q)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            QQ.div(a, b)
+
+
+def test_rational_coefficients_stay_ints(inst42):
+    # every certificate polynomial has integer coefficients; a Fraction here
+    # means some layer stopped keeping integral values as ints
+    from resint.labels import M, Q
+    from resint.poset import expand_labels
+    from resint.transcendence import DContext
+
+    context = DContext(inst42)
+    polys = list(inst42.polynomials.values())
+    polys.append(expand_labels(inst42, (Q(3), M([1, 2]), M([2, 4]))))
+    polys.extend(context.fraction(label).num for label in inst42.labels)
+    coefficients = [c for f in polys for c, _ in f.terms]
+    assert coefficients and all(type(c) is int for c in coefficients)
+
+
 # ---------------------------------------------------------------------------
 # structure invariants and serialization
 
@@ -403,6 +449,16 @@ def test_serialization_rational_signs():
     R = ambient_ring(2, 2)
     f = minor(R, [1, 2]) - R.const(Fraction(1, 2))
     assert poly_text(f) == "x[1][1]*x[2][2] - x[1][2]*x[2][1] - 1/2"
+
+
+def test_serialization_half_from_a_division():
+    R = ambient_ring(2, 2)
+    f = (minor(R, [1, 2]) * 2 - R.one) * QQ.div(1, 2)
+    assert poly_text(f) == "x[1][1]*x[2][2] - x[1][2]*x[2][1] - 1/2"
+    assert [type(c) for c, _ in f.terms] == [int, int, Fraction]
+    # doubling clears the one denominator: every coefficient is an int again
+    assert poly_text(f * 2) == "2*x[1][1]*x[2][2] - 2*x[1][2]*x[2][1] - 1"
+    assert all(type(c) is int for c, _ in (f * 2).terms)
 
 
 def test_serialization_prime_field_residues():
