@@ -7,14 +7,13 @@ rank sums of the generator poset.  This demo builds the witnesses for
 """
 
 from resint import GF, build_instance, hsop, verify_ara_witness
-from resint.residual import hsop_rank_classes
 
 inst = build_instance(4, 2, field=GF(32003))
 
 print(f"generators: {len(inst.labels)}  (4 bilinear entries + 6 maximal minors)")
 
 print("\nrank classes and their sums (the witnesses):")
-for r, (cls, w) in enumerate(zip(hsop_rank_classes(inst), hsop(inst)), start=1):
+for r, (cls, w) in enumerate(zip(inst.poset.rank_classes(), hsop(inst)), start=1):
     names = " + ".join(lab.text for lab in cls)
     print(f"  rank {r}: {names:18s} = {w}")
 

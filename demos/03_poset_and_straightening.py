@@ -10,7 +10,6 @@ from resint import build_instance, straighten
 from resint.labels import M, Q
 from resint.poset import (
     enumerate_standard_monomials,
-    hasse_edges,
     incomparable_pairs,
     is_wonderful,
     verify_asl1,
@@ -22,7 +21,7 @@ inst = build_instance(4, 2)
 poset = inst.poset
 
 print("Hasse diagram cover edges:")
-for a, b in hasse_edges(poset):
+for a, b in poset.hasse_edges():
     print(f"  {a.text} -> {b.text}")
 
 print("\nranks:", {e.text: poset.rank(e) for e in poset.elements})

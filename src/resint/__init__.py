@@ -24,7 +24,7 @@ from .groebner import (
     radical_membership,
 )
 from .labels import GeneratorLabel, M, Q
-from .poset import BPoset, hasse_edges, is_wonderful, less_eq, straighten, witness_chain
+from .poset import BPoset, is_wonderful, less_eq, straighten, witness_chain
 from .residual import ResidualInstance, build_instance, hsop, specialize, verify_ara_witness
 from .ring import (
     GF,
@@ -41,4 +41,4 @@ from .ring import (
     q_entry,
 )
 from .sagbi import initial_generators, toric_kernel, verify_sagbi, verify_squarefree_initial
-from .transcendence import build_D, rewrite_in_D, verify_transcendence_basis
+from .transcendence import build_D, verify_transcendence_basis

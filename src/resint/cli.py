@@ -1,9 +1,15 @@
 """Command-line surface: artifact generation, verification pipelines with
 machine-readable reports, and the bound-comparison table.
 
+`generate` takes the instance (--m, --n, --field) and --out; `verify`
+takes the same four plus --degree-bound, the three --budget-* caps,
+--timings and --checks; `table` takes --max-m, from 2 to 12.
+
 `verify` runs the selected checks one after another, in `ALL_CHECKS`
 order, on one instance per field; results that several checks use (the
 toric kernel, the transcendence certificate) are computed once per run.
+`_Run` is the one place that picks a check's field: radical and colon
+run over the configured field, the structural checks over Q.
 
 Exit codes for `verify`: 0 all checks true, 1 some check false, 2 resource
 budget exhausted (partial report still written), 3 two modules disagreed
@@ -61,6 +67,9 @@ OUTPUT_DIR_ENV = "RESINT_OUT"
 #: exit code of a command line that names no valid run
 USAGE_ERROR = 4
 
+#: the table is pure arithmetic, but its rows grow quadratically in max-m
+TABLE_MAX_M = 12
+
 
 @dataclass
 class RunConfig:
@@ -96,13 +105,13 @@ class RunConfig:
 
 
 def parse_field(name: str):
-    name = name.strip()
-    if name.upper() in ("Q", "QQ"):
+    text = name.strip()
+    if text.upper() in ("Q", "QQ"):
         return QQ
-    if name.lower().startswith("fp"):
-        rest = name[2:].lstrip(":")
+    rest = text[2:].lstrip(":")
+    if text.lower().startswith("fp") and (not rest or rest.isdecimal()):
         return GF(int(rest) if rest else DEFAULT_PRIME)
-    raise ValueError(f"unknown field {name!r} (use Q, Fp, or Fp:<prime>)")
+    raise ValueError(f"--field expects Q, Fp, or Fp:<prime>, not {name!r}")
 
 
 def _sha256(text: str) -> str:
@@ -157,7 +166,10 @@ def cmd_generate(config: RunConfig) -> list[Path]:
 class _Run:
     """One `verify` run: its config and the results its checks share, each
     computed on first use.  A computation that raises (a budget hit) stores
-    nothing, so every check that needs it reports its own budget hit."""
+    nothing, so every check that needs it reports its own budget hit.
+
+    `instance` is over the configured field; `rational_instance`, the one
+    the structural checks and the Q-only modules get, is over Q."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -183,7 +195,7 @@ class _Run:
 
 def _check_radical(run: _Run) -> dict:
     cert = verify_ara_witness(run.instance, budget=run.config.budget)
-    return {"verdict": cert.verdict, "certificate": cert.as_dict(timings=run.config.timings)}
+    return {"verdict": cert.verdict, "certificate": cert.as_dict()}
 
 
 def _check_colon(run: _Run) -> dict:
@@ -232,8 +244,6 @@ def _check_dims(run: _Run) -> dict:
     return {"verdict": agree, "values": values, "consistent": agree}
 
 
-#: radical and colon honor the configured field; the structural checks
-#: (asl, wonderful, sagbi, squarefree, transbasis, dims) always run over Q
 _CHECK_RUNNERS = {
     "radical": _check_radical,
     "colon": _check_colon,
@@ -356,26 +366,26 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, default_field):
+    def add_instance(p, default_field):
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
         p.add_argument("--field", default=default_field, help="Q, Fp, or Fp:<prime>")
-        p.add_argument("--degree-bound", type=int, default=3)
-        p.add_argument("--budget-max-pairs", type=int, default=Budget.max_pairs)
-        p.add_argument("--budget-max-terms", type=int, default=Budget.max_terms)
-        p.add_argument("--budget-wall-seconds", type=float, default=Budget.wall_seconds)
         p.add_argument(
             "--out",
             default=os.environ.get(OUTPUT_DIR_ENV, "."),
             help=f"output directory (default ${OUTPUT_DIR_ENV} or .)",
         )
-        p.add_argument("--timings", action="store_true", help="include wall times in reports")
 
     gen = sub.add_parser("generate", help="write generators, witnesses, Hasse DOT, D-set")
-    add_common(gen, default_field="Q")
+    add_instance(gen, default_field="Q")
 
     ver = sub.add_parser("verify", help="run verification pipelines, write report.json")
-    add_common(ver, default_field=f"Fp:{DEFAULT_PRIME}")
+    add_instance(ver, default_field=f"Fp:{DEFAULT_PRIME}")
+    ver.add_argument("--degree-bound", type=int, default=3)
+    ver.add_argument("--budget-max-pairs", type=int, default=Budget.max_pairs)
+    ver.add_argument("--budget-max-terms", type=int, default=Budget.max_terms)
+    ver.add_argument("--budget-wall-seconds", type=float, default=Budget.wall_seconds)
+    ver.add_argument("--timings", action="store_true", help="include wall times in reports")
     ver.add_argument(
         "--checks",
         default=",".join(ALL_CHECKS),
@@ -387,7 +397,7 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _config_from_args(args) -> RunConfig:
+def _verify_config(args) -> RunConfig:
     return RunConfig(
         m=args.m,
         n=args.n,
@@ -406,17 +416,19 @@ def _config_from_args(args) -> RunConfig:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        if args.command != "table":
-            config = _config_from_args(args)
+        if args.command == "table" and not 2 <= args.max_m <= TABLE_MAX_M:
+            raise ValueError(f"--max-m must be between 2 and {TABLE_MAX_M}")
+        if args.command == "generate":
+            config = RunConfig(
+                m=args.m, n=args.n, field_name=args.field, output_dir=Path(args.out)
+            )
         if args.command == "verify":
+            config = _verify_config(args)
             checks = _select_checks([c.strip() for c in args.checks.split(",") if c.strip()])
     except ValueError as exc:
         print(f"resint: error: {exc}", file=sys.stderr)
         return USAGE_ERROR
     if args.command == "table":
-        if args.max_m > 12:
-            print("table is pure arithmetic but capped at max-m 12", file=sys.stderr)
-            return 1
         cmd_table(args.max_m)
         return 0
     if args.command == "generate":

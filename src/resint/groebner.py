@@ -75,17 +75,15 @@ class RunTrace:
     wall_seconds: float = 0.0
     verdict: object = None
 
-    def as_dict(self, timings: bool = True) -> dict:
-        d = {
+    def as_dict(self) -> dict:
+        return {
             "input_hash": self.input_hash,
             "order": self.order,
             "pairs": self.pairs,
             "max_terms": self.max_terms,
             "verdict": self.verdict,
+            "wall_seconds": round(self.wall_seconds, 6),
         }
-        if timings:
-            d["wall_seconds"] = round(self.wall_seconds, 6)
-        return d
 
 
 class IdealBasis:
@@ -125,8 +123,6 @@ class GroebnerBasis:
     def __init__(self, ring: PolynomialRing, elements: Sequence[Polynomial], trace: RunTrace):
         self.ring = ring
         self.elements = tuple(elements)
-        self.order = ring.order
-        self.reduced = True
         self.trace = trace
 
     def is_unit(self) -> bool:
@@ -145,7 +141,7 @@ class GroebnerBasis:
         return len(self.elements)
 
     def __repr__(self):
-        return f"GroebnerBasis({len(self.elements)} elements, {self.order.kind})"
+        return f"GroebnerBasis({len(self.elements)} elements, {self.ring.order.kind})"
 
 
 def _input_hash(gens: Sequence[Polynomial], order: MonomialOrder) -> str:

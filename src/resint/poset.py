@@ -142,10 +142,6 @@ class BPoset:
         return "\n".join(lines) + "\n"
 
 
-def hasse_edges(poset: BPoset) -> list[tuple[GeneratorLabel, GeneratorLabel]]:
-    return poset.hasse_edges()
-
-
 def witness_chain(m: int, n: int) -> list[GeneratorLabel]:
     """An explicit maximum chain: Q1<..<Qn<[1..n]<... of length n(m-n+1)+1.
 
@@ -381,8 +377,12 @@ def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningR
     return rel
 
 
+#: rewrite steps one straighten_product call may take
+STRAIGHTEN_MAX_STEPS = 100_000
+
+
 def straighten_product(
-    instance, labels: Sequence[GeneratorLabel], max_steps: int = 100_000
+    instance, labels: Sequence[GeneratorLabel]
 ) -> dict[tuple[GeneratorLabel, ...], object]:
     """Rewrite a product of generators as a combination of standard monomials."""
     field = instance.ring.field
@@ -391,9 +391,9 @@ def straighten_product(
     steps = 0
     while work:
         steps += 1
-        if steps > max_steps:
+        if steps > STRAIGHTEN_MAX_STEPS:
             raise StraighteningBudgetExceeded(
-                f"gave up after {max_steps} rewrite steps", steps
+                f"gave up after {STRAIGHTEN_MAX_STEPS} rewrite steps", steps
             )
         coeff, ls = work.pop()
         bad = next(
@@ -461,18 +461,9 @@ def incomparable_pairs(poset: BPoset) -> list[tuple[GeneratorLabel, GeneratorLab
     ]
 
 
-def verify_asl2(instance, sample: int | None = None, seed: int = 0) -> bool:
-    """Straighten every incomparable pair; certify identity and least labels.
-
-    With `sample`, only a seeded random subset of the pairs is checked
-    (for instances too large to enumerate exhaustively).
-    """
-    pairs = incomparable_pairs(instance.poset)
-    if sample is not None and sample < len(pairs):
-        import random
-
-        pairs = random.Random(seed).sample(pairs, sample)
-    for a, b in pairs:
+def verify_asl2(instance) -> bool:
+    """Straighten every incomparable pair; certify identity and least labels."""
+    for a, b in incomparable_pairs(instance.poset):
         rel = straighten(instance, a, b)
         if not rel.min_label_condition():
             return False

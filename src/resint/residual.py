@@ -5,7 +5,6 @@ radical-equality certificate.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 from typing import Mapping
 
@@ -95,11 +94,6 @@ def build_instance(m: int, n: int, field=QQ, order=None) -> ResidualInstance:
 # the rank-sum witness family
 
 
-def hsop_rank_classes(instance: ResidualInstance) -> list[list[GeneratorLabel]]:
-    """Labels grouped by poset rank (the n >= 2 witness recipe)."""
-    return instance.poset.rank_classes()
-
-
 def hsop(instance: ResidualInstance) -> list[Polynomial]:
     """The arithmetic-rank witnesses.
 
@@ -111,7 +105,7 @@ def hsop(instance: ResidualInstance) -> list[Polynomial]:
     if instance.n == 1:
         return [instance.ring.var(xvar(i, 1)) for i in range(1, instance.m + 1)]
     sums = []
-    for cls in hsop_rank_classes(instance):
+    for cls in instance.poset.rank_classes():
         acc = instance.ring.zero
         for lab in cls:
             acc = acc + instance.polynomials[lab]
@@ -138,25 +132,15 @@ class HsopCertificate:
     checks: list[dict]
     verdict: bool
 
-    def as_dict(self, timings: bool = False) -> dict:
-        checks = []
-        for c in self.checks:
-            c = dict(c)
-            trace = c.get("trace")
-            if trace is not None and not timings:
-                c["trace"] = {k: v for k, v in trace.items() if k != "wall_seconds"}
-            checks.append(c)
+    def as_dict(self) -> dict:
         return {
             "m": self.m,
             "n": self.n,
             "field": self.field,
             "hsop": self.hsop_texts,
-            "checks": checks,
+            "checks": self.checks,
             "verdict": self.verdict,
         }
-
-    def to_json(self, timings: bool = False) -> str:
-        return json.dumps(self.as_dict(timings=timings), indent=2, sort_keys=True)
 
 
 def verify_ara_witness(instance: ResidualInstance, budget: Budget | None = None) -> HsopCertificate:

@@ -2,8 +2,9 @@
 
 Everything downstream (Groebner engine, poset straightening, Sagbi
 subduction, transcendence certificates) is built on the types here:
-variables, monomial orders, monomials, polynomials, and the determinant
-constructors for the generic matrix of indeterminates.
+variables, monomial orders, monomials, polynomials, and the maximal
+minors (by cofactor expansion) and bordered determinants of the generic
+matrix of indeterminates.
 
 Coefficients over Q are ints while they are integers and reduced
 Fractions only after a division leaves a remainder; over F_p they are
@@ -441,9 +442,6 @@ class Polynomial:
 
     # -- inspection ---------------------------------------------------------
 
-    def is_zero(self) -> bool:
-        return not self._terms
-
     def __bool__(self):
         return bool(self._terms)
 
@@ -454,40 +452,18 @@ class Polynomial:
     def terms(self) -> list[tuple[object, Monomial]]:
         return [(c, Monomial(self.ring, e)) for e, c in self._terms]
 
-    def leading_monomial(self, order: MonomialOrder | None = None) -> Monomial:
+    def leading_monomial(self) -> Monomial:
         if not self._terms:
             raise ZeroPolynomial("the zero polynomial has no leading monomial")
-        if order is None or order is self.ring.order:
-            return Monomial(self.ring, self._terms[0][0])
-        key = order.key
-        return Monomial(self.ring, max((e for e, _ in self._terms), key=key))
+        return Monomial(self.ring, self._terms[0][0])
 
     def leading_coefficient(self):
         if not self._terms:
             raise ZeroPolynomial("the zero polynomial has no leading coefficient")
         return self._terms[0][1]
 
-    def constant_value(self):
-        """Coefficient of the constant monomial (0 if absent)."""
-        zero_exps = (0,) * len(self.ring.vars)
-        for e, c in self._terms:
-            if e == zero_exps:
-                return c
-        return self.ring.field.zero
-
     def is_constant(self) -> bool:
         return all(not any(e) for e, _ in self._terms)
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(e) for e, _ in self._terms)
-
-    def coefficient_of(self, mono: Monomial):
-        for e, c in self._terms:
-            if e == mono.exps:
-                return c
-        return self.ring.field.zero
 
     def monomials(self) -> list[Monomial]:
         return [Monomial(self.ring, e) for e, _ in self._terms]
@@ -760,9 +736,6 @@ class PolynomialRing:
     def with_order(self, order: MonomialOrder) -> "PolynomialRing":
         return PolynomialRing(self.field, self.vars, order)
 
-    def convert_all(self, polys: Iterable[Polynomial]) -> list[Polynomial]:
-        return [p.convert(self) for p in polys]
-
     def __repr__(self):
         return f"PolynomialRing({self.field.name}, {len(self.vars)} vars, {self.order.kind})"
 
@@ -830,9 +803,7 @@ def minor(ring: PolynomialRing, rows: Sequence[int]) -> Polynomial:
     """The maximal minor of X on the given strictly increasing rows.
 
     Entries are distinct variables, so no cancellation can occur and the
-    cofactor expansion produces the n! signed terms directly; fraction-free
-    elimination is far slower on this shape and is reserved for general
-    polynomial matrices (see determinant()).
+    cofactor expansion produces the n! signed terms directly.
     """
     rows = _check_rows(ring, rows)
     n = ring.n
@@ -840,17 +811,8 @@ def minor(ring: PolynomialRing, rows: Sequence[int]) -> Polynomial:
     return det_laplace(ring, matrix)
 
 
-def determinant(ring: PolynomialRing, matrix: list[list[Polynomial]]) -> Polynomial:
-    """Exact determinant: Laplace for size <= 4, Bareiss beyond."""
-    size = len(matrix)
-    if any(len(row) != size for row in matrix):
-        raise ValueError("matrix is not square")
-    if size <= 4:
-        return det_laplace(ring, matrix)
-    return det_bareiss(ring, matrix)
-
-
 def det_laplace(ring: PolynomialRing, matrix: list[list[Polynomial]]) -> Polynomial:
+    """Cofactor expansion along the first row of a square matrix."""
     size = len(matrix)
     if size == 0:
         return ring.one
@@ -866,29 +828,6 @@ def det_laplace(ring: PolynomialRing, matrix: list[list[Polynomial]]) -> Polynom
         term = entry * cof
         acc = acc + term if k % 2 == 0 else acc - term
     return acc
-
-
-def det_bareiss(ring: PolynomialRing, matrix: list[list[Polynomial]]) -> Polynomial:
-    """Fraction-free Gaussian elimination; divisions are exact by design."""
-    a = [row[:] for row in matrix]
-    size = len(a)
-    sign = 1
-    prev = ring.one
-    for k in range(size - 1):
-        if not a[k][k]:
-            pivot_row = next((r for r in range(k + 1, size) if a[r][k]), None)
-            if pivot_row is None:
-                return ring.zero
-            a[k], a[pivot_row] = a[pivot_row], a[k]
-            sign = -sign
-        for i in range(k + 1, size):
-            for j in range(k + 1, size):
-                num = a[i][j] * a[k][k] - a[i][k] * a[k][j]
-                a[i][j] = num.exact_div(prev)
-            a[i][k] = ring.zero
-        prev = a[k][k]
-    det = a[size - 1][size - 1]
-    return det if sign == 1 else -det
 
 
 class BorderedExpansion:

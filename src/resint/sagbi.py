@@ -18,13 +18,14 @@ from .poset import incomparable
 from .ring import (
     QQ,
     BlockOrder,
+    IncompatibleField,
     Monomial,
     Polynomial,
     PolynomialRing,
     TauOrder,
     pvar,
 )
-from .residual import ResidualInstance, build_instance
+from .residual import ResidualInstance
 
 
 class SubductionFailure(Exception):
@@ -78,19 +79,12 @@ def tau_sequence(instance: ResidualInstance) -> list[int]:
     return order
 
 
-def tau_order(instance: ResidualInstance) -> TauOrder:
-    return TauOrder(tau_sequence(instance))
-
-
 @dataclass
 class ToricKernel:
     """Reduced Groebner basis (tau order) of the presentation kernel."""
 
     mam: MonomialAlgebraMap
     generators: tuple  # Polynomial in the presentation ring
-
-    def is_zero(self) -> bool:
-        return not self.generators
 
     def legend_lines(self) -> list[str]:
         return [
@@ -104,10 +98,10 @@ def toric_kernel(instance: ResidualInstance, budget: Budget | None = None) -> To
     Computed by elimination: the graph ideal (Y_k - target_k) in the
     combined ring, ambient block compared first, presentation block under
     the tau order; the ambient-free part is then re-reduced in the
-    presentation ring.
+    presentation ring.  The instance must be over Q.
     """
     if instance.field != QQ:
-        instance = build_instance(instance.m, instance.n, field=QQ)
+        raise IncompatibleField(f"the toric kernel runs over Q, not {instance.field.name}")
     mam = initial_generators(instance)
     ambient = instance.ring
     pring = mam.pring
@@ -209,18 +203,15 @@ def _factor_over_semigroup(
     return result
 
 
-def subduce(
-    instance: ResidualInstance,
-    f: Polynomial,
-    mam: MonomialAlgebraMap | None = None,
-    max_steps: int = 10_000,
-) -> Polynomial:
+#: subduction steps one subduce call may take
+SUBDUCE_MAX_STEPS = 10_000
+
+
+def subduce(instance: ResidualInstance, f: Polynomial, mam: MonomialAlgebraMap) -> Polynomial:
     """Subduction remainder: repeatedly cancel the leading term by a scalar
     multiple of a product of generators; returns the remainder (0 on a
     successful Sagbi reduction).  Generators are monic, so the scalar is
     just the current leading coefficient."""
-    if mam is None:
-        mam = initial_generators(instance)
     targets = [
         (k, mam.targets[v].exps) for k, v in enumerate(mam.pring.vars)
     ]
@@ -228,8 +219,8 @@ def subduce(
     steps = 0
     while f:
         steps += 1
-        if steps > max_steps:
-            raise SubductionFailure(f"no termination within {max_steps} steps")
+        if steps > SUBDUCE_MAX_STEPS:
+            raise SubductionFailure(f"no termination within {SUBDUCE_MAX_STEPS} steps")
         lm, lc = f._terms[0]
         factorization = _factor_over_semigroup(targets, lm, memo)
         if factorization is None:

@@ -9,13 +9,13 @@ verification.  Everything here runs over Q.
 
 from __future__ import annotations
 
-import json
 from dataclasses import dataclass
 
 from . import linalg
 from .labels import GeneratorLabel, M, Q
 from .ring import (
     QQ,
+    IncompatibleField,
     Polynomial,
     PolynomialRing,
     VariableId,
@@ -24,7 +24,7 @@ from .ring import (
     xvar,
     yvar,
 )
-from .residual import ResidualInstance, build_instance
+from .residual import ResidualInstance
 
 
 class StructureViolation(Exception):
@@ -39,42 +39,17 @@ class BadPluecker(Exception):
 # the specialization and the set D
 
 
-@dataclass(frozen=True)
-class SpecialMatrixPair:
+def special_assignment(m: int, n: int, ring: PolynomialRing) -> dict[VariableId, Polynomial]:
     """The specialized matrices: X keeps column 1, the diagonal, and the
     rows below n (zero elsewhere); y becomes the first unit vector."""
-
-    m: int
-    n: int
-    Xprime: tuple  # m rows of n Polynomial entries
-    yprime: tuple  # n Polynomial entries: (1, 0, ..., 0)
-
-    def assignment(self) -> dict[VariableId, Polynomial]:
-        out: dict[VariableId, Polynomial] = {}
-        for i in range(1, self.m + 1):
-            for j in range(1, self.n + 1):
-                out[xvar(i, j)] = self.Xprime[i - 1][j - 1]
-        for j in range(1, self.n + 1):
-            out[yvar(j)] = self.yprime[j - 1]
-        return out
-
-
-def special_pair(m: int, n: int, ring: PolynomialRing) -> SpecialMatrixPair:
-    rows = []
+    out: dict[VariableId, Polynomial] = {}
     for i in range(1, m + 1):
-        row = []
         for j in range(1, n + 1):
-            if j != 1 and j != i and i <= n:
-                row.append(ring.zero)
-            else:
-                row.append(ring.var(xvar(i, j)))
-        rows.append(tuple(row))
-    yprime = tuple(ring.one if j == 1 else ring.zero for j in range(1, n + 1))
-    return SpecialMatrixPair(m, n, tuple(rows), yprime)
-
-
-def special_assignment(m: int, n: int, ring: PolynomialRing) -> dict[VariableId, Polynomial]:
-    return special_pair(m, n, ring).assignment()
+            zero = j != 1 and j != i and i <= n
+            out[xvar(i, j)] = ring.zero if zero else ring.var(xvar(i, j))
+    for j in range(1, n + 1):
+        out[yvar(j)] = ring.one if j == 1 else ring.zero
+    return out
 
 
 @dataclass(frozen=True)
@@ -287,11 +262,13 @@ class DFraction:
 
 
 class DContext:
-    """Rewriting context: the D-ring, positions, and the lookup table."""
+    """Rewriting context: the D-ring, positions, and the lookup table of
+    each generator's fraction over D, whose denominators are powers of the
+    main minor and of Q_1.  The instance must be over Q."""
 
     def __init__(self, instance: ResidualInstance):
         if instance.field != QQ:
-            instance = build_instance(instance.m, instance.n, field=QQ)
+            raise IncompatibleField(f"the D-rewrite runs over Q, not {instance.field.name}")
         self.instance = instance
         self.D = build_D(instance.m, instance.n)
         self.dvars = [pvar(k) for k in range(1, len(self.D.labels) + 1)]
@@ -316,7 +293,6 @@ class DContext:
     # -- the two rewriting phases ------------------------------------------
 
     def _build(self, label: GeneratorLabel):
-        m, n = self.instance.m, self.instance.n
         rows = label.rows
         if rows is None:
             raise KeyError(f"{label.text} should already be tabled")
@@ -370,13 +346,6 @@ class DContext:
         # sign * [rows] * Q1 + acc = 0
         acc = acc.scale(QQ.div(-1, target_sign))
         self._table[label] = acc.divided_by_var(self.position[Q(1)])
-
-
-def rewrite_in_D(instance: ResidualInstance, label: GeneratorLabel, context: DContext | None = None) -> DFraction:
-    """Rational expression for a generator over D; denominators are powers
-    of the main minor and of Q_1."""
-    context = context or DContext(instance)
-    return context.fraction(label)
 
 
 def verify_rewrite(context: DContext, label: GeneratorLabel, frac: DFraction) -> bool:
@@ -435,18 +404,13 @@ class TransCertificate:
             "verdict": self.verdict,
         }
 
-    def to_json(self) -> str:
-        return json.dumps(self.as_dict(), indent=2, sort_keys=True)
-
 
 def verify_transcendence_basis(instance: ResidualInstance, verbose: bool = False) -> TransCertificate:
     """The full certificate: monomial independence of the specialized D,
     every generator rewritten over D with the identity checked exactly, and
     the size count n(m-n+1)+1 -- an independent derivation of the dimension.
-    The certificate runs over Q, on the instance's Q twin if it has another
-    field."""
+    The instance must be over Q."""
     context = DContext(instance)
-    instance = context.instance
     m, n = instance.m, instance.n
     independence = independence_by_exponents(instance)
     rewrites = []

@@ -15,7 +15,6 @@ from resint.groebner import IdealBasis, colon_ideal, ideal_equal
 from resint.labels import M, Q
 from resint.poset import (
     BPoset,
-    hasse_edges,
     incomparable_pairs,
     is_wonderful,
     straighten,
@@ -100,7 +99,7 @@ def test_criterion_04_colon_identity():
 
 def test_criterion_05_hasse_diagram():
     started = time.monotonic()
-    edges = {(a.text, b.text) for a, b in hasse_edges(BPoset(4, 2))}
+    edges = {(a.text, b.text) for a, b in BPoset(4, 2).hasse_edges()}
     expected = {
         ("Q1", "Q2"), ("Q2", "Q3"), ("Q2", "[1,2]"), ("Q3", "Q4"),
         ("Q3", "[1,3]"), ("[1,2]", "[1,3]"), ("Q4", "[1,4]"), ("[1,3]", "[1,4]"),

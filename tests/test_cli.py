@@ -114,15 +114,15 @@ def test_verify_computes_shared_results_once(tmp_path, monkeypatch):
 
 
 def test_transbasis_and_dims_share_the_run_instance(tmp_path, monkeypatch):
-    from resint import cli, transcendence
+    from resint import cli
 
     built = []
-    for module in (cli, transcendence):
-        def counted(*args, _real=module.build_instance, **kwargs):
-            built.append(args)
-            return _real(*args, **kwargs)
 
-        monkeypatch.setattr(module, "build_instance", counted)
+    def counted(*args, _real=cli.build_instance, **kwargs):
+        built.append(args)
+        return _real(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "build_instance", counted)
     _, code = cmd_verify(config(tmp_path, field_name="Q"), ["transbasis", "dims"])
     assert code == 0
     assert len(built) == 1
@@ -279,7 +279,7 @@ def test_main_generate_and_verify(tmp_path, capsys):
 
 def test_main_table_cap(capsys):
     assert main(["table", "--max-m", "4"]) == 0
-    assert main(["table", "--max-m", "13"]) == 1
+    assert main(["table", "--max-m", "13"]) == 4
 
 
 def test_output_dir_env_default(tmp_path, monkeypatch, capsys):
@@ -312,19 +312,31 @@ def test_config_validation(tmp_path):
 @pytest.mark.parametrize(
     "args, message",
     [
-        (["--m", "2", "--n", "3"], "need m >= n >= 1"),
-        (["--m", "3", "--n", "2", "--field", "Fp:91"], "91 is not prime"),
-        (["--m", "3", "--n", "2", "--checks", "bogus"], "unknown checks: bogus"),
-        (["--m", "3", "--n", "2", "--degree-bound", "-1"], "degree bound must be >= 0"),
-        (["--n", "2"], "the following arguments are required: --m"),
+        (["verify", "--m", "2", "--n", "3"], "need m >= n >= 1"),
+        (["verify", "--m", "3", "--n", "2", "--field", "Fp:91"], "91 is not prime"),
+        (["verify", "--m", "3", "--n", "2", "--checks", "bogus"], "unknown checks: bogus"),
+        (["verify", "--m", "3", "--n", "2", "--degree-bound", "-1"], "degree bound must be >= 0"),
+        (["verify", "--n", "2"], "the following arguments are required: --m"),
+        (
+            ["verify", "--m", "3", "--n", "2", "--field", "Fp:abc"],
+            "--field expects Q, Fp, or Fp:<prime>, not 'Fp:abc'",
+        ),
+        (["generate", "--m", "3", "--n", "2", "--timings"], "unrecognized arguments: --timings"),
+        (
+            ["generate", "--m", "3", "--n", "2", "--degree-bound", "2"],
+            "unrecognized arguments: --degree-bound 2",
+        ),
+        (["table", "--max-m", "1"], "--max-m must be between 2 and 12"),
+        (["table", "--max-m", "13"], "--max-m must be between 2 and 12"),
     ],
 )
 def test_usage_errors_exit_4_with_one_line(tmp_path, capsys, args, message):
-    assert main(["verify", *args, "--out", str(tmp_path)]) == 4
+    out = [] if args[0] == "table" else ["--out", str(tmp_path)]
+    assert main([*args, *out]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"resint: error: {message}\n"
-    assert not (tmp_path / "report.json").exists()
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_value_error_inside_a_check_is_not_a_usage_error(tmp_path, monkeypatch):
@@ -336,3 +348,4 @@ def test_value_error_inside_a_check_is_not_a_usage_error(tmp_path, monkeypatch):
     monkeypatch.setitem(cli._CHECK_RUNNERS, "wonderful", broken)
     with pytest.raises(ValueError, match="a bug inside a check"):
         main(["verify", "--m", "2", "--n", "2", "--checks", "wonderful", "--out", str(tmp_path)])
+

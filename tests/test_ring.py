@@ -21,8 +21,6 @@ from resint.ring import (
     ZeroPolynomial,
     ambient_ring,
     bordered_determinant,
-    det_bareiss,
-    det_laplace,
     minor,
     poly_text,
     q_entry,
@@ -200,7 +198,13 @@ def test_minor_rows_1_4():
 
 @pytest.mark.parametrize(
     "m,n,rows",
-    [(3, 3, (1, 2, 3)), (4, 3, (1, 3, 4)), (5, 4, (1, 2, 4, 5)), (6, 2, (2, 5))],
+    [
+        (3, 3, (1, 2, 3)),
+        (4, 3, (1, 3, 4)),
+        (5, 4, (1, 2, 4, 5)),
+        (6, 2, (2, 5)),
+        (5, 5, (1, 2, 3, 4, 5)),
+    ],
 )
 def test_minor_against_leibniz_oracle(m, n, rows):
     R = ambient_ring(m, n)
@@ -215,35 +219,6 @@ def test_minor_bad_rows():
         minor(R, [3, 1])
     with pytest.raises(BadRowSet):
         minor(R, [1, 5])
-
-
-def test_laplace_and_bareiss_agree_small():
-    # the two determinant routes must agree where both apply
-    for m, n in [(3, 3), (4, 4), (4, 3)]:
-        R = ambient_ring(m, n)
-        for rows in itertools.combinations(range(1, m + 1), n):
-            matrix = [[R.var(xvar(r, j)) for j in range(1, n + 1)] for r in rows]
-            assert det_laplace(R, matrix) == det_bareiss(R, matrix)
-
-
-def test_laplace_and_bareiss_agree_generic_5x5():
-    R = ambient_ring(5, 5)
-    matrix = [[R.var(xvar(r, j)) for j in range(1, 6)] for r in range(1, 6)]
-    assert det_laplace(R, matrix) == det_bareiss(R, matrix)
-    assert minor(R, [1, 2, 3, 4, 5]) == det_bareiss(R, matrix)
-
-
-def test_bareiss_handles_zero_pivots():
-    R = ambient_ring(5, 5)
-    x = lambda i, j: R.var(xvar(i, j))
-    matrix = [[R.zero] * 5 for _ in range(5)]
-    # permutation-like matrix with polynomial entries off the diagonal
-    entries = [(0, 1), (1, 0), (2, 3), (3, 4), (4, 2)]
-    for k, (i, j) in enumerate(entries):
-        matrix[i][j] = x(k + 1, (k % 5) + 1)
-    lap = det_laplace(R, matrix)
-    assert det_bareiss(R, matrix) == lap
-    assert lap  # nonzero
 
 
 # ---------------------------------------------------------------------------

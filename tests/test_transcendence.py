@@ -7,7 +7,7 @@ import pytest
 
 from resint.labels import M, Q
 from resint.residual import build_instance
-from resint.ring import ambient_ring, xvar, yvar
+from resint.ring import GF, IncompatibleField, ambient_ring, xvar, yvar
 from resint.sagbi import initial_generators, semigroup_dimension
 from resint.transcendence import (
     BadPluecker,
@@ -16,7 +16,6 @@ from resint.transcendence import (
     closed_form,
     independence_by_exponents,
     plucker_relation,
-    rewrite_in_D,
     special_assignment,
     specialize_D,
     verify_rewrite,
@@ -65,18 +64,18 @@ def test_special_matrix_shape():
 
 @pytest.mark.parametrize("m,n", [(4, 2), (5, 3), (3, 3)])
 def test_special_pair_zero_pattern(m, n):
-    from resint.transcendence import special_pair
-
     R = ambient_ring(m, n)
-    pair = special_pair(m, n, R)
+    assignment = special_assignment(m, n, R)
     for i in range(1, m + 1):
         for j in range(1, n + 1):
-            entry = pair.Xprime[i - 1][j - 1]
+            entry = assignment[xvar(i, j)]
             if j != 1 and j != i and i <= n:
                 assert entry == R.zero
             else:
                 assert entry == R.var(xvar(i, j))
-    assert [e == R.one for e in pair.yprime] == [j == 1 for j in range(1, n + 1)]
+    assert [assignment[yvar(j)] == R.one for j in range(1, n + 1)] == [
+        j == 1 for j in range(1, n + 1)
+    ]
 
 
 def test_specialized_closed_forms_42():
@@ -207,9 +206,12 @@ def test_rewrite_24_over_D(inst42):
     assert verify_rewrite(ctx, M([2, 4]), frac)
 
 
-def test_rewrite_in_D_convenience(inst42):
-    frac = rewrite_in_D(inst42, M([3, 4]))
-    assert frac.num
+def test_rewrite_refuses_a_prime_field():
+    inst = build_instance(3, 2, field=GF(101))
+    with pytest.raises(IncompatibleField):
+        DContext(inst)
+    with pytest.raises(IncompatibleField):
+        verify_transcendence_basis(inst)
 
 
 def test_rewrite_denominators_only_main_minor_and_q1():
@@ -245,7 +247,7 @@ def test_certificate_json_roundtrip():
     import json
 
     cert = verify_transcendence_basis(build_instance(3, 2))
-    data = json.loads(cert.to_json())
+    data = json.loads(json.dumps(cert.as_dict()))
     assert data["dimension"] == 5
     assert data["independence"]["rank"] == 5
 
