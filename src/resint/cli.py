@@ -7,9 +7,12 @@ takes the same four plus --degree-bound, the three --budget-* caps,
 
 `verify` runs the selected checks one after another, in `ALL_CHECKS`
 order, on one instance per field; results that several checks use (the
-toric kernel, the transcendence certificate) are computed once per run.
-`_Run` is the one place that picks a check's field: radical and colon
-run over the configured field, the structural checks over Q.
+straightening relations, the toric kernel, the transcendence certificate)
+are computed once per run.
+`_Run` is the one place that picks a check's field: only colon runs over
+the configured field; radical is certified by integer identities over Z,
+and the structural checks run over Q.  Each algebraic check records in
+`holds_over` where its verdict holds.
 
 Exit codes for `verify`: 0 all checks true, 1 some check false, 2 resource
 budget exhausted (partial report still written), 3 two modules disagreed
@@ -168,8 +171,9 @@ class _Run:
     computed on first use.  A computation that raises (a budget hit) stores
     nothing, so every check that needs it reports its own budget hit.
 
-    `instance` is over the configured field; `rational_instance`, the one
-    the structural checks and the Q-only modules get, is over Q."""
+    `instance` is over the configured field and is the one `colon` gets;
+    `rational_instance`, the one radical, the structural checks and the
+    Q-only modules get, is over Q."""
 
     def __init__(self, config: RunConfig):
         self.config = config
@@ -194,18 +198,27 @@ class _Run:
 
 
 def _check_radical(run: _Run) -> dict:
-    cert = verify_ara_witness(run.instance, budget=run.config.budget)
-    return {"verdict": cert.verdict, "certificate": cert.as_dict()}
+    cert = verify_ara_witness(run.rational_instance, budget=run.config.budget)
+    return {"verdict": cert.verdict, "holds_over": "Z", "certificate": cert.as_dict()}
 
 
 def _check_colon(run: _Run) -> dict:
-    return {"verdict": verify_colon_identity(run.instance, budget=run.config.budget)}
+    return {
+        "verdict": verify_colon_identity(run.instance, budget=run.config.budget),
+        "holds_over": run.instance.field.name,
+    }
 
 
 def _check_asl(run: _Run) -> dict:
     ok1 = verify_asl1(run.rational_instance, run.config.degree_bound)
     ok2 = verify_asl2(run.rational_instance)
-    return {"verdict": ok1 and ok2, "asl1": ok1, "asl2": ok2, "degree_bound": run.config.degree_bound}
+    return {
+        "verdict": ok1 and ok2,
+        "holds_over": "Q",
+        "asl1": ok1,
+        "asl2": ok2,
+        "degree_bound": run.config.degree_bound,
+    }
 
 
 def _check_wonderful(run: _Run) -> dict:
@@ -213,12 +226,13 @@ def _check_wonderful(run: _Run) -> dict:
 
 
 def _check_sagbi(run: _Run) -> dict:
-    return {"verdict": verify_sagbi(run.kernel)}
+    return {"verdict": verify_sagbi(run.kernel), "holds_over": "Q"}
 
 
 def _check_squarefree(run: _Run) -> dict:
     return {
         "verdict": verify_squarefree_initial(run.kernel),
+        "holds_over": "Q",
         "legend": run.kernel.legend_lines(),
         "kernel": [poly_text(g) for g in run.kernel.generators],
     }
@@ -229,7 +243,7 @@ def _check_transbasis(run: _Run) -> dict:
         return {"verdict": True, "skipped": "n = 1 has no transcendence certificate"}
     out = run.transcendence.as_dict()
     out.pop("rewrites")
-    return {"verdict": run.transcendence.verdict, "certificate": out}
+    return {"verdict": run.transcendence.verdict, "holds_over": "Q", "certificate": out}
 
 
 def _check_dims(run: _Run) -> dict:

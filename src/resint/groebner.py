@@ -73,7 +73,6 @@ class RunTrace:
     pairs: int = 0
     max_terms: int = 0
     wall_seconds: float = 0.0
-    verdict: object = None
 
     def as_dict(self) -> dict:
         return {
@@ -81,7 +80,6 @@ class RunTrace:
             "order": self.order,
             "pairs": self.pairs,
             "max_terms": self.max_terms,
-            "verdict": self.verdict,
             "wall_seconds": round(self.wall_seconds, 6),
         }
 
@@ -564,12 +562,7 @@ def _extended_ring(ring: PolynomialRing, order: MonomialOrder, front: bool) -> P
     return ext, aux
 
 
-def radical_membership(
-    f: Polynomial,
-    I: IdealBasis,
-    budget: Budget | None = None,
-    with_trace: bool = False,
-):
+def radical_membership(f: Polynomial, I: IdealBasis, budget: Budget | None = None) -> bool:
     """Whether f lies in the radical of I.
 
     Decided by testing 1 in I + (1 - t*f) in the ring extended by a fresh
@@ -579,12 +572,7 @@ def radical_membership(
     ext, aux = _extended_ring(I.ring, GrevLex(), front=True)
     gens = [g.convert(ext) for g in I.generators]
     gens.append(ext.one - ext.var(aux) * f.convert(ext))
-    G = buchberger(gens, budget=budget)
-    verdict = G.is_unit()
-    G.trace.verdict = verdict
-    if with_trace:
-        return verdict, G.trace
-    return verdict
+    return buchberger(gens, budget=budget).is_unit()
 
 
 # ---------------------------------------------------------------------------

@@ -5,27 +5,29 @@ radical-equality certificate.
 
 from __future__ import annotations
 
+import itertools
+import time
 from dataclasses import dataclass
 from typing import Mapping
 
 from .groebner import (
+    DEFAULT_BUDGET,
     Budget,
     BudgetExceeded,
     IdealBasis,
     colon_ideal,
     ideal_equal,
-    radical_membership,
 )
-from .labels import GeneratorLabel, canonical_labels
-from .poset import BPoset
+from .labels import GeneratorLabel, M, Q, canonical_labels
+from .poset import BPoset, straighten
 from .ring import (
     QQ,
+    IncompatibleField,
     Polynomial,
     PolynomialRing,
     VariableId,
     ambient_ring,
     minor,
-    poly_text,
     q_entry,
     xvar,
     yvar,
@@ -123,85 +125,80 @@ def expected_witness_count(m: int, n: int) -> int:
 
 @dataclass
 class HsopCertificate:
-    """Outcome of the radical-equality verification for one instance."""
+    """The radical-equality certificate of one instance: the identities it
+    rests on, each with its verdict.  They have integer coefficients, so the
+    certificate holds over Z and in every characteristic."""
 
     m: int
     n: int
-    field: str
-    hsop_texts: list[str]
-    checks: list[dict]
-    verdict: bool
+    relations: list[dict]
+    verdict: bool | None
 
     def as_dict(self) -> dict:
         return {
             "m": self.m,
             "n": self.n,
-            "field": self.field,
-            "hsop": self.hsop_texts,
-            "checks": self.checks,
+            "holds_over": "Z",
+            "relations": self.relations,
             "verdict": self.verdict,
         }
 
 
 def verify_ara_witness(instance: ResidualInstance, budget: Budget | None = None) -> HsopCertificate:
-    """Certify sqrt(witnesses) = sqrt(residual ideal).
+    """Certify sqrt(witnesses) = sqrt(residual ideal) over Z.
 
-    The containment of the witness ideal is syntactic (every witness is a
-    sum of generators); the reverse containment runs radical membership for
-    each generator, skipping generators that literally appear in the
-    witness list.  If some query blows its budget the remaining queries
-    still run and a BudgetExceeded carrying the partial certificate is
-    raised at the end.
+    Every witness is a sum of generators, so one containment is immediate.
+    The other goes by induction on rank.  The bottom rank class is Q1, the
+    witness s_1.  For gamma of rank r >= 2,
+
+        gamma^2 = gamma * s_r - sum over the other delta of rank r of gamma * delta,
+
+    and each gamma * delta is an incomparable product that straightens into
+    products whose first factor lies strictly below gamma, so has lower rank
+    and is in the radical already.  Each same-rank pair's relation must
+    re-expand, satisfy the least-label condition and have int coefficients:
+    then it holds in Z[X, y], and the induction in every characteristic.
+    For n = 1 the witnesses are the minors [i] and Q_i = y_1 * [i].
+
+    The instance must be over Q.  The wall-clock budget is read after each
+    relation; when it runs out, BudgetExceeded carries the relations checked
+    so far as a partial certificate.
     """
-    witnesses = hsop(instance)
-    witness_set = {poly_text(w) for w in witnesses}
-    I = IdealBasis(instance.ring, witnesses)
-    checks = []
-    verdict = True
-    budget_stats = None
-    for lab in instance.labels:
-        g = instance.polynomials[lab]
-        if poly_text(g) in witness_set:
-            checks.append(
-                {"generator": lab.text, "verdict": True, "method": "syntactic", "trace": None}
+    if instance.field != QQ:
+        raise IncompatibleField(f"the radical certificate runs over Q, not {instance.field.name}")
+    deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
+    relations: list[dict] = []
+    if instance.n == 1:
+        y1 = instance.ring.var(yvar(1))
+        verdict = True
+        for i, w in enumerate(hsop(instance), start=1):
+            ok = instance.polynomials[M((i,))] == w and instance.polynomials[Q(i)] == y1 * w
+            verdict = verdict and ok
+            relations.append(
+                {"pair": [f"Q{i}", f"[{i}]"], "rank": None, "relation": f"Q{i} = y1*[{i}]", "verdict": ok}
             )
-            continue
-        try:
-            ok, trace = radical_membership(g, I, budget=budget, with_trace=True)
-        except BudgetExceeded as exc:
-            budget_stats = exc.stats
-            checks.append(
-                {
-                    "generator": lab.text,
-                    "verdict": None,
-                    "method": "radical_membership",
-                    "budget_exceeded": True,
-                    "trace": exc.stats,
-                }
+        return HsopCertificate(instance.m, instance.n, relations, verdict)
+    classes = instance.poset.rank_classes()
+    verdict = classes[0] == [Q(1)]
+    for rank, cls in enumerate(classes, start=1):
+        for a, b in itertools.combinations(cls, 2):
+            rel = straighten(instance, a, b)
+            ok = (
+                all(type(c) is int for c, _ in rel.right)
+                and rel.min_label_condition()
+                and rel.verify(instance)
             )
-            continue
-        verdict = verdict and ok
-        checks.append(
-            {
-                "generator": lab.text,
-                "verdict": ok,
-                "method": "radical_membership",
-                "trace": trace.as_dict(),
-            }
-        )
-    cert = HsopCertificate(
-        m=instance.m,
-        n=instance.n,
-        field=instance.field.name,
-        hsop_texts=[poly_text(w) for w in witnesses],
-        checks=checks,
-        verdict=verdict if budget_stats is None else None,
-    )
-    if budget_stats is not None:
-        stats = dict(budget_stats)
-        stats["partial_certificate"] = cert.as_dict()
-        raise BudgetExceeded("radical-membership budget exhausted", stats)
-    return cert
+            verdict = verdict and ok
+            relations.append(
+                {"pair": [a.text, b.text], "rank": rank, "relation": rel.text, "verdict": ok}
+            )
+            if time.monotonic() > deadline:
+                partial = HsopCertificate(instance.m, instance.n, relations, None)
+                raise BudgetExceeded(
+                    "wall-clock budget exhausted",
+                    {"relations_checked": len(relations), "partial_certificate": partial.as_dict()},
+                )
+    return HsopCertificate(instance.m, instance.n, relations, verdict)
 
 
 def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = None) -> bool:

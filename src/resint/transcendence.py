@@ -405,7 +405,7 @@ class TransCertificate:
         }
 
 
-def verify_transcendence_basis(instance: ResidualInstance, verbose: bool = False) -> TransCertificate:
+def verify_transcendence_basis(instance: ResidualInstance) -> TransCertificate:
     """The full certificate: monomial independence of the specialized D,
     every generator rewritten over D with the identity checked exactly, and
     the size count n(m-n+1)+1 -- an independent derivation of the dimension.
@@ -419,19 +419,7 @@ def verify_transcendence_basis(instance: ResidualInstance, verbose: bool = False
         frac = context.fraction(label)
         ok = verify_rewrite(context, label, frac)
         all_ok = all_ok and ok
-        entry = {
-            "label": label.text,
-            "verified": ok,
-            "expression": _prefix(frac),
-        }
-        if verbose:
-            assignment = context.assignment()
-            entry["cleared_identity"] = "{} * ({}) = {}".format(
-                label.text,
-                frac.den_poly().substitute(assignment, instance.ring),
-                frac.num.substitute(assignment, instance.ring),
-            )
-        rewrites.append(entry)
+        rewrites.append({"label": label.text, "verified": ok, "expression": _prefix(frac)})
     dimension = len(context.D.labels)
     size_ok = dimension == n * (m - n + 1) + 1
     verdict = independence.verdict and all_ok and size_ok

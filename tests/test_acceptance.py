@@ -83,9 +83,9 @@ def test_criterion_03_radical_equality():
     started = time.monotonic()
     ok = True
     for m, n in [(2, 2), (3, 2), (4, 2), (3, 3)]:
-        cert = verify_ara_witness(build_instance(m, n, field=FP))
-        ok = ok and cert.verdict and all(c["verdict"] for c in cert.checks)
-    report(3, "radical equality sqrt(witnesses) = sqrt(ideal) over F_32003", ok, started, 120.0)
+        cert = verify_ara_witness(build_instance(m, n))
+        ok = ok and cert.verdict and all(r["verdict"] for r in cert.relations)
+    report(3, "radical equality sqrt(witnesses) = sqrt(ideal) over Z", ok, started, 120.0)
 
 
 def test_criterion_04_colon_identity():
@@ -189,7 +189,7 @@ def test_criterion_14_single_column_witnesses():
     started = time.monotonic()
     ok = True
     for m in range(1, 7):
-        inst = build_instance(m, 1, field=FP)
+        inst = build_instance(m, 1)
         witnesses = hsop(inst)
         cert = verify_ara_witness(inst)
         ok = ok and len(witnesses) == m and cert.verdict

@@ -169,20 +169,28 @@ def test_verify_reports_are_byte_identical(tmp_path):
 def test_budget_exceeded_reports_also_byte_identical(tmp_path):
     a, b = tmp_path / "a", tmp_path / "b"
     for d in (a, b):
-        cmd_verify(config(d, m=3, n=2, budget=Budget(max_pairs=3)), ["radical"])
+        cmd_verify(config(d, m=3, n=2, budget=Budget(max_pairs=3)), ["colon"])
     assert (a / "report.json").read_bytes() == (b / "report.json").read_bytes()
 
 
 def test_verify_budget_exhaustion_exit_2(tmp_path):
     cfg = config(tmp_path, m=3, n=2, budget=Budget(max_pairs=2))
-    report, code = cmd_verify(cfg, ["radical"])
+    report, code = cmd_verify(cfg, ["colon"])
     assert code == 2
-    entry = report["checks"]["radical"]
+    entry = report["checks"]["colon"]
     assert entry["budget_exceeded"] is True
     assert entry["verdict"] is None
     # partial report is still well-formed on disk
     parsed = json.loads((tmp_path / "report.json").read_text())
     assert parsed["verdict"] is False
+
+
+def test_radical_wall_budget_exit_2(tmp_path):
+    cfg = config(tmp_path, budget=Budget(wall_seconds=1e-9))
+    report, code = cmd_verify(cfg, ["radical"])
+    assert code == 2
+    stats = report["checks"]["radical"]["stats"]
+    assert stats["partial_certificate"]["relations"]
 
 
 def test_verify_false_verdict_exit_1(tmp_path, monkeypatch):
@@ -224,16 +232,11 @@ def test_verify_single_column_instance(tmp_path):
 
 
 def test_trace_records_have_contract_fields(tmp_path):
-    report, _ = cmd_verify(config(tmp_path, m=3, n=2), ["radical"])
-    traced = [
-        c["trace"]
-        for c in report["checks"]["radical"]["certificate"]["checks"]
-        if c["method"] == "radical_membership"
-    ]
-    assert traced
-    for tr in traced:
-        assert {"input_hash", "order", "pairs", "max_terms", "verdict"} <= set(tr)
-        assert "wall_seconds" not in tr  # kept out of persisted reports
+    # colon runs Buchberger, and its budget hit reports the run's trace
+    report, _ = cmd_verify(config(tmp_path, m=3, n=2, budget=Budget(max_pairs=3)), ["colon"])
+    trace = report["checks"]["colon"]["stats"]
+    assert {"input_hash", "order", "pairs", "max_terms"} <= set(trace)
+    assert "wall_seconds" not in trace  # kept out of persisted reports
 
 
 def test_report_schema(tmp_path):

@@ -3,11 +3,15 @@ specializations, and the bound table."""
 
 from __future__ import annotations
 
+import math
 import random
+from fractions import Fraction
 
 import pytest
 
+from resint.groebner import Budget, BudgetExceeded, IdealBasis, radical_membership
 from resint.labels import M, Q
+from resint.poset import StraighteningRelation
 from resint.residual import (
     BadAssignment,
     BadShape,
@@ -20,7 +24,7 @@ from resint.residual import (
     verify_ara_witness,
     verify_colon_identity,
 )
-from resint.ring import GF, det_laplace, xvar, yvar
+from resint.ring import GF, IncompatibleField, det_laplace, xvar, yvar
 
 FP = GF(32003)
 
@@ -54,8 +58,6 @@ def test_build_bad_shape():
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (3, 3), (5, 3)])
 def test_generator_count(m, n):
-    import math
-
     inst = build_instance(m, n)
     assert len(inst.labels) == m + math.comb(m, n)
 
@@ -116,49 +118,121 @@ def test_hsop_elements_are_sums_of_generators(inst42):
 
 
 def test_verify_ara_22_all_syntactic():
-    inst = build_instance(2, 2, field=FP)
-    cert = verify_ara_witness(inst)
+    # (2,2) is a chain: every generator is its own witness, nothing to straighten
+    cert = verify_ara_witness(build_instance(2, 2))
     assert cert.verdict
-    assert all(c["method"] == "syntactic" for c in cert.checks)
+    assert cert.relations == []
 
 
-@pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (3, 3)])
+@pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (3, 3), (6, 2)])
 def test_verify_ara_witness(m, n):
-    inst = build_instance(m, n, field=FP)
+    inst = build_instance(m, n)
     cert = verify_ara_witness(inst)
     assert cert.verdict
-    assert all(c["verdict"] for c in cert.checks)
-    assert len(cert.hsop_texts) == expected_witness_count(m, n)
+    assert all(r["verdict"] for r in cert.relations)
+    classes = inst.poset.rank_classes()
+    assert len(cert.relations) == sum(math.comb(len(cls), 2) for cls in classes)
+    assert all(r["rank"] >= 2 for r in cert.relations)
 
 
 def test_verify_ara_n1():
     for m in range(1, 7):
-        inst = build_instance(m, 1, field=FP)
-        cert = verify_ara_witness(inst)
+        cert = verify_ara_witness(build_instance(m, 1))
         assert cert.verdict
-        assert len(cert.hsop_texts) == m
+        assert [r["relation"] for r in cert.relations] == [f"Q{i} = y1*[{i}]" for i in range(1, m + 1)]
+
+
+def test_verify_ara_n1_rejects_a_wrong_generator():
+    inst = build_instance(3, 1)
+    inst.polynomials[Q(2)] = inst.polynomials[Q(3)]
+    assert verify_ara_witness(inst).verdict is False
 
 
 def test_certificate_json_shape():
-    inst = build_instance(2, 2, field=FP)
-    cert = verify_ara_witness(inst)
-    data = cert.as_dict()
-    assert set(data) == {"m", "n", "field", "hsop", "checks", "verdict"}
-    assert data["field"] == "Fp(32003)"
+    data = verify_ara_witness(build_instance(3, 2)).as_dict()
+    assert set(data) == {"m", "n", "holds_over", "relations", "verdict"}
+    assert data["holds_over"] == "Z"
+    assert data["relations"] == [
+        {
+            "pair": ["Q3", "[1,2]"],
+            "rank": 3,
+            "relation": "Q3*[1,2] = (-1)*Q1*[2,3] + (1)*Q2*[1,3]",
+            "verdict": True,
+        }
+    ]
 
 
 def test_verify_ara_budget_carries_partial_certificate():
-    from resint.groebner import Budget, BudgetExceeded
-
-    inst = build_instance(3, 2, field=FP)
+    inst = build_instance(4, 2)
     with pytest.raises(BudgetExceeded) as err:
-        verify_ara_witness(inst, budget=Budget(max_pairs=3))
-    partial = err.value.stats["partial_certificate"]
+        verify_ara_witness(inst, budget=Budget(wall_seconds=1e-9))
+    stats = err.value.stats
+    partial = stats["partial_certificate"]
     assert partial["verdict"] is None
-    # syntactic hits still recorded; budgeted queries marked, none lost
-    assert len(partial["checks"]) == len(inst.labels)
-    assert any(c.get("budget_exceeded") for c in partial["checks"])
-    assert any(c["method"] == "syntactic" and c["verdict"] for c in partial["checks"])
+    assert stats["relations_checked"] == len(partial["relations"]) >= 1
+
+
+def test_radical_certificate_refuses_a_prime_field():
+    with pytest.raises(IncompatibleField):
+        verify_ara_witness(build_instance(3, 2, field=GF(101)))
+
+
+@pytest.mark.parametrize(
+    "p,m,n",
+    [(32003, m, n) for m, n in [(3, 2), (4, 2), (3, 3), (4, 3), (5, 2), (5, 3)]]
+    + [(p, m, n) for p in (2, 3) for m, n in [(3, 2), (4, 2), (4, 3)]],
+)
+def test_radical_certificate_agrees_with_groebner(p, m, n):
+    # the certificate over Z against Groebner radical membership over GF(p)
+    assert verify_ara_witness(build_instance(m, n)).verdict
+    inst = build_instance(m, n, field=GF(p))
+    witnesses = IdealBasis(inst.ring, hsop(inst))
+    assert all(radical_membership(g, witnesses) for g in inst.generators())
+
+
+def _tamper(monkeypatch, change) -> StraighteningRelation:
+    """Make every straightening relation the certificate reads go through
+    `change`; return the tampered relation of one same-rank pair at (4,2)."""
+    from resint import residual
+
+    real = residual.straighten
+
+    def tampered(instance, a, b):
+        rel = real(instance, a, b)
+        return StraighteningRelation(rel.left, change(rel))
+
+    monkeypatch.setattr(residual, "straighten", tampered)
+    return tampered(build_instance(4, 2), Q(3), M([1, 2]))
+
+
+def test_radical_certificate_rejects_a_fraction(monkeypatch):
+    def halve_first_term(rel):
+        (c, pair), *rest = rel.right
+        return ((Fraction(c, 2), pair), (Fraction(c, 2), pair), *rest)
+
+    rel = _tamper(monkeypatch, halve_first_term)
+    # still a true identity with least labels below: only the int check fails
+    assert rel.verify(build_instance(4, 2)) and rel.min_label_condition()
+    assert verify_ara_witness(build_instance(4, 2)).verdict is False
+
+
+def test_radical_certificate_rejects_a_least_label_not_below(monkeypatch):
+    def add_cancelling_left(rel):
+        return (*rel.right, (1, rel.left), (-1, rel.left))
+
+    rel = _tamper(monkeypatch, add_cancelling_left)
+    assert rel.verify(build_instance(4, 2))
+    assert verify_ara_witness(build_instance(4, 2)).verdict is False
+
+
+def test_radical_certificate_rejects_a_false_identity(monkeypatch):
+    def double_first_term(rel):
+        (c, pair), *rest = rel.right
+        return ((2 * c, pair), *rest)
+
+    rel = _tamper(monkeypatch, double_first_term)
+    assert rel.min_label_condition()
+    assert verify_ara_witness(build_instance(4, 2)).verdict is False
 
 
 # ---------------------------------------------------------------------------

@@ -238,11 +238,6 @@ def test_transcendence_certificate(m, n, dim):
     assert all(r["verified"] for r in cert.rewrites)
 
 
-def test_certificate_verbose_identities():
-    cert = verify_transcendence_basis(build_instance(2, 2), verbose=True)
-    assert all("cleared_identity" in r for r in cert.rewrites)
-
-
 def test_certificate_json_roundtrip():
     import json
 
