@@ -6,7 +6,8 @@ K[X, y] for a generic m x n matrix X of indeterminates and a column y: the
 bilinear entries Q_i of X*y and the maximal minors of X.
 """
 
-from resint import GF, QQ, ambient_ring, bordered_determinant, minor, poly_text, q_entry
+from resint import GF, QQ, M, Q, ambient_ring, build_instance, minor, poly_text, q_entry
+from resint.poset import StraighteningRelation, bordered_relation
 
 # a 4 x 2 matrix of variables over the rationals
 R = ambient_ring(4, 2, field=QQ)
@@ -25,12 +26,15 @@ print("Q3 + [1,2]  =", q_entry(R, 3) + m12)
 print("lm(Q1)      =", q1.leading_monomial())
 print("lm([1,2])   =", m12.leading_monomial())
 
-# The bordered determinant: append the Q column to the rows {1,2} plus a
-# larger row j=3.  The matrix is singular, so the cofactor expansion along
-# the Q column is a relation among the products Q_i * [rows].
-exp = bordered_determinant(R, [1, 2], 3)
-print("cofactors   =", exp.terms)
-print("expansion   =", exp.expand(), "(identically zero)")
+# The bordered determinant: append the Q column to the X rows {1,2,3}.
+# The matrix is singular, so the cofactor expansion along the Q column is
+# a relation among the products Q_i * [rows]; solved for Q3*[1,2] it is
+# the straightening relation of that product, checked by re-expansion.
+terms = bordered_relation((1, 2, 3))
+print("cofactors   =", terms, "(sum is zero)")
+rel = StraighteningRelation.solve(terms, (Q(3), M([1, 2])), QQ)
+print("solved      :", rel.text)
+print("re-expands  :", rel.verify(build_instance(4, 2)))
 
 # The same objects over a prime field: residues instead of fractions.
 Rp = ambient_ring(4, 2, field=GF(32003))

@@ -9,8 +9,8 @@ main minor and Q_1.  That pins the dimension without any poset theory.
 
 import json
 
-from resint import build_D, build_instance, verify_transcendence_basis
-from resint.labels import M
+from resint import QQ, M, build_D, build_instance, verify_transcendence_basis
+from resint.poset import StraighteningRelation
 from resint.transcendence import (
     DContext,
     _prefix,
@@ -32,13 +32,12 @@ for label, poly in specialize_D(inst).items():
 report = independence_by_exponents(inst)
 print(f"\nexponent matrix rank {report.rank} of {report.size} rows: independent = {report.verdict}")
 
-R = inst.ring
-rec = plucker_relation(R, (1,), (2, 3, 4))
-print("\nthe three-term exchange relation:")
-for t in rec.terms:
-    if t.coeff:
-        print(f"  {t.coeff:+d} * {list(t.rows_a)} * {list(t.rows_b)}")
-print("expands to:", rec.expand(R))
+terms = plucker_relation(inst.ring, (1,), (2, 3, 4))
+print("\nthe three-term exchange relation (the terms sum to zero):")
+for c, (a, b) in terms:
+    print(f"  {c:+d} * {a.text} * {b.text}")
+rel = StraighteningRelation.solve(terms, (M([1, 4]), M([2, 3])), QQ)
+print("solved:", rel.text, "| re-expands:", rel.verify(inst))
 
 ctx = DContext(inst)
 frac = ctx.fraction(M([2, 3]))

@@ -35,7 +35,6 @@ from .ring import (
     Polynomial,
     PolynomialRing,
     ambient_ring,
-    bordered_determinant,
     minor,
     poly_text,
     q_entry,

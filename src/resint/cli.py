@@ -194,7 +194,7 @@ class _Run:
 
     @cached_property
     def transcendence(self):
-        return verify_transcendence_basis(self.rational_instance)
+        return verify_transcendence_basis(self.rational_instance, budget=self.config.budget)
 
 
 def _check_radical(run: _Run) -> dict:
@@ -210,8 +210,9 @@ def _check_colon(run: _Run) -> dict:
 
 
 def _check_asl(run: _Run) -> dict:
-    ok1 = verify_asl1(run.rational_instance, run.config.degree_bound)
-    ok2 = verify_asl2(run.rational_instance)
+    budget = run.config.budget
+    ok1 = verify_asl1(run.rational_instance, run.config.degree_bound, budget=budget)
+    ok2 = verify_asl2(run.rational_instance, budget=budget)
     return {
         "verdict": ok1 and ok2,
         "holds_over": "Q",
@@ -241,21 +242,25 @@ def _check_squarefree(run: _Run) -> dict:
 def _check_transbasis(run: _Run) -> dict:
     if run.config.n < 2:
         return {"verdict": True, "skipped": "n = 1 has no transcendence certificate"}
-    out = run.transcendence.as_dict()
-    out.pop("rewrites")
-    return {"verdict": run.transcendence.verdict, "holds_over": "Q", "certificate": out}
+    cert = run.transcendence
+    return {"verdict": cert.verdict, "holds_over": "Q", "certificate": cert.as_dict()}
 
 
 def _check_dims(run: _Run) -> dict:
-    """Three independent computations of one number must agree (n >= 2)."""
+    """Three independent computations of one number must agree (n >= 2).
+
+    The transcendence count is null when its certificate failed: then the
+    verdict is false, and `consistent` compares the numbers derived."""
     instance = run.rational_instance
     from_poset = instance.poset.poset_rank()
     from_semigroup = semigroup_dimension(initial_generators(instance))
     values = {"poset_rank": from_poset, "semigroup_rank": from_semigroup}
     if run.config.n >= 2:
-        values["transcendence"] = run.transcendence.dimension
-    agree = len(set(values.values())) == 1
-    return {"verdict": agree, "values": values, "consistent": agree}
+        cert = run.transcendence
+        values["transcendence"] = cert.dimension if cert.verdict else None
+    derived = {v for v in values.values() if v is not None}
+    agree = len(derived) == 1
+    return {"verdict": agree and None not in values.values(), "values": values, "consistent": agree}
 
 
 _CHECK_RUNNERS = {

@@ -10,13 +10,14 @@ first argument.
 from __future__ import annotations
 
 import itertools
+import time
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import linalg
-from .groebner import BudgetExceeded
+from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded
 from .labels import GeneratorLabel, M, Q, canonical_labels
-from .ring import NotIncomparable, Polynomial, bordered_determinant
+from .ring import NotIncomparable, Polynomial
 
 
 class StraighteningBudgetExceeded(BudgetExceeded):
@@ -281,12 +282,47 @@ def expand_labels(instance, labels: Iterable[GeneratorLabel]) -> Polynomial:
 # straightening
 
 
+#: a quadratic identity sum c * pair = 0: c is +-1 and each pair of labels
+#: is in canonical order
+Identity = list[tuple[int, tuple[GeneratorLabel, GeneratorLabel]]]
+
+
+def bordered_relation(rows: Sequence[int]) -> Identity:
+    """The vanishing bordered determinant on a sorted (n+1)-row set R.
+
+    The X rows of R with the column (Q_r)_{r in R} appended form a singular
+    matrix; its cofactor expansion along that column is the identity, one
+    term Q_r * [R minus r] per row r, in row order.
+    """
+    size = len(rows)
+    return [
+        (1 if (k + size) % 2 == 0 else -1, (Q(r), M(rr for rr in rows if rr != r)))
+        for k, r in enumerate(rows, start=1)
+    ]
+
+
 @dataclass(frozen=True)
 class StraighteningRelation:
-    """left[0]*left[1] = sum of coeff * (product of the standard pair)."""
+    """left[0]*left[1] = sum of coeff * (product of the pair).
+
+    The one record of a quadratic identity: a straightening relation, a
+    bordered-determinant relation or an exchange relation, each solved for
+    one of its products."""
 
     left: tuple[GeneratorLabel, GeneratorLabel]
     right: tuple[tuple[object, tuple[GeneratorLabel, GeneratorLabel]], ...]
+
+    @classmethod
+    def solve(cls, terms: Identity, left, field) -> "StraighteningRelation":
+        """Solve `terms` (sum c * pair = 0) for its one term whose pair is
+        `left`; the other coefficients become -c * pivot in `field`."""
+        left = _sorted_labels(left)
+        pivots = [c for c, pair in terms if pair == left]
+        if len(pivots) != 1:
+            raise ValueError(f"{len(pivots)} terms of the identity are {left}, not one")
+        pivot = pivots[0]
+        right = tuple((field.coerce(-c * pivot), pair) for c, pair in terms if pair != left)
+        return cls(left, right)
 
     def min_label_condition(self) -> bool:
         a, b = self.left
@@ -321,31 +357,22 @@ class StraighteningRelation:
 def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningRelation:
     """Standard-monomial expansion of an incomparable product.
 
-    The Q-times-minor case reads the relation off the vanishing bordered
-    determinant; the minor-times-minor case solves for the coordinates of
+    The Q-times-minor case solves the vanishing bordered determinant for
+    the product; the minor-times-minor case solves for the coordinates of
     the expanded product in the basis of standard monomials of that shape
     (unique once the standard monomials are known independent).
     """
     if not incomparable(a, b):
         raise NotIncomparable(f"{a.text} and {b.text} are comparable")
     cache = instance._straighten_cache
-    key = tuple(sorted((a, b), key=lambda l: l.sort_key))
+    key = _sorted_labels((a, b))
     if key in cache:
         return cache[key]
     field = instance.ring.field
     if a.is_q or b.is_q:
-        q, mnr = (a, b) if a.is_q else (b, a)
-        j, rows = q.q_index, mnr.rows
         # incomparability of Q_j with the minor means exactly j > last row
-        exp = bordered_determinant(instance.ring, rows, j)
-        sign_j = next(s for s, qi, _ in exp.terms if qi == j)
-        right = []
-        for s, qi, complement in exp.terms:
-            if qi == j:
-                continue
-            coeff = field.coerce(-s * sign_j)
-            right.append((coeff, (Q(qi), M(complement))))
-        rel = StraighteningRelation(key, tuple(right))
+        q, mnr = key
+        rel = StraighteningRelation.solve(bordered_relation(mnr.rows + (q.q_index,)), key, field)
     else:
         content = sorted(a.rows + b.rows)
         degree = len(a.rows)
@@ -415,19 +442,25 @@ def straighten_product(
     return result
 
 
-def verify_asl1(instance, degree: int) -> bool:
+def verify_asl1(instance, degree: int, budget: Budget | None = None) -> bool:
     """Distinct leading monomials of standard monomials, and spanning.
 
     Degree by degree up to the bound, in one pass over the sorted products
     of generators, each expanded once: the standard ones (multichains) have
     leading monomials no other one shares, and every product straightens
-    to a standard combination that re-expands to it.
+    to a standard combination that re-expands to it.  The wall-clock
+    budget is read before each product.
     """
     poset = instance.poset
     field = instance.ring.field
+    deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
+    checked = 0
     for d in range(degree + 1):
         lms = set()
         for combo in itertools.combinations_with_replacement(poset.elements, d):
+            if time.monotonic() > deadline:
+                raise BudgetExceeded("wall-clock budget exhausted", {"products_checked": checked})
+            checked += 1
             target = expand_labels(instance, combo)
             if is_standard(combo):
                 lm = target._terms[0][0]
@@ -461,9 +494,13 @@ def incomparable_pairs(poset: BPoset) -> list[tuple[GeneratorLabel, GeneratorLab
     ]
 
 
-def verify_asl2(instance) -> bool:
-    """Straighten every incomparable pair; certify identity and least labels."""
-    for a, b in incomparable_pairs(instance.poset):
+def verify_asl2(instance, budget: Budget | None = None) -> bool:
+    """Straighten every incomparable pair; certify identity and least labels.
+    The wall-clock budget is read before each pair."""
+    deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
+    for checked, (a, b) in enumerate(incomparable_pairs(instance.poset)):
+        if time.monotonic() > deadline:
+            raise BudgetExceeded("wall-clock budget exhausted", {"pairs_checked": checked})
         rel = straighten(instance, a, b)
         if not rel.min_label_condition():
             return False

@@ -3,8 +3,7 @@
 Everything downstream (Groebner engine, poset straightening, Sagbi
 subduction, transcendence certificates) is built on the types here:
 variables, monomial orders, monomials, polynomials, and the maximal
-minors (by cofactor expansion) and bordered determinants of the generic
-matrix of indeterminates.
+minors (by cofactor expansion) of the generic matrix of indeterminates.
 
 Coefficients over Q are ints while they are integers and reduced
 Fractions only after a division leaves a remainder; over F_p they are
@@ -37,7 +36,7 @@ class BadIndex(Exception):
 
 
 class NotIncomparable(Exception):
-    """Raised when a bordered determinant is requested for j <= max(rows)."""
+    """Raised when straightening is asked for a comparable pair of labels."""
 
 
 # ---------------------------------------------------------------------------
@@ -828,50 +827,3 @@ def det_laplace(ring: PolynomialRing, matrix: list[list[Polynomial]]) -> Polynom
         term = entry * cof
         acc = acc + term if k % 2 == 0 else acc - term
     return acc
-
-
-class BorderedExpansion:
-    """Cofactor expansion of a singular bordered determinant.
-
-    For a sorted (n+1)-row set R, the (n+1)x(n+1) determinant of the X rows
-    of R with the column (Q_r)_{r in R} appended vanishes identically; the
-    cofactor list along that column relates the products Q_r * [R minus r].
-    Each term is (sign, q_index, minor_rows).
-    """
-
-    def __init__(self, ring: PolynomialRing, all_rows: tuple[int, ...]):
-        self.ring = ring
-        self.all_rows = all_rows
-        self.terms: list[tuple[int, int, tuple[int, ...]]] = []
-        size = len(all_rows)
-        for k, r in enumerate(all_rows, start=1):
-            sign = 1 if (k + size) % 2 == 0 else -1
-            complement = tuple(rr for rr in all_rows if rr != r)
-            self.terms.append((sign, r, complement))
-
-    def expand(self) -> Polynomial:
-        acc = self.ring.zero
-        for sign, q_idx, rows in self.terms:
-            prod = q_entry(self.ring, q_idx) * minor(self.ring, rows)
-            acc = acc + prod if sign == 1 else acc - prod
-        return acc
-
-
-def bordered_determinant(ring: PolynomialRing, rows: Sequence[int], j: int) -> BorderedExpansion:
-    """Unexpanded cofactor list of the bordered determinant; expands to 0."""
-    rows = _check_rows(ring, rows)
-    if j <= rows[-1]:
-        raise NotIncomparable(f"need j > {rows[-1]}, got {j}")
-    if j > ring.m:
-        raise BadIndex(f"row {j} outside 1..{ring.m}")
-    return BorderedExpansion(ring, rows + (j,))
-
-
-def singular_expansion(ring: PolynomialRing, all_rows: Sequence[int]) -> BorderedExpansion:
-    """Cofactor expansion for any sorted (n+1)-row set (no shape condition)."""
-    all_rows = tuple(all_rows)
-    if any(all_rows[i] >= all_rows[i + 1] for i in range(len(all_rows) - 1)):
-        raise BadRowSet(f"{all_rows} not strictly increasing")
-    if len(all_rows) != ring.n + 1 or all_rows[0] < 1 or all_rows[-1] > ring.m:
-        raise BadRowSet(f"{all_rows} is not an (n+1)-subset of 1..{ring.m}")
-    return BorderedExpansion(ring, all_rows)

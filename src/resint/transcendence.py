@@ -9,10 +9,13 @@ verification.  Everything here runs over Q.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from . import linalg
+from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded
 from .labels import GeneratorLabel, M, Q
+from .poset import Identity, StraighteningRelation, bordered_relation
 from .ring import (
     QQ,
     IncompatibleField,
@@ -20,7 +23,6 @@ from .ring import (
     PolynomialRing,
     VariableId,
     pvar,
-    singular_expansion,
     xvar,
     yvar,
 )
@@ -162,41 +164,11 @@ def independence_by_exponents(instance: ResidualInstance) -> IndependenceReport:
 # exchange relations among maximal minors
 
 
-@dataclass(frozen=True)
-class PluckerTerm:
-    coeff: int  # signed; 0 for the degenerate repeated-row terms
-    rows_a: tuple[int, ...] | None  # sorted, None when degenerate
-    rows_b: tuple[int, ...]
-
-
-@dataclass
-class PluckerRecord:
-    """The signed quadratic relation attached to an (n-1)/(n+1) tuple pair."""
-
-    rows_small: tuple[int, ...]
-    rows_big: tuple[int, ...]
-    terms: tuple[PluckerTerm, ...]
-
-    def expand(self, ring: PolynomialRing) -> Polynomial:
-        from .ring import minor
-
-        acc = ring.zero
-        for t in self.terms:
-            if t.coeff == 0:
-                continue
-            acc = acc + minor(ring, t.rows_a) * minor(ring, t.rows_b) * t.coeff
-        return acc
-
-    def verify(self, ring: PolynomialRing) -> bool:
-        return not self.expand(ring)
-
-
-def plucker_relation(
-    ring: PolynomialRing, rows_small, rows_big
-) -> PluckerRecord:
+def plucker_relation(ring: PolynomialRing, rows_small, rows_big) -> Identity:
     """The exchange relation: moving each element s of the big tuple into
-    the small tuple, with alternating signs and the convention that a
-    repeated row contributes 0.  The expanded sum is identically zero."""
+    the small tuple, with alternating signs; a repeated row gives no term.
+    Each term's pair of minors is in canonical order, and the expanded sum
+    is identically zero."""
     n = ring.n
     rows_small = tuple(rows_small)
     rows_big = tuple(rows_big)
@@ -209,15 +181,13 @@ def plucker_relation(
             raise BadPluecker(f"{rows} out of range 1..{ring.m}")
     terms = []
     for t, s in enumerate(rows_big, start=1):
-        position_sign = 1 if (t - 1) % 2 == 0 else -1
-        complement = tuple(r for r in rows_big if r != s)
         if s in rows_small:
-            terms.append(PluckerTerm(0, None, complement))
             continue
+        position_sign = 1 if (t - 1) % 2 == 0 else -1
         sort_sign = 1 if sum(1 for a in rows_small if a > s) % 2 == 0 else -1
-        merged = tuple(sorted(rows_small + (s,)))
-        terms.append(PluckerTerm(position_sign * sort_sign, merged, complement))
-    return PluckerRecord(rows_small, rows_big, tuple(terms))
+        pair = (M(sorted(rows_small + (s,))), M(r for r in rows_big if r != s))
+        terms.append((position_sign * sort_sign, tuple(sorted(pair, key=lambda l: l.sort_key))))
+    return terms
 
 
 # ---------------------------------------------------------------------------
@@ -290,62 +260,26 @@ class DContext:
             self._build(label)
         return self._table[label]
 
-    # -- the two rewriting phases ------------------------------------------
-
     def _build(self, label: GeneratorLabel):
+        """Table a minor outside D from one quadratic identity with a pivot
+        in D: the exchange relation against the main minor when the minor
+        contains row 1 (one row above n fewer on every other term), the
+        vanishing bordered determinant on rows (1, rows) against Q_1
+        otherwise.  Solve it for label * pivot and divide by the pivot."""
         rows = label.rows
         if rows is None:
             raise KeyError(f"{label.text} should already be tabled")
         if rows[0] == 1:
-            self._build_row1(label)
+            pivot = M(range(1, self.instance.n + 1))
+            terms = plucker_relation(self.instance.ring, rows[:-1], pivot.rows + rows[-1:])
         else:
-            self._build_row1_free(label)
-
-    def _build_row1(self, label: GeneratorLabel):
-        """Minors containing row 1: descend through the exchange relation
-        against the main minor, reducing the count of rows above n."""
-        m, n = self.instance.m, self.instance.n
-        rows = label.rows
-        bigs = [r for r in rows if r > n]
-        small_part = tuple(r for r in rows if r <= n)
-        a_tuple = tuple(sorted(small_part + tuple(bigs[:-1])))
-        c_tuple = tuple(range(1, n + 1)) + (bigs[-1],)
-        rec = plucker_relation(self.instance.ring, a_tuple, c_tuple)
-        main = M(tuple(range(1, n + 1)))
-        target_coeff = None
+            pivot = Q(1)
+            terms = bordered_relation((1,) + rows)
         acc = None
-        for t in rec.terms:
-            if t.coeff == 0:
-                continue
-            if t.rows_a == rows and t.rows_b == main.rows:
-                target_coeff = t.coeff
-                continue
-            part = self.fraction(M(t.rows_a)) * self.fraction(M(t.rows_b))
-            part = part.scale(t.coeff)
+        for c, (p, q) in StraighteningRelation.solve(terms, (label, pivot), QQ).right:
+            part = (self.fraction(p) * self.fraction(q)).scale(c)
             acc = part if acc is None else acc + part
-        if target_coeff is None:
-            raise AssertionError(f"exchange relation missed {label.text}")
-        # target * main = -acc  =>  target = -acc / (coeff * main)
-        acc = acc.scale(QQ.div(-1, target_coeff))
-        self._table[label] = acc.divided_by_var(self.position[main])
-
-    def _build_row1_free(self, label: GeneratorLabel):
-        """Minors missing row 1: expand the singular bordered matrix on
-        rows (1, j1..jn) along its Q column and divide by Q_1."""
-        rows = label.rows
-        expansion = singular_expansion(self.instance.ring, (1,) + rows)
-        target_sign = None
-        acc = None
-        for sign, q_idx, complement in expansion.terms:
-            if q_idx == 1 and complement == rows:
-                target_sign = sign
-                continue
-            part = self.fraction(Q(q_idx)) * self.fraction(M(complement))
-            part = part.scale(sign)
-            acc = part if acc is None else acc + part
-        # sign * [rows] * Q1 + acc = 0
-        acc = acc.scale(QQ.div(-1, target_sign))
-        self._table[label] = acc.divided_by_var(self.position[Q(1)])
+        self._table[label] = acc.divided_by_var(self.position[pivot])
 
 
 def verify_rewrite(context: DContext, label: GeneratorLabel, frac: DFraction) -> bool:
@@ -391,6 +325,8 @@ class TransCertificate:
     verdict: bool
 
     def as_dict(self) -> dict:
+        """The certificate as the report prints it; the per-label rewrites
+        stay on the object."""
         return {
             "m": self.m,
             "n": self.n,
@@ -400,29 +336,31 @@ class TransCertificate:
                 "rank": self.independence.rank,
                 "supports_distinct": self.independence.supports_distinct,
             },
-            "rewrites": self.rewrites,
             "verdict": self.verdict,
         }
 
 
-def verify_transcendence_basis(instance: ResidualInstance) -> TransCertificate:
+def verify_transcendence_basis(
+    instance: ResidualInstance, budget: Budget | None = None
+) -> TransCertificate:
     """The full certificate: monomial independence of the specialized D,
     every generator rewritten over D with the identity checked exactly, and
     the size count n(m-n+1)+1 -- an independent derivation of the dimension.
-    The instance must be over Q."""
+    The instance must be over Q.  The wall-clock budget is read before each
+    label."""
     context = DContext(instance)
+    deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
     m, n = instance.m, instance.n
     independence = independence_by_exponents(instance)
     rewrites = []
-    all_ok = True
     for label in instance.labels:
-        frac = context.fraction(label)
-        ok = verify_rewrite(context, label, frac)
-        all_ok = all_ok and ok
-        rewrites.append({"label": label.text, "verified": ok, "expression": _prefix(frac)})
+        if time.monotonic() > deadline:
+            raise BudgetExceeded("wall-clock budget exhausted", {"labels_checked": len(rewrites)})
+        ok = verify_rewrite(context, label, context.fraction(label))
+        rewrites.append({"label": label.text, "verified": ok})
     dimension = len(context.D.labels)
     size_ok = dimension == n * (m - n + 1) + 1
-    verdict = independence.verdict and all_ok and size_ok
+    verdict = independence.verdict and all(r["verified"] for r in rewrites) and size_ok
     return TransCertificate(
         m=m,
         n=n,

@@ -193,6 +193,26 @@ def test_radical_wall_budget_exit_2(tmp_path):
     assert stats["partial_certificate"]["relations"]
 
 
+@pytest.mark.parametrize("checks", [["asl"], ["transbasis"]])
+def test_structure_wall_budget_exit_2(tmp_path, checks):
+    cfg = config(tmp_path, budget=Budget(wall_seconds=1e-9))
+    report, code = cmd_verify(cfg, checks)
+    assert code == 2
+    assert report["checks"][checks[0]]["budget_exceeded"] is True
+
+
+def test_dims_counts_only_a_proved_transcendence_dimension(tmp_path, monkeypatch):
+    from resint import transcendence
+
+    monkeypatch.setattr(transcendence, "verify_rewrite", lambda *args: False)
+    report, code = cmd_verify(config(tmp_path), ["dims"])
+    assert code == 1
+    dims = report["checks"]["dims"]
+    assert dims["values"] == {"poset_rank": 7, "semigroup_rank": 7, "transcendence": None}
+    assert dims["verdict"] is False
+    assert dims["consistent"] is True
+
+
 def test_verify_false_verdict_exit_1(tmp_path, monkeypatch):
     from resint import cli
 

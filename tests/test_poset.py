@@ -10,11 +10,13 @@ from pathlib import Path
 import pytest
 
 from resint import poset as poset_module
+from resint.groebner import Budget, BudgetExceeded
 from resint.labels import M, Q, canonical_labels
 from resint.poset import (
     BPoset,
     StandardMonomial,
     StraighteningRelation,
+    bordered_relation,
     enumerate_standard_monomials,
     incomparable,
     incomparable_pairs,
@@ -28,7 +30,7 @@ from resint.poset import (
     witness_chain,
 )
 from resint.residual import build_instance
-from resint.ring import NotIncomparable
+from resint.ring import GF, QQ, NotIncomparable
 
 GOLDEN_RELATIONS = Path(__file__).parent / "golden" / "straighten_relations.json"
 
@@ -261,6 +263,23 @@ def test_straighten_comparable_raises(inst42):
         straighten(inst42, Q(2), M([1, 2]))
 
 
+def test_solve_needs_exactly_one_matching_term():
+    terms = bordered_relation((1, 2, 3))
+    with pytest.raises(ValueError):
+        StraighteningRelation.solve(terms, (Q(2), M([1, 2])), QQ)  # no such term
+    pair = (M([1, 3]), M([1, 4]))
+    with pytest.raises(ValueError):
+        StraighteningRelation.solve([(-1, pair), (1, pair)], pair, QQ)  # two such terms
+
+
+def test_solve_over_a_prime_field_gives_residues():
+    field = GF(7)
+    rel = StraighteningRelation.solve(bordered_relation((1, 2, 3)), (M([1, 2]), Q(3)), field)
+    assert rel.left == (Q(3), M([1, 2]))
+    assert rel.right == ((6, (Q(1), M([2, 3]))), (1, (Q(2), M([1, 3]))))
+    assert rel.verify(build_instance(3, 2, field=field))
+
+
 def test_straighten_product_reexpands(inst42):
     from resint.poset import expand_labels
 
@@ -383,6 +402,17 @@ def test_asl2_rejects_a_scaled_coefficient(monkeypatch):
     assert not verify_asl2(inst)
     monkeypatch.undo()
     assert verify_asl2(inst)
+
+
+def test_asl_checks_honour_the_wall_budget():
+    inst = build_instance(4, 2)
+    budget = Budget(wall_seconds=1e-9)
+    with pytest.raises(BudgetExceeded) as hit:
+        verify_asl1(inst, 2, budget=budget)
+    assert "products_checked" in hit.value.stats
+    with pytest.raises(BudgetExceeded) as hit:
+        verify_asl2(inst, budget=budget)
+    assert "pairs_checked" in hit.value.stats
 
 
 # ---------------------------------------------------------------------------

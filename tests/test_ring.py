@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from resint.labels import M, Q
+from resint.poset import StraighteningRelation, bordered_relation, straighten
+from resint.residual import build_instance
 from resint.ring import (
     GF,
     QQ,
@@ -20,7 +23,6 @@ from resint.ring import (
     NotIncomparable,
     ZeroPolynomial,
     ambient_ring,
-    bordered_determinant,
     minor,
     poly_text,
     q_entry,
@@ -249,35 +251,38 @@ def test_q_entry_bad_index():
 # bordered determinants
 
 
-def test_bordered_cofactors_rows12_j3():
-    R = ambient_ring(3, 2)
-    exp = bordered_determinant(R, [1, 2], 3)
-    assert exp.terms == [(1, 1, (2, 3)), (-1, 2, (1, 3)), (1, 3, (1, 2))]
-    assert not exp.expand()
+def test_bordered_cofactors_rows12_j3(inst32):
+    terms = bordered_relation((1, 2, 3))
+    assert terms == [(1, (Q(1), M([2, 3]))), (-1, (Q(2), M([1, 3]))), (1, (Q(3), M([1, 2])))]
+    rel = StraighteningRelation.solve(terms, (Q(3), M([1, 2])), QQ)
+    assert rel.right == ((-1, (Q(1), M([2, 3]))), (1, (Q(2), M([1, 3]))))
+    assert rel.verify(inst32)
 
 
 def test_bordered_4rows_n3():
-    R = ambient_ring(4, 3)
-    exp = bordered_determinant(R, [1, 2, 3], 4)
-    assert len(exp.terms) == 4
-    assert not exp.expand()
+    terms = bordered_relation((1, 2, 3, 4))
+    assert len(terms) == 4
+    rel = StraighteningRelation.solve(terms, (Q(4), M([1, 2, 3])), QQ)
+    assert rel.verify(build_instance(4, 3))
 
 
-def test_bordered_rejects_comparable_shape():
-    R = ambient_ring(4, 2)
+def test_bordered_rejects_comparable_shape(inst42):
+    # the bordered relation straightens Q_j * [rows] only for j > max(rows)
     with pytest.raises(NotIncomparable):
-        bordered_determinant(R, [1, 3], 2)
+        straighten(inst42, Q(2), M([1, 3]))
     with pytest.raises(NotIncomparable):
-        bordered_determinant(R, [1, 3], 3)
+        straighten(inst42, Q(3), M([1, 3]))
 
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_bordered_expansion_vanishes_everywhere(m):
     for n in range(1, m):
-        R = ambient_ring(m, n)
-        for rows in itertools.combinations(range(1, m + 1), n):
-            for j in range(rows[-1] + 1, m + 1):
-                assert not bordered_determinant(R, rows, j).expand()
+        inst = build_instance(m, n)
+        for rows in itertools.combinations(range(1, m + 1), n + 1):
+            rel = StraighteningRelation.solve(
+                bordered_relation(rows), (Q(rows[-1]), M(rows[:-1])), QQ
+            )
+            assert rel.verify(inst)
 
 
 # ---------------------------------------------------------------------------

@@ -3,15 +3,21 @@ rational rewriting over D, and the full dimension certificate."""
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
+
 import pytest
 
+from resint.groebner import Budget, BudgetExceeded
 from resint.labels import M, Q
+from resint.poset import StraighteningRelation
 from resint.residual import build_instance
-from resint.ring import GF, IncompatibleField, ambient_ring, xvar, yvar
+from resint.ring import GF, QQ, IncompatibleField, ambient_ring, xvar, yvar
 from resint.sagbi import initial_generators, semigroup_dimension
 from resint.transcendence import (
     BadPluecker,
     DContext,
+    _prefix,
     build_D,
     closed_form,
     independence_by_exponents,
@@ -21,6 +27,8 @@ from resint.transcendence import (
     verify_rewrite,
     verify_transcendence_basis,
 )
+
+GOLDEN_D_TABLE = Path(__file__).parent / "golden" / "d_table.json"
 
 
 # ---------------------------------------------------------------------------
@@ -126,32 +134,40 @@ def test_independence_matrix_shape_42():
 # exchange relations
 
 
-def test_classical_three_term_relation():
-    R = ambient_ring(4, 2)
-    rec = plucker_relation(R, (1,), (2, 3, 4))
-    terms = [(t.coeff, t.rows_a, t.rows_b) for t in rec.terms]
+def test_classical_three_term_relation(inst42):
+    terms = plucker_relation(inst42.ring, (1,), (2, 3, 4))
     assert terms == [
-        (1, (1, 2), (3, 4)),
-        (-1, (1, 3), (2, 4)),
-        (1, (1, 4), (2, 3)),
+        (1, (M([1, 2]), M([3, 4]))),
+        (-1, (M([1, 3]), M([2, 4]))),
+        (1, (M([1, 4]), M([2, 3]))),
     ]
-    assert rec.verify(R)
+    rel = StraighteningRelation.solve(terms, (M([1, 3]), M([2, 4])), QQ)
+    assert rel.right == ((1, (M([1, 2]), M([3, 4]))), (1, (M([1, 4]), M([2, 3]))))
+    assert rel.verify(inst42)
 
 
-def test_collision_term_is_zero_by_convention():
-    R = ambient_ring(4, 2)
-    rec = plucker_relation(R, (1,), (1, 3, 4))
-    assert rec.terms[0].coeff == 0 and rec.terms[0].rows_a is None
-    assert rec.verify(R)
+def test_collision_term_is_zero_by_convention(inst42):
+    # row 1 of the big tuple is already in the small one: it gives no term
+    inst = build_instance(5, 3)
+    terms = plucker_relation(inst.ring, (1, 2), (1, 3, 4, 5))
+    assert [pair for _, pair in terms] == [
+        (M([1, 2, 3]), M([1, 4, 5])),
+        (M([1, 2, 4]), M([1, 3, 5])),
+        (M([1, 2, 5]), M([1, 3, 4])),
+    ]
+    assert StraighteningRelation.solve(terms, (M([1, 2, 4]), M([1, 3, 5])), QQ).verify(inst)
+    # at n = 2 the two terms left are one pair with opposite signs
+    pair = (M([1, 3]), M([1, 4]))
+    assert plucker_relation(inst42.ring, (1,), (1, 3, 4)) == [(-1, pair), (1, pair)]
 
 
 def test_main_minor_exchange_relation_53():
-    R = ambient_ring(5, 3)
+    inst = build_instance(5, 3)
     # rewriting [1, 4, 5]: small = {1, 4}, big = {1, 2, 3, 5}
-    rec = plucker_relation(R, (1, 4), (1, 2, 3, 5))
-    assert rec.verify(R)
-    pairs = {(t.rows_a, t.rows_b) for t in rec.terms if t.coeff}
-    assert ((1, 4, 5), (1, 2, 3)) in pairs
+    terms = plucker_relation(inst.ring, (1, 4), (1, 2, 3, 5))
+    rel = StraighteningRelation.solve(terms, (M([1, 4, 5]), M([1, 2, 3])), QQ)
+    assert rel.left == (M([1, 2, 3]), M([1, 4, 5]))
+    assert rel.verify(inst)
 
 
 @pytest.mark.parametrize("seed", range(4))
@@ -159,10 +175,16 @@ def test_random_relations_expand_to_zero(seed):
     import random
 
     rng = random.Random(seed)
-    R = ambient_ring(6, 3)
+    inst = build_instance(6, 3)
     small = tuple(sorted(rng.sample(range(1, 7), 2)))
     big = tuple(sorted(rng.sample(range(1, 7), 4)))
-    assert plucker_relation(R, small, big).verify(R)
+    terms = plucker_relation(inst.ring, small, big)
+    pairs = [pair for _, pair in terms]
+    for pair in set(pairs):
+        if pairs.count(pair) == 1:
+            assert StraighteningRelation.solve(terms, pair, QQ).verify(inst)
+        else:  # one pair written twice, with opposite signs
+            assert sum(c for c, p in terms if p == pair) == 0
 
 
 def test_malformed_tuples_rejected():
@@ -226,6 +248,22 @@ def test_rewrite_denominators_only_main_minor_and_q1():
                 assert i in allowed
 
 
+def d_table() -> dict[str, dict[str, list]]:
+    """Every label's fraction over D, as a prefix tree, at four sizes."""
+    out = {}
+    for m, n in ((4, 2), (5, 3), (6, 3), (6, 4)):
+        inst = build_instance(m, n)
+        ctx = DContext(inst)
+        out[f"{m},{n}"] = {lab.text: _prefix(ctx.fraction(lab)) for lab in inst.labels}
+    return out
+
+
+def test_d_table_matches_golden():
+    # one label a line; a changed identity, pivot or sign in
+    # DContext._build shows as a changed fraction
+    assert d_table() == json.loads(GOLDEN_D_TABLE.read_text())
+
+
 # ---------------------------------------------------------------------------
 # the full certificate
 
@@ -239,12 +277,19 @@ def test_transcendence_certificate(m, n, dim):
 
 
 def test_certificate_json_roundtrip():
-    import json
-
     cert = verify_transcendence_basis(build_instance(3, 2))
     data = json.loads(json.dumps(cert.as_dict()))
     assert data["dimension"] == 5
     assert data["independence"]["rank"] == 5
+    # the report's shape: the per-label rewrites stay on the certificate
+    assert "rewrites" not in data
+    assert [set(r) for r in cert.rewrites] == [{"label", "verified"}] * 6
+
+
+def test_certificate_honours_the_wall_budget():
+    with pytest.raises(BudgetExceeded) as hit:
+        verify_transcendence_basis(build_instance(4, 2), budget=Budget(wall_seconds=1e-9))
+    assert hit.value.stats == {"labels_checked": 0}
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (3, 3)])
