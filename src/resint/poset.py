@@ -21,7 +21,8 @@ from .ring import NotIncomparable, Polynomial
 
 
 class StraighteningBudgetExceeded(BudgetExceeded):
-    """The straightening rewrite loop ran past its step cap."""
+    """The straightening rewrite loop ran past its step cap or its wall
+    deadline."""
 
     def __init__(self, message: str, steps: int):
         super().__init__(message, {"rewrite_steps": steps})
@@ -278,6 +279,13 @@ def expand_labels(instance, labels: Iterable[GeneratorLabel]) -> Polynomial:
     return result
 
 
+def leading_exponents(instance, labels: Iterable[GeneratorLabel]) -> tuple:
+    """The leading exponent vector of a product of generators, without
+    expanding it: over a domain lm(fg) = lm(f) + lm(g)."""
+    zero = (0,) * len(instance.ring.vars)
+    return tuple(map(sum, zip(zero, *(instance.polynomials[l]._terms[0][0] for l in labels))))
+
+
 # ---------------------------------------------------------------------------
 # straightening
 
@@ -409,9 +417,11 @@ STRAIGHTEN_MAX_STEPS = 100_000
 
 
 def straighten_product(
-    instance, labels: Sequence[GeneratorLabel]
+    instance, labels: Sequence[GeneratorLabel], deadline: float | None = None
 ) -> dict[tuple[GeneratorLabel, ...], object]:
-    """Rewrite a product of generators as a combination of standard monomials."""
+    """Rewrite a product of generators as a combination of standard
+    monomials.  The clock is read before each rewrite step when a
+    `time.monotonic()` deadline is given."""
     field = instance.ring.field
     result: dict[tuple[GeneratorLabel, ...], object] = {}
     work = [(field.one, _sorted_labels(labels))]
@@ -422,6 +432,8 @@ def straighten_product(
             raise StraighteningBudgetExceeded(
                 f"gave up after {STRAIGHTEN_MAX_STEPS} rewrite steps", steps
             )
+        if deadline is not None and time.monotonic() > deadline:
+            raise StraighteningBudgetExceeded("wall-clock budget exhausted", steps)
         coeff, ls = work.pop()
         bad = next(
             (i for i in range(len(ls) - 1) if not less_eq(ls[i], ls[i + 1])),
@@ -446,10 +458,12 @@ def verify_asl1(instance, degree: int, budget: Budget | None = None) -> bool:
     """Distinct leading monomials of standard monomials, and spanning.
 
     Degree by degree up to the bound, in one pass over the sorted products
-    of generators, each expanded once: the standard ones (multichains) have
-    leading monomials no other one shares, and every product straightens
-    to a standard combination that re-expands to it.  The wall-clock
-    budget is read before each product.
+    of generators.  The standard ones (multichains) have leading monomials
+    no other one shares, each summed from its generators' by
+    `leading_exponents`, so no standard product is expanded.  Each
+    non-standard product is expanded once and straightens to a standard
+    combination that re-expands to it.  The wall-clock budget is read
+    before each product and each rewrite step.
     """
     poset = instance.poset
     field = instance.ring.field
@@ -461,22 +475,19 @@ def verify_asl1(instance, degree: int, budget: Budget | None = None) -> bool:
             if time.monotonic() > deadline:
                 raise BudgetExceeded("wall-clock budget exhausted", {"products_checked": checked})
             checked += 1
-            target = expand_labels(instance, combo)
             if is_standard(combo):
-                lm = target._terms[0][0]
+                lm = leading_exponents(instance, combo)
                 if lm in lms:
                     return False
                 lms.add(lm)
-            if d < 2:
                 continue
-            expansion = straighten_product(instance, combo)
+            target = expand_labels(instance, combo)
+            expansion = straighten_product(instance, combo, deadline)
             if not all(is_standard(ls) for ls in expansion):
                 return False
             rebuilt: dict = {}
             for ls, c in expansion.items():
-                # a standard product straightens to itself
-                p = target if ls == combo else expand_labels(instance, ls)
-                for e, pc in p._terms:
+                for e, pc in expand_labels(instance, ls)._terms:
                     prod = field.mul(pc, c)
                     rebuilt[e] = field.add(rebuilt[e], prod) if e in rebuilt else prod
             if {e: c for e, c in rebuilt.items() if c != field.zero} != dict(target._terms):

@@ -3,8 +3,11 @@
 Builds the distinguished label set D, the monomial specialization that
 proves its algebraic independence (by exponent-matrix rank), the signed
 quadratic exchange relations among maximal minors, and the rational
-rewriting of every generator over D with exact cleared-denominator
-verification.  Everything here runs over Q.
+rewriting of every generator over D.  Each generator outside D is tabled
+from one quadratic identity whose other terms were tabled before it, so
+checking each identity once proves every fraction by induction on the
+build order; one fraction is also re-substituted in full, as a check of
+the fraction arithmetic.  Everything here runs over Q.
 """
 
 from __future__ import annotations
@@ -234,7 +237,9 @@ class DFraction:
 class DContext:
     """Rewriting context: the D-ring, positions, and the lookup table of
     each generator's fraction over D, whose denominators are powers of the
-    main minor and of Q_1.  The instance must be over Q."""
+    main minor and of Q_1.  `identities` holds, in build order, the
+    quadratic identity each generator outside D was tabled from.  The
+    instance must be over Q."""
 
     def __init__(self, instance: ResidualInstance):
         if instance.field != QQ:
@@ -246,6 +251,7 @@ class DContext:
         self.position = {lab: i for i, lab in enumerate(self.D.labels)}
         self.legend = {v: lab for v, lab in zip(self.dvars, self.D.labels)}
         self._table: dict[GeneratorLabel, DFraction] = {}
+        self.identities: dict[GeneratorLabel, StraighteningRelation] = {}
         zero_den = (0,) * len(self.dvars)
         for lab in self.D.labels:
             self._table[lab] = DFraction(self.dring.var(self.dvars[self.position[lab]]), zero_den)
@@ -275,10 +281,12 @@ class DContext:
         else:
             pivot = Q(1)
             terms = bordered_relation((1,) + rows)
+        identity = StraighteningRelation.solve(terms, (label, pivot), QQ)
         acc = None
-        for c, (p, q) in StraighteningRelation.solve(terms, (label, pivot), QQ).right:
+        for c, (p, q) in identity.right:
             part = (self.fraction(p) * self.fraction(q)).scale(c)
             acc = part if acc is None else acc + part
+        self.identities[label] = identity
         self._table[label] = acc.divided_by_var(self.position[pivot])
 
 
@@ -289,6 +297,18 @@ def verify_rewrite(context: DContext, label: GeneratorLabel, frac: DFraction) ->
     num = frac.num.substitute(assignment, instance.ring)
     den = frac.den_poly().substitute(assignment, instance.ring)
     return instance.polynomials[label] * den == num
+
+
+def spot_check_label(context: DContext) -> GeneratorLabel | None:
+    """The one label whose fraction `verify_rewrite` re-substitutes: the
+    first tabled label in canonical order whose denominator carries both
+    the main minor and Q_1, else the first tabled label; None when every
+    label is in D (m = n)."""
+    main = context.position[M(range(1, context.instance.n + 1))]
+    q1 = context.position[Q(1)]
+    built = [lab for lab in context.instance.labels if lab not in context.position]
+    both = [lab for lab in built if all(context.fraction(lab).den[k] for k in (main, q1))]
+    return (both or built or [None])[0]
 
 
 def _prefix(frac: DFraction) -> list:
@@ -322,11 +342,12 @@ class TransCertificate:
     dimension: int
     independence: IndependenceReport
     rewrites: list[dict]
+    spot_check: dict | None
     verdict: bool
 
     def as_dict(self) -> dict:
         """The certificate as the report prints it; the per-label rewrites
-        stay on the object."""
+        and the spot-check stay on the object."""
         return {
             "m": self.m,
             "n": self.n,
@@ -344,10 +365,19 @@ def verify_transcendence_basis(
     instance: ResidualInstance, budget: Budget | None = None
 ) -> TransCertificate:
     """The full certificate: monomial independence of the specialized D,
-    every generator rewritten over D with the identity checked exactly, and
-    the size count n(m-n+1)+1 -- an independent derivation of the dimension.
-    The instance must be over Q.  The wall-clock budget is read before each
-    label."""
+    every generator rewritten over D, and the size count n(m-n+1)+1 -- an
+    independent derivation of the dimension.
+
+    A label in D is its own fraction.  Any other label L was tabled from
+    one identity L*pivot = sum c*p*q whose labels p, q were tabled before
+    L, and its fraction is (sum c*frac(p)*frac(q))/pivot.  So once each
+    such identity re-expands exactly (`StraighteningRelation.verify`, a
+    degree-2 check), every fraction equals its generator by induction on
+    the build order, provided the `DFraction` arithmetic is right.  That
+    arithmetic is checked by substituting D into one fraction
+    (`verify_rewrite`, on `spot_check_label`).  The instance must be over
+    Q.  The wall-clock budget is read before each label and before the
+    spot-check."""
     context = DContext(instance)
     deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
     m, n = instance.m, instance.n
@@ -356,16 +386,29 @@ def verify_transcendence_basis(
     for label in instance.labels:
         if time.monotonic() > deadline:
             raise BudgetExceeded("wall-clock budget exhausted", {"labels_checked": len(rewrites)})
-        ok = verify_rewrite(context, label, context.fraction(label))
+        context.fraction(label)  # tables the label and its identity
+        ok = label in context.position or context.identities[label].verify(instance)
         rewrites.append({"label": label.text, "verified": ok})
+    if time.monotonic() > deadline:
+        raise BudgetExceeded("wall-clock budget exhausted", {"labels_checked": len(rewrites)})
+    spot = spot_check_label(context)
+    spot_check = None
+    if spot is not None:
+        spot_check = {"label": spot.text, "verified": verify_rewrite(context, spot, context.fraction(spot))}
     dimension = len(context.D.labels)
     size_ok = dimension == n * (m - n + 1) + 1
-    verdict = independence.verdict and all(r["verified"] for r in rewrites) and size_ok
+    verdict = (
+        independence.verdict
+        and all(r["verified"] for r in rewrites)
+        and (spot_check is None or spot_check["verified"])
+        and size_ok
+    )
     return TransCertificate(
         m=m,
         n=n,
         dimension=dimension,
         independence=independence,
         rewrites=rewrites,
+        spot_check=spot_check,
         verdict=verdict,
     )

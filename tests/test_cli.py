@@ -201,6 +201,13 @@ def test_structure_wall_budget_exit_2(tmp_path, checks):
     assert report["checks"][checks[0]]["budget_exceeded"] is True
 
 
+def test_asl_degree_3_wall_budget_exit_2(tmp_path):
+    cfg = config(tmp_path, field_name="Q", degree_bound=3, budget=Budget(wall_seconds=1e-9))
+    report, code = cmd_verify(cfg, ["asl"])
+    assert code == 2
+    assert report["checks"]["asl"]["budget_exceeded"] is True
+
+
 def test_dims_counts_only_a_proved_transcendence_dimension(tmp_path, monkeypatch):
     from resint import transcendence
 

@@ -5,6 +5,8 @@ from __future__ import annotations
 
 import itertools
 import json
+import time
+import types
 from pathlib import Path
 
 import pytest
@@ -18,10 +20,12 @@ from resint.poset import (
     StraighteningRelation,
     bordered_relation,
     enumerate_standard_monomials,
+    expand_labels,
     incomparable,
     incomparable_pairs,
     is_standard,
     is_wonderful,
+    leading_exponents,
     less_eq,
     straighten,
     straighten_product,
@@ -281,8 +285,6 @@ def test_solve_over_a_prime_field_gives_residues():
 
 
 def test_straighten_product_reexpands(inst42):
-    from resint.poset import expand_labels
-
     combo = (Q(4), M([1, 2]), M([2, 3]))
     expansion = straighten_product(inst42, combo)
     rebuilt = inst42.ring.zero
@@ -359,14 +361,42 @@ def test_asl1_rejects_a_non_standard_expansion(monkeypatch):
 
 
 def test_asl1_rejects_a_shared_leading_monomial(monkeypatch):
-    real = poset_module.expand_labels
-    twin, other = (Q(1), Q(1)), (Q(1), Q(2))
+    # Q2 gets Q1's polynomial, so Q1 and Q2 share a leading exponent
+    # vector, and so do the summed Q1*Q1 and Q1*Q2
+    inst = build_instance(4, 2)
+    monkeypatch.setitem(inst.polynomials, Q(2), inst.polynomials[Q(1)])
+    assert leading_exponents(inst, (Q(1), Q(1))) == leading_exponents(inst, (Q(1), Q(2)))
+    assert not verify_asl1(inst, 2)
+    monkeypatch.undo()
+    assert verify_asl1(inst, 2)
 
-    def expand(instance, labels):
-        return real(instance, twin if tuple(labels) == other else labels)
 
-    monkeypatch.setattr(poset_module, "expand_labels", expand)
-    assert not verify_asl1(build_instance(4, 2), 2)
+@pytest.mark.parametrize("m,n,degree", [(4, 2, 3), (5, 3, 2)])
+def test_summed_leading_monomial_is_the_products(m, n, degree):
+    # what verify_asl1 sums instead of expanding every standard product
+    inst = build_instance(m, n)
+    for d in range(degree + 1):
+        for chain in enumerate_standard_monomials(inst.poset, d):
+            product = expand_labels(inst, chain.labels)
+            assert leading_exponents(inst, chain.labels) == product._terms[0][0]
+
+
+def test_asl1_deadline_reaches_the_straightening(monkeypatch):
+    # the clock passes the deadline as the first straightening starts: the
+    # rewrite loop must notice before the next product does
+    late = []
+    real = poset_module.straighten_product
+
+    def start(*args, **kwargs):
+        late.append(True)
+        return real(*args, **kwargs)
+
+    clock = types.SimpleNamespace(monotonic=lambda: time.monotonic() + (1e9 if late else 0))
+    monkeypatch.setattr(poset_module, "time", clock)
+    monkeypatch.setattr(poset_module, "straighten_product", start)
+    with pytest.raises(BudgetExceeded) as hit:
+        verify_asl1(build_instance(4, 2), 2)
+    assert hit.value.stats == {"rewrite_steps": 1}
 
 
 def test_asl2_42_exhaustive(inst42):

@@ -4,10 +4,13 @@ rational rewriting over D, and the full dimension certificate."""
 from __future__ import annotations
 
 import json
+import time
+import types
 from pathlib import Path
 
 import pytest
 
+from resint import transcendence as transcendence_module
 from resint.groebner import Budget, BudgetExceeded
 from resint.labels import M, Q
 from resint.poset import StraighteningRelation
@@ -17,6 +20,7 @@ from resint.sagbi import initial_generators, semigroup_dimension
 from resint.transcendence import (
     BadPluecker,
     DContext,
+    DFraction,
     _prefix,
     build_D,
     closed_form,
@@ -24,6 +28,7 @@ from resint.transcendence import (
     plucker_relation,
     special_assignment,
     specialize_D,
+    spot_check_label,
     verify_rewrite,
     verify_transcendence_basis,
 )
@@ -237,15 +242,18 @@ def test_rewrite_refuses_a_prime_field():
 
 
 def test_rewrite_denominators_only_main_minor_and_q1():
-    inst = build_instance(5, 3)
-    ctx = DContext(inst)
-    allowed = {ctx.position[M((1, 2, 3))], ctx.position[Q(1)]}
-    for lab in inst.labels:
-        frac = ctx.fraction(lab)
-        assert verify_rewrite(ctx, lab, frac)
-        for i, e in enumerate(frac.den):
-            if e:
-                assert i in allowed
+    # every fraction re-substituted in full: the cross-check of the
+    # certificate, which re-substitutes only its spot-check label
+    for m, n in ((4, 2), (5, 3), (6, 3)):
+        inst = build_instance(m, n)
+        ctx = DContext(inst)
+        allowed = {ctx.position[M(range(1, n + 1))], ctx.position[Q(1)]}
+        for lab in inst.labels:
+            frac = ctx.fraction(lab)
+            assert verify_rewrite(ctx, lab, frac)
+            for i, e in enumerate(frac.den):
+                if e:
+                    assert i in allowed
 
 
 def d_table() -> dict[str, dict[str, list]]:
@@ -286,10 +294,75 @@ def test_certificate_json_roundtrip():
     assert [set(r) for r in cert.rewrites] == [{"label", "verified"}] * 6
 
 
+def test_a_flipped_identity_coefficient_fails_its_label(monkeypatch):
+    # the recorded identity of [2,3] is broken after its fraction is
+    # tabled: the fractions stay right, so only the per-label check sees it
+    real = DContext._build
+
+    def build(self, label):
+        real(self, label)
+        if label == M([2, 3]):
+            rel = self.identities[label]
+            (c, pair), *rest = rel.right
+            self.identities[label] = StraighteningRelation(rel.left, ((-c, pair), *rest))
+
+    monkeypatch.setattr(DContext, "_build", build)
+    cert = verify_transcendence_basis(build_instance(4, 2))
+    assert [r["label"] for r in cert.rewrites if not r["verified"]] == ["[2,3]"]
+    assert cert.spot_check == {"label": "[2,3]", "verified": True}
+    assert not cert.verdict
+
+
+def test_broken_fraction_addition_is_caught_by_the_spot_check(monkeypatch):
+    # the identities never read a fraction, so all of them still verify
+    real = DFraction.__add__
+    monkeypatch.setattr(DFraction, "__add__", lambda self, other: real(self, other.scale(-1)))
+    cert = verify_transcendence_basis(build_instance(5, 3))
+    assert all(r["verified"] for r in cert.rewrites)
+    assert cert.spot_check == {"label": "[2,4,5]", "verified": False}
+    assert not cert.verdict
+
+
+@pytest.mark.parametrize(
+    "m,n,label",
+    [(3, 2, "[2,3]"), (5, 3, "[2,4,5]"), (6, 4, "[2,3,5,6]"), (3, 3, None)],
+)
+def test_spot_check_label(m, n, label):
+    # the first tabled label whose denominator has both the main minor and
+    # Q1; at n = 2 no denominator has the main minor, so the first tabled
+    # one; none when every label is in D
+    inst = build_instance(m, n)
+    cert = verify_transcendence_basis(inst)
+    assert cert.verdict
+    assert cert.spot_check == (label and {"label": label, "verified": True})
+    if label and n > 2:
+        ctx = DContext(inst)
+        den = ctx.fraction(spot_check_label(ctx)).den
+        assert den[ctx.position[M(range(1, n + 1))]] and den[ctx.position[Q(1)]]
+
+
 def test_certificate_honours_the_wall_budget():
     with pytest.raises(BudgetExceeded) as hit:
         verify_transcendence_basis(build_instance(4, 2), budget=Budget(wall_seconds=1e-9))
     assert hit.value.stats == {"labels_checked": 0}
+
+
+def test_certificate_reads_the_budget_before_the_spot_check(monkeypatch):
+    # the clock passes the deadline while the identity of the last label,
+    # [3,4], is checked: only the spot-check is left to stop
+    late = []
+    real = StraighteningRelation.verify
+
+    def verify(self, instance):
+        late.extend([True] if M([3, 4]) in self.left else [])
+        return real(self, instance)
+
+    clock = types.SimpleNamespace(monotonic=lambda: time.monotonic() + (1e9 if late else 0))
+    monkeypatch.setattr(StraighteningRelation, "verify", verify)
+    monkeypatch.setattr(transcendence_module, "time", clock)
+    with pytest.raises(BudgetExceeded) as hit:
+        verify_transcendence_basis(build_instance(4, 2))
+    assert hit.value.stats == {"labels_checked": 10}
 
 
 @pytest.mark.parametrize("m,n", [(2, 2), (3, 2), (4, 2), (3, 3)])
