@@ -8,6 +8,7 @@ bilinear entries Q_i of X*y and the maximal minors of X.
 
 from resint import GF, QQ, M, Q, ambient_ring, build_instance, minor, poly_text, q_entry
 from resint.poset import StraighteningRelation, bordered_relation
+from resint.ring import monomial_text
 
 # a 4 x 2 matrix of variables over the rationals
 R = ambient_ring(4, 2, field=QQ)
@@ -22,9 +23,10 @@ print("Q3 + [1,2]  =", q_entry(R, 3) + m12)
 
 # Leading monomials under the built-in order: Q_i leads with x[i][n]*y[n],
 # a minor leads with its main diagonal.  Everything downstream (the
-# straightening law, the Sagbi property) hangs on these two facts.
-print("lm(Q1)      =", q1.leading_monomial())
-print("lm([1,2])   =", m12.leading_monomial())
+# straightening law, the Sagbi property) hangs on these two facts.  A
+# monomial is its exponent tuple over the ring's variables, y1 first.
+print("lm(Q1)      =", q1.leading_monomial(), "=", monomial_text(R, q1.leading_monomial()))
+print("lm([1,2])   =", monomial_text(R, m12.leading_monomial()))
 
 # The bordered determinant: append the Q column to the X rows {1,2,3}.
 # The matrix is singular, so the cofactor expansion along the Q column is

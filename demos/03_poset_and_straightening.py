@@ -37,7 +37,9 @@ print("  exact identity:", rel.verify(inst), "| least labels drop:", rel.min_lab
 rel2 = straighten(inst, M([1, 4]), M([2, 3]))
 print("straightening: ", rel2.text)
 
-print("\nstandard monomials of degree 2:", len(enumerate_standard_monomials(poset, 2)))
+chains = enumerate_standard_monomials(poset, 2)
+print("\nstandard monomials of degree 2:", len(chains))
+print("  the first three:", ["*".join(l.text for l in chain) for chain in chains[:3]])
 print("axiom 1 (basis) up to degree 3:", verify_asl1(inst, 3))
 print("axiom 2 (straightening):", verify_asl2(inst))
 print("poset is wonderful:", is_wonderful(poset))

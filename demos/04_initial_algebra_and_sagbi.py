@@ -9,6 +9,7 @@ certifies that the generators are a Sagbi basis of the algebra they span.
 """
 
 from resint import build_instance, initial_generators, toric_kernel, verify_sagbi
+from resint.ring import monomial_text
 from resint.sagbi import lift_to_generators, semigroup_dimension, subduce, verify_squarefree_initial
 
 inst = build_instance(4, 2)
@@ -16,7 +17,7 @@ inst = build_instance(4, 2)
 mam = initial_generators(inst)
 print("initial monomials:")
 for v in mam.pring.vars:
-    print(f"  {v.text} = in({mam.legend[v].text}) = {mam.targets[v]}")
+    print(f"  {v.text} = in({mam.legend[v].text}) = {monomial_text(inst.ring, mam.targets[v])}")
 
 print("\nsemigroup dimension (exponent rank):", semigroup_dimension(mam))
 print("poset rank (same number, independent route):", inst.poset.poset_rank())

@@ -23,7 +23,7 @@ from resint.transcendence import (
 m, n = 4, 2
 inst = build_instance(m, n)
 D = build_D(m, n)
-print("D =", [l.text for l in D.labels], f" (size {len(D)} = {n}*({m}-{n}+1)+1)")
+print("D =", [l.text for l in D], f" (size {len(D)} = {n}*({m}-{n}+1)+1)")
 
 print("\nspecialized closed forms (each a single signed monomial):")
 for label, poly in specialize_D(inst).items():

@@ -30,7 +30,6 @@ from .ring import (
     GF,
     QQ,
     GrevLex,
-    Monomial,
     Lex,
     Polynomial,
     PolynomialRing,

@@ -155,7 +155,7 @@ def cmd_generate(config: RunConfig) -> list[Path]:
         d_path.write_text(
             "".join(
                 f"{lab.text} = {poly_text(instance.polynomials[lab])}\n"
-                for lab in build_D(config.m, config.n).labels
+                for lab in build_D(config.m, config.n)
             )
         )
         written.append(d_path)
@@ -227,7 +227,7 @@ def _check_wonderful(run: _Run) -> dict:
 
 
 def _check_sagbi(run: _Run) -> dict:
-    return {"verdict": verify_sagbi(run.kernel), "holds_over": "Q"}
+    return {"verdict": verify_sagbi(run.kernel, budget=run.config.budget), "holds_over": "Q"}
 
 
 def _check_squarefree(run: _Run) -> dict:

@@ -164,75 +164,32 @@ def witness_chain(m: int, n: int) -> list[GeneratorLabel]:
 
 
 def is_wonderful(poset: BPoset) -> bool:
-    """Exhaustive check of the cover-compatibility condition with +-infinity."""
+    """The cover-compatibility condition on the poset with -infinity and
+    +infinity adjoined: whenever b1 != b2 both cover some alpha (or are
+    both minimal) and lie below some gamma (or +infinity), some beta <= gamma
+    covers both (or both are maximal, when gamma is +infinity).
+
+    The covers of each element are computed once, from `elements`, `leq`
+    and `lt` alone."""
     E = list(poset.elements)
-    lt = poset.lt
-
-    def covers_of(alpha) -> list[GeneratorLabel]:
-        # alpha is an element or None for -infinity; covers stay inside E
-        if alpha is None:
-            above = [b for b in E if not any(lt(c, b) for c in E)]
-            return above
-        above = [b for b in E if lt(alpha, b)]
-        return [
-            b for b in above if not any(lt(alpha, c) and lt(c, b) for c in E)
-        ]
-
-    def is_maximal(x) -> bool:
-        return not any(lt(x, c) for c in E)
-
-    def covers_both(beta, b1, b2) -> bool:
-        if beta is None:  # +infinity
-            return is_maximal(b1) and is_maximal(b2)
-        for b in (b1, b2):
-            if not lt(b, beta) or any(lt(b, c) and lt(c, beta) for c in E):
-                return False
-        return True
-
-    for alpha in [None] + E:
-        cov = covers_of(alpha)
+    above = {a: [b for b in E if poset.lt(a, b)] for a in E}
+    covers = {
+        a: [b for b in up if not any(poset.lt(c, b) for c in up)] for a, up in above.items()
+    }
+    minimal = [b for b in E if not any(poset.lt(c, b) for c in E)]
+    for cov in [minimal, *covers.values()]:
         for b1, b2 in itertools.combinations(cov, 2):
-            gammas = [g for g in E if lt(b1, g) and lt(b2, g)] + [None]
-            for gamma in gammas:
-                found = False
-                for beta in E:
-                    if gamma is not None and not poset.leq(beta, gamma):
-                        continue
-                    if covers_both(beta, b1, b2):
-                        found = True
-                        break
-                if not found and gamma is None and covers_both(None, b1, b2):
-                    found = True
-                if not found:
+            common = [beta for beta in covers[b1] if beta in covers[b2]]
+            if not common and (above[b1] or above[b2]):
+                return False
+            for gamma in above[b1]:
+                if poset.lt(b2, gamma) and not any(poset.leq(beta, gamma) for beta in common):
                     return False
     return True
 
 
 # ---------------------------------------------------------------------------
 # standard monomials
-
-
-@dataclass(frozen=True)
-class StandardMonomial:
-    """A multichain of labels, kept in canonical (linear-extension) order."""
-
-    labels: tuple[GeneratorLabel, ...]
-
-    def __post_init__(self):
-        for a, b in zip(self.labels, self.labels[1:]):
-            if not less_eq(a, b):
-                raise ValueError(f"{a.text}, {b.text} do not form a chain")
-
-    @property
-    def degree(self) -> int:
-        return len(self.labels)
-
-    @property
-    def text(self) -> str:
-        return "*".join(l.text for l in self.labels) if self.labels else "1"
-
-    def __repr__(self):
-        return self.text
 
 
 def _sorted_labels(labels: Iterable[GeneratorLabel]) -> tuple[GeneratorLabel, ...]:
@@ -246,16 +203,19 @@ def is_standard(labels: Sequence[GeneratorLabel]) -> bool:
     return all(less_eq(ls[i], ls[i + 1]) for i in range(len(ls) - 1))
 
 
-def enumerate_standard_monomials(poset: BPoset, degree: int) -> list[StandardMonomial]:
-    """All multichains of the given length, in canonical order."""
+def enumerate_standard_monomials(
+    poset: BPoset, degree: int
+) -> list[tuple[GeneratorLabel, ...]]:
+    """All multichains of the given length, in canonical order, each a
+    label tuple as `straighten_product` keys its standard monomials."""
     if degree < 0:
         raise ValueError("degree must be >= 0")
     E = poset.elements
-    out: list[StandardMonomial] = []
+    out: list[tuple[GeneratorLabel, ...]] = []
 
     def grow(start: int, last: GeneratorLabel | None, picked: list[GeneratorLabel]):
         if len(picked) == degree:
-            out.append(StandardMonomial(tuple(picked)))
+            out.append(tuple(picked))
             return
         for i in range(start, len(E)):
             e = E[i]

@@ -51,12 +51,12 @@ class ResidualInstance:
     map.
     """
 
-    def __init__(self, m: int, n: int, field=QQ, order=None):
+    def __init__(self, m: int, n: int, field=QQ):
         if not (m >= n >= 1):
             raise BadShape(f"need m >= n >= 1, got ({m}, {n})")
         self.m = m
         self.n = n
-        self.ring = ambient_ring(m, n, field=field, order=order)
+        self.ring = ambient_ring(m, n, field=field)
         self.labels: tuple[GeneratorLabel, ...] = tuple(canonical_labels(m, n))
         self.polynomials: dict[GeneratorLabel, Polynomial] = {}
         for lab in self.labels:
@@ -87,9 +87,9 @@ class ResidualInstance:
         return f"ResidualInstance(m={self.m}, n={self.n}, {self.field.name})"
 
 
-def build_instance(m: int, n: int, field=QQ, order=None) -> ResidualInstance:
+def build_instance(m: int, n: int, field=QQ) -> ResidualInstance:
     """Instance with all m + C(m, n) generators realized as polynomials."""
-    return ResidualInstance(m, n, field=field, order=order)
+    return ResidualInstance(m, n, field=field)
 
 
 # ---------------------------------------------------------------------------

@@ -2,8 +2,10 @@
 
 Everything downstream (Groebner engine, poset straightening, Sagbi
 subduction, transcendence certificates) is built on the types here:
-variables, monomial orders, monomials, polynomials, and the maximal
-minors (by cofactor expansion) of the generic matrix of indeterminates.
+variables, monomial orders, polynomials, and the maximal minors (by
+cofactor expansion) of the generic matrix of indeterminates.  A monomial
+is its exponent tuple over the ring's variable sequence; `monomial_text`
+prints one.
 
 Coefficients over Q are ints while they are integers and reduced
 Fractions only after a division leaves a remainder; over F_p they are
@@ -367,52 +369,6 @@ class BlockOrder(MonomialOrder):
 # monomials and polynomials
 
 
-class Monomial:
-    """A monomial of a fixed ring; exposes the zero-free exponent map."""
-
-    __slots__ = ("ring", "exps")
-
-    def __init__(self, ring: "PolynomialRing", exps: tuple[int, ...]):
-        self.ring = ring
-        self.exps = exps
-
-    @property
-    def exponents(self) -> dict[VariableId, int]:
-        return {v: e for v, e in zip(self.ring.vars, self.exps) if e}
-
-    @property
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.ring, tuple(a + b for a, b in zip(self.exps, other.exps)))
-
-    def divides(self, other: "Monomial") -> bool:
-        return all(a <= b for a, b in zip(self.exps, other.exps))
-
-    def __truediv__(self, other: "Monomial") -> "Monomial":
-        exps = tuple(a - b for a, b in zip(self.exps, other.exps))
-        if any(e < 0 for e in exps):
-            raise ValueError(f"{other} does not divide {self}")
-        return Monomial(self.ring, exps)
-
-    def lcm(self, other: "Monomial") -> "Monomial":
-        return Monomial(self.ring, tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
-
-    def __eq__(self, other):
-        return (
-            isinstance(other, Monomial)
-            and other.exps == self.exps
-            and other.ring.vars == self.ring.vars
-        )
-
-    def __hash__(self):
-        return hash(self.exps)
-
-    def __repr__(self):
-        return monomial_text(self.ring, self.exps)
-
-
 _KIND_DISPLAY_RANK = {"x": 0, "y": 1, "t": 2, "p": 3}
 
 
@@ -447,25 +403,14 @@ class Polynomial:
     def __len__(self):
         return len(self._terms)
 
-    @property
-    def terms(self) -> list[tuple[object, Monomial]]:
-        return [(c, Monomial(self.ring, e)) for e, c in self._terms]
-
-    def leading_monomial(self) -> Monomial:
+    def leading_monomial(self) -> tuple[int, ...]:
+        """The exponent tuple of the leading term."""
         if not self._terms:
             raise ZeroPolynomial("the zero polynomial has no leading monomial")
-        return Monomial(self.ring, self._terms[0][0])
-
-    def leading_coefficient(self):
-        if not self._terms:
-            raise ZeroPolynomial("the zero polynomial has no leading coefficient")
-        return self._terms[0][1]
+        return self._terms[0][0]
 
     def is_constant(self) -> bool:
         return all(not any(e) for e, _ in self._terms)
-
-    def monomials(self) -> list[Monomial]:
-        return [Monomial(self.ring, e) for e, _ in self._terms]
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -715,21 +660,21 @@ class PolynomialRing:
         exps = tuple(1 if j == i else 0 for j in range(len(self.vars)))
         return Polynomial(self, ((exps, self.field.one),))
 
-    def monomial(self, exponents: Mapping[VariableId, int]) -> Monomial:
+    def monomial(self, exponents: Mapping[VariableId, int]) -> tuple[int, ...]:
+        """The exponent tuple of a monomial given as variable -> exponent."""
         exps = [0] * len(self.vars)
         for v, e in exponents.items():
             if e < 0:
                 raise ValueError("negative exponent")
             if e:
                 exps[self.index[v]] = e
-        return Monomial(self, tuple(exps))
+        return tuple(exps)
 
     def from_terms(self, terms: Iterable[tuple[object, Mapping[VariableId, int]]]) -> Polynomial:
         d: dict = {}
         for c, expmap in terms:
-            mono = self.monomial(expmap)
-            c = self.field.coerce(c)
-            d[mono.exps] = self.field.add(d.get(mono.exps, self.field.zero), c)
+            e = self.monomial(expmap)
+            d[e] = self.field.add(d.get(e, self.field.zero), self.field.coerce(c))
         return self._from_dict(d, sort=True)
 
     def with_order(self, order: MonomialOrder) -> "PolynomialRing":
@@ -754,10 +699,9 @@ class PolynomialRing:
 # the session universe for an (m, n) instance
 
 
-def ambient_variables(m: int, n: int, slack: bool = False) -> list[VariableId]:
-    """Canonical ascending sequence: [t,] y1..yn, x11, x12, ..., xmn."""
-    vs: list[VariableId] = [tvar()] if slack else []
-    vs.extend(yvar(i) for i in range(1, n + 1))
+def ambient_variables(m: int, n: int) -> list[VariableId]:
+    """Canonical ascending sequence: y1..yn, x11, x12, ..., xmn."""
+    vs = [yvar(i) for i in range(1, n + 1)]
     vs.extend(xvar(i, j) for i in range(1, m + 1) for j in range(1, n + 1))
     return vs
 
@@ -767,12 +711,11 @@ def ambient_ring(
     n: int,
     field=QQ,
     order: MonomialOrder | None = None,
-    slack: bool = False,
 ) -> PolynomialRing:
     """The polynomial ring K[X, y] for an m x n matrix of indeterminates."""
     if not (m >= n >= 1):
         raise ValueError("need m >= n >= 1")
-    ring = PolynomialRing(field, ambient_variables(m, n, slack=slack), order)
+    ring = PolynomialRing(field, ambient_variables(m, n), order)
     ring.m = m
     ring.n = n
     return ring

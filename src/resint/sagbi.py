@@ -10,16 +10,16 @@ All kernel computations run over Q.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 
 from . import linalg
-from .groebner import Budget, IdealBasis, buchberger
+from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded, IdealBasis, buchberger
 from .poset import incomparable
 from .ring import (
     QQ,
     BlockOrder,
     IncompatibleField,
-    Monomial,
     Polynomial,
     PolynomialRing,
     TauOrder,
@@ -38,11 +38,8 @@ class MonomialAlgebraMap:
 
     instance: ResidualInstance
     pring: PolynomialRing
-    targets: dict  # VariableId (p-kind) -> Monomial in the ambient ring
+    targets: dict  # VariableId (p-kind) -> ambient exponent tuple
     legend: dict  # VariableId (p-kind) -> GeneratorLabel
-
-    def target_list(self) -> list[Monomial]:
-        return [self.targets[v] for v in self.pring.vars]
 
 
 def initial_generators(instance: ResidualInstance) -> MonomialAlgebraMap:
@@ -63,7 +60,7 @@ def initial_generators(instance: ResidualInstance) -> MonomialAlgebraMap:
 
 def semigroup_dimension(mam: MonomialAlgebraMap) -> int:
     """Rank over Q of the exponent vectors of the target monomials."""
-    matrix = [list(mono.exps) for mono in mam.target_list()]
+    matrix = [list(mam.targets[v]) for v in mam.pring.vars]
     return linalg.rank(matrix)
 
 
@@ -112,8 +109,7 @@ def toric_kernel(instance: ResidualInstance, budget: Budget | None = None) -> To
     combined = PolynomialRing(QQ, combined_vars, order)
     gens = []
     for v in pring.vars:
-        mono = mam.targets[v]
-        mono_poly = ambient._from_dict({mono.exps: QQ.one}, sort=True)
+        mono_poly = ambient._from_dict({mam.targets[v]: QQ.one}, sort=True)
         gens.append(combined.var(v) - mono_poly.convert(combined))
     G = buchberger(gens, budget=budget)
     kernel_gens = []
@@ -138,7 +134,7 @@ def mam_image(mam: MonomialAlgebraMap, f: Polynomial) -> Polynomial:
     """Image of a presentation polynomial under Y_k -> target monomial."""
     ambient = mam.instance.ring
     assignment = {
-        v: ambient._from_dict({mam.targets[v].exps: ambient.field.one}, sort=True)
+        v: ambient._from_dict({mam.targets[v]: ambient.field.one}, sort=True)
         for v in mam.pring.vars
     }
     return f.substitute(assignment, ambient)
@@ -207,17 +203,23 @@ def _factor_over_semigroup(
 SUBDUCE_MAX_STEPS = 10_000
 
 
-def subduce(instance: ResidualInstance, f: Polynomial, mam: MonomialAlgebraMap) -> Polynomial:
+def subduce(
+    instance: ResidualInstance,
+    f: Polynomial,
+    mam: MonomialAlgebraMap,
+    deadline: float | None = None,
+) -> Polynomial:
     """Subduction remainder: repeatedly cancel the leading term by a scalar
     multiple of a product of generators; returns the remainder (0 on a
     successful Sagbi reduction).  Generators are monic, so the scalar is
-    just the current leading coefficient."""
-    targets = [
-        (k, mam.targets[v].exps) for k, v in enumerate(mam.pring.vars)
-    ]
+    just the current leading coefficient.  The clock is read before each
+    step when a `time.monotonic()` deadline is given."""
+    targets = list(enumerate(mam.targets[v] for v in mam.pring.vars))
     memo: dict = {}
     steps = 0
     while f:
+        if deadline is not None and time.monotonic() > deadline:
+            raise BudgetExceeded("wall-clock budget exhausted", {"subduce_steps": steps})
         steps += 1
         if steps > SUBDUCE_MAX_STEPS:
             raise SubductionFailure(f"no termination within {SUBDUCE_MAX_STEPS} steps")
@@ -232,23 +234,32 @@ def subduce(instance: ResidualInstance, f: Polynomial, mam: MonomialAlgebraMap) 
     return f
 
 
-def verify_sagbi(kernel: ToricKernel) -> bool:
+def verify_sagbi(kernel: ToricKernel, budget: Budget | None = None) -> bool:
     """Sagbi certificate by the kernel-lift criterion.
 
     Every binomial generator of the toric kernel of the initial monomials,
     lifted to the corresponding difference of generator products, must
     subduce to zero; that certifies the initial algebra is generated by the
     initial monomials in every degree at once.  A subduction that fails to
-    terminate within its step cap counts as a failed certificate.
+    terminate within its step cap counts as a failed certificate.  The
+    wall-clock budget is read before each generator and each subduction
+    step; when it runs out, BudgetExceeded counts the generators checked
+    and the steps of the subduction under way.
     """
     mam = kernel.mam
     instance = mam.instance
-    for g in kernel.generators:
+    deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
+    for checked, g in enumerate(kernel.generators):
+        stats = {"generators_checked": checked, "subduce_steps": 0}
+        if time.monotonic() > deadline:
+            raise BudgetExceeded("wall-clock budget exhausted", stats)
         lifted = lift_to_generators(mam, g)
         try:
-            remainder = subduce(instance, lifted, mam=mam)
+            remainder = subduce(instance, lifted, mam=mam, deadline=deadline)
         except SubductionFailure:
             return False
+        except BudgetExceeded as exc:
+            raise BudgetExceeded(str(exc), {**stats, **exc.stats}) from None
         if remainder:
             return False
     return True

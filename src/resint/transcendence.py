@@ -57,26 +57,15 @@ def special_assignment(m: int, n: int, ring: PolynomialRing) -> dict[VariableId,
     return out
 
 
-@dataclass(frozen=True)
-class TransBasisD:
-    """The candidate transcendence basis: row-exchange minors M_{i,j} for
-    n < i <= m and 2 <= j <= n, the main minor [1..n], and all Q's."""
-
-    m: int
-    n: int
-    labels: tuple[GeneratorLabel, ...]
-
-    def __len__(self):
-        return len(self.labels)
-
-
 def mirror_minor(n: int, i: int, j: int) -> GeneratorLabel:
     """M_{i,j}: delete row j from 1..n and append row i."""
     rows = tuple(r for r in range(1, n + 1) if r != j) + (i,)
     return M(rows)
 
 
-def build_D(m: int, n: int) -> TransBasisD:
+def build_D(m: int, n: int) -> tuple[GeneratorLabel, ...]:
+    """The candidate transcendence basis: row-exchange minors M_{i,j} for
+    n < i <= m and 2 <= j <= n, the main minor [1..n], and all Q's."""
     if not (m >= n >= 2):
         raise ValueError("need m >= n >= 2")
     labels: list[GeneratorLabel] = []
@@ -87,7 +76,7 @@ def build_D(m: int, n: int) -> TransBasisD:
     labels.extend(Q(i) for i in range(1, m + 1))
     expected = n * (m - n + 1) + 1
     assert len(labels) == expected, "size formula (m-n)(n-1)+1+m broke"
-    return TransBasisD(m, n, tuple(labels))
+    return tuple(labels)
 
 
 def closed_form(ring: PolynomialRing, n: int, label: GeneratorLabel) -> Polynomial:
@@ -117,7 +106,7 @@ def specialize_D(instance: ResidualInstance) -> dict[GeneratorLabel, Polynomial]
     m, n, ring = instance.m, instance.n, instance.ring
     assignment = special_assignment(m, n, ring)
     out: dict[GeneratorLabel, Polynomial] = {}
-    for label in build_D(m, n).labels:
+    for label in build_D(m, n):
         specialized = instance.polynomials[label].substitute(assignment, ring)
         predicted = closed_form(ring, n, label)
         if specialized != predicted:
@@ -246,14 +235,14 @@ class DContext:
             raise IncompatibleField(f"the D-rewrite runs over Q, not {instance.field.name}")
         self.instance = instance
         self.D = build_D(instance.m, instance.n)
-        self.dvars = [pvar(k) for k in range(1, len(self.D.labels) + 1)]
+        self.dvars = [pvar(k) for k in range(1, len(self.D) + 1)]
         self.dring = PolynomialRing(QQ, self.dvars)
-        self.position = {lab: i for i, lab in enumerate(self.D.labels)}
-        self.legend = {v: lab for v, lab in zip(self.dvars, self.D.labels)}
+        self.position = {lab: i for i, lab in enumerate(self.D)}
+        self.legend = {v: lab for v, lab in zip(self.dvars, self.D)}
         self._table: dict[GeneratorLabel, DFraction] = {}
         self.identities: dict[GeneratorLabel, StraighteningRelation] = {}
         zero_den = (0,) * len(self.dvars)
-        for lab in self.D.labels:
+        for lab in self.D:
             self._table[lab] = DFraction(self.dring.var(self.dvars[self.position[lab]]), zero_den)
 
     def assignment(self) -> dict[VariableId, Polynomial]:
@@ -312,7 +301,8 @@ def spot_check_label(context: DContext) -> GeneratorLabel | None:
 
 
 def _prefix(frac: DFraction) -> list:
-    """Expression tree in prefix notation for the JSON certificate."""
+    """A fraction as an expression tree in prefix notation (nested lists),
+    as demo 05 prints it and the `d_table.json` golden file records it."""
     ring = frac.num.ring
 
     def mono_tree(exps):
@@ -395,7 +385,7 @@ def verify_transcendence_basis(
     spot_check = None
     if spot is not None:
         spot_check = {"label": spot.text, "verified": verify_rewrite(context, spot, context.fraction(spot))}
-    dimension = len(context.D.labels)
+    dimension = len(context.D)
     size_ok = dimension == n * (m - n + 1) + 1
     verdict = (
         independence.verdict

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import json
+import time
+import types
 from pathlib import Path
 
 import pytest
@@ -206,6 +208,27 @@ def test_asl_degree_3_wall_budget_exit_2(tmp_path):
     report, code = cmd_verify(cfg, ["asl"])
     assert code == 2
     assert report["checks"]["asl"]["budget_exceeded"] is True
+
+
+def test_sagbi_wall_budget_exit_2_with_counters(tmp_path, monkeypatch):
+    # the sagbi clock runs out once the first kernel generator is checked
+    from resint import sagbi
+
+    done = []
+    real = sagbi.subduce
+
+    def counted(*args, **kwargs):
+        remainder = real(*args, **kwargs)
+        done.append(True)
+        return remainder
+
+    clock = types.SimpleNamespace(monotonic=lambda: time.monotonic() + (1e9 if done else 0))
+    monkeypatch.setattr(sagbi, "time", clock)
+    monkeypatch.setattr(sagbi, "subduce", counted)
+    report, code = cmd_verify(config(tmp_path), ["sagbi"])
+    assert code == 2
+    assert report["checks"]["sagbi"]["budget_exceeded"] is True
+    assert report["checks"]["sagbi"]["stats"] == {"generators_checked": 1, "subduce_steps": 0}
 
 
 def test_dims_counts_only_a_proved_transcendence_dimension(tmp_path, monkeypatch):

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import random
 import time
 import types
 from pathlib import Path
@@ -16,7 +17,6 @@ from resint.groebner import Budget, BudgetExceeded
 from resint.labels import M, Q, canonical_labels
 from resint.poset import (
     BPoset,
-    StandardMonomial,
     StraighteningRelation,
     bordered_relation,
     enumerate_standard_monomials,
@@ -216,28 +216,25 @@ def test_witness_chain_is_a_maximum_chain(m):
 
 
 def test_standard_monomials_degree_zero(inst42):
-    assert enumerate_standard_monomials(inst42.poset, 0) == [StandardMonomial(())]
+    assert enumerate_standard_monomials(inst42.poset, 0) == [()]
 
 
 def test_standard_monomials_degree_one(inst42):
     singles = enumerate_standard_monomials(inst42.poset, 1)
     assert len(singles) == 10
+    assert all(is_standard(ls) for ls in singles)
 
 
 def test_standard_monomials_chain_count(inst22):
     # multichains of length 2 in a 3-chain: C(4, 2) = 6
-    assert len(enumerate_standard_monomials(inst22.poset, 2)) == 6
+    chains = enumerate_standard_monomials(inst22.poset, 2)
+    assert len(chains) == 6
+    assert all(is_standard(ls) for ls in chains)
 
 
 def test_is_standard():
     assert is_standard([Q(1), Q(2), M([1, 2])])
     assert not is_standard([Q(3), M([1, 2])])
-
-
-def test_standard_monomial_enforces_chain():
-    StandardMonomial((Q(1), Q(2)))
-    with pytest.raises(ValueError):
-        StandardMonomial((Q(3), M([1, 2])))
 
 
 # ---------------------------------------------------------------------------
@@ -377,8 +374,9 @@ def test_summed_leading_monomial_is_the_products(m, n, degree):
     inst = build_instance(m, n)
     for d in range(degree + 1):
         for chain in enumerate_standard_monomials(inst.poset, d):
-            product = expand_labels(inst, chain.labels)
-            assert leading_exponents(inst, chain.labels) == product._terms[0][0]
+            assert is_standard(chain)
+            product = expand_labels(inst, chain)
+            assert leading_exponents(inst, chain) == product._terms[0][0]
 
 
 def test_asl1_deadline_reaches_the_straightening(monkeypatch):
@@ -498,3 +496,67 @@ def test_wonderful_detects_failure():
         [("a", "b1"), ("a", "b2"), ("b1", "top"), ("b2", "top")],
     )
     assert is_wonderful(good)
+
+
+def is_wonderful_brute_force(poset) -> bool:
+    """Reference for `is_wonderful`: the cover-compatibility condition with
+    +-infinity checked literally, every cover recomputed inside the loops."""
+    E = list(poset.elements)
+    lt = poset.lt
+
+    def covers_of(alpha) -> list:
+        # alpha is an element or None for -infinity; covers stay inside E
+        if alpha is None:
+            above = [b for b in E if not any(lt(c, b) for c in E)]
+            return above
+        above = [b for b in E if lt(alpha, b)]
+        return [
+            b for b in above if not any(lt(alpha, c) and lt(c, b) for c in E)
+        ]
+
+    def is_maximal(x) -> bool:
+        return not any(lt(x, c) for c in E)
+
+    def covers_both(beta, b1, b2) -> bool:
+        if beta is None:  # +infinity
+            return is_maximal(b1) and is_maximal(b2)
+        for b in (b1, b2):
+            if not lt(b, beta) or any(lt(b, c) and lt(c, beta) for c in E):
+                return False
+        return True
+
+    for alpha in [None] + E:
+        cov = covers_of(alpha)
+        for b1, b2 in itertools.combinations(cov, 2):
+            gammas = [g for g in E if lt(b1, g) and lt(b2, g)] + [None]
+            for gamma in gammas:
+                found = False
+                for beta in E:
+                    if gamma is not None and not poset.leq(beta, gamma):
+                        continue
+                    if covers_both(beta, b1, b2):
+                        found = True
+                        break
+                if not found and gamma is None and covers_both(None, b1, b2):
+                    found = True
+                if not found:
+                    return False
+    return True
+
+
+def random_fake_poset(rng, size):
+    """The transitive closure of random edges i -> j (i < j) on `size` points."""
+    density = rng.choice((0.2, 0.35, 0.5))
+    edges = [(i, j) for i, j in itertools.combinations(range(size), 2) if rng.random() < density]
+    return FakePoset(range(size), edges)
+
+
+def test_wonderful_matches_brute_force_on_random_posets():
+    rng = random.Random(2024)
+    verdicts = set()
+    for _ in range(600):
+        poset = random_fake_poset(rng, rng.randint(1, 7))
+        verdict = is_wonderful(poset)
+        assert verdict == is_wonderful_brute_force(poset)
+        verdicts.add(verdict)
+    assert verdicts == {True, False}  # both outcomes were exercised

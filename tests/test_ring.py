@@ -149,13 +149,13 @@ def test_prime_beyond_64_bits_rejected():
 def test_leading_monomial_of_q():
     R = ambient_ring(4, 2)
     lm = q_entry(R, 3).leading_monomial()
-    assert lm.exponents == {xvar(3, 2): 1, yvar(2): 1}
+    assert lm == R.monomial({xvar(3, 2): 1, yvar(2): 1})
 
 
 def test_leading_monomial_of_minor():
     R = ambient_ring(4, 2)
     lm = minor(R, [2, 4]).leading_monomial()
-    assert lm.exponents == {xvar(2, 1): 1, xvar(4, 2): 1}
+    assert lm == R.monomial({xvar(2, 1): 1, xvar(4, 2): 1})
 
 
 @pytest.mark.parametrize("m", range(1, 7))
@@ -164,16 +164,16 @@ def test_leading_monomial_formulas_all_shapes(m):
         R = ambient_ring(m, n)
         for i in range(1, m + 1):
             expected = {xvar(i, n): 1, yvar(n): 1}
-            assert q_entry(R, i).leading_monomial().exponents == expected
+            assert q_entry(R, i).leading_monomial() == R.monomial(expected)
         for rows in itertools.combinations(range(1, m + 1), n):
             expected = {xvar(r, j + 1): 1 for j, r in enumerate(rows)}
-            assert minor(R, rows).leading_monomial().exponents == expected
+            assert minor(R, rows).leading_monomial() == R.monomial(expected)
 
 
 def test_lex_orders_declared_sequence():
     R = ambient_ring(2, 2)
     y1, y2 = R.var(yvar(1)), R.var(yvar(2))
-    assert (y1 + y2).leading_monomial().exponents == {yvar(2): 1}
+    assert (y1 + y2).leading_monomial() == R.monomial({yvar(2): 1})
 
 
 def test_leading_monomial_of_zero_raises():
@@ -323,15 +323,16 @@ def test_ring_axioms_prime_field(f, g, h):
 def test_leading_monomial_multiplicative(f, g):
     if not f or not g:
         return
-    assert (f * g).leading_monomial() == f.leading_monomial() * g.leading_monomial()
+    lf, lg = f.leading_monomial(), g.leading_monomial()
+    assert (f * g).leading_monomial() == tuple(a + b for a, b in zip(lf, lg))
 
 
 def substitute_by_hand(f, images, target):
     """Oracle: each term as a plain product, one factor per unit of exponent."""
     acc = target.zero
-    for c, mono in f.terms:
+    for exps, c in f._terms:
         term = target.const(c)
-        for img, k in zip(images, mono.exps):
+        for img, k in zip(images, exps):
             for _ in range(k):
                 term = term * img
         acc = acc + term
@@ -352,7 +353,7 @@ def test_substitute_matches_term_by_term_products(case):
     f, images = case
     R = f.ring
     got = f.substitute(dict(zip(R.vars, images)), R)
-    assert got.terms == substitute_by_hand(f, images, R).terms
+    assert got._terms == substitute_by_hand(f, images, R)._terms
 
 
 @settings(max_examples=40, deadline=None)
@@ -363,9 +364,7 @@ def test_one_is_least_monomial(f):
         return
     for v in RQ.vars:
         key = RQ.order.key
-        assert key((f * RQ.var(v)).leading_monomial().exps) > key(
-            f.leading_monomial().exps
-        )
+        assert key((f * RQ.var(v)).leading_monomial()) > key(f.leading_monomial())
 
 
 def assert_q_element(got, value: Fraction):
@@ -410,7 +409,7 @@ def test_rational_coefficients_stay_ints(inst42):
     polys = list(inst42.polynomials.values())
     polys.append(expand_labels(inst42, (Q(3), M([1, 2]), M([2, 4]))))
     polys.extend(context.fraction(label).num for label in inst42.labels)
-    coefficients = [c for f in polys for c, _ in f.terms]
+    coefficients = [c for f in polys for _, c in f._terms]
     assert coefficients and all(type(c) is int for c in coefficients)
 
 
@@ -420,9 +419,11 @@ def test_rational_coefficients_stay_ints(inst42):
 
 def test_monomial_exponent_map_is_sparse():
     R = ambient_ring(3, 2)
-    mono = (q_entry(R, 1) * q_entry(R, 1)).leading_monomial()
-    assert all(e > 0 for e in mono.exponents.values())
-    assert mono.degree == sum(mono.exponents.values())
+    exps = (q_entry(R, 1) * q_entry(R, 1)).leading_monomial()
+    sparse = {v: e for v, e in zip(R.vars, exps) if e}
+    assert all(e > 0 for e in sparse.values())
+    assert sum(exps) == sum(sparse.values())
+    assert R.monomial(sparse) == exps
 
 
 def test_serialization_rational_signs():
@@ -435,10 +436,10 @@ def test_serialization_half_from_a_division():
     R = ambient_ring(2, 2)
     f = (minor(R, [1, 2]) * 2 - R.one) * QQ.div(1, 2)
     assert poly_text(f) == "x[1][1]*x[2][2] - x[1][2]*x[2][1] - 1/2"
-    assert [type(c) for c, _ in f.terms] == [int, int, Fraction]
+    assert [type(c) for _, c in f._terms] == [int, int, Fraction]
     # doubling clears the one denominator: every coefficient is an int again
     assert poly_text(f * 2) == "2*x[1][1]*x[2][2] - 2*x[1][2]*x[2][1] - 1"
-    assert all(type(c) is int for c, _ in (f * 2).terms)
+    assert all(type(c) is int for _, c in (f * 2)._terms)
 
 
 def test_serialization_prime_field_residues():
@@ -463,4 +464,4 @@ def test_exact_division_roundtrip():
 def test_grevlex_is_degree_graded():
     R = ambient_ring(2, 2, order=GrevLex())
     f = R.var(xvar(1, 1)) ** 3 + R.var(xvar(2, 2)) * R.var(yvar(1))
-    assert f.leading_monomial().degree == 3
+    assert sum(f.leading_monomial()) == 3

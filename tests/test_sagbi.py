@@ -3,11 +3,16 @@ terms, and the subduction certificate."""
 
 from __future__ import annotations
 
+import itertools
 import random
+import time
+import types
 
 import pytest
 
-from resint.labels import M
+from resint import sagbi as sagbi_module
+from resint.groebner import BudgetExceeded
+from resint.labels import M, Q
 from resint.poset import incomparable
 from resint.residual import build_instance
 from resint.sagbi import (
@@ -30,17 +35,18 @@ from resint.ring import GF, IncompatibleField, xvar, yvar
 
 def test_initial_generators_22(inst22):
     mam = initial_generators(inst22)
-    got = {mam.legend[v].text: mam.targets[v].exponents for v in mam.pring.vars}
+    got = {mam.legend[v].text: mam.targets[v] for v in mam.pring.vars}
+    ring = inst22.ring
     assert got == {
-        "Q1": {xvar(1, 2): 1, yvar(2): 1},
-        "Q2": {xvar(2, 2): 1, yvar(2): 1},
-        "[1,2]": {xvar(1, 1): 1, xvar(2, 2): 1},
+        "Q1": ring.monomial({xvar(1, 2): 1, yvar(2): 1}),
+        "Q2": ring.monomial({xvar(2, 2): 1, yvar(2): 1}),
+        "[1,2]": ring.monomial({xvar(1, 1): 1, xvar(2, 2): 1}),
     }
 
 
 def test_initial_generators_42_distinct(inst42):
     mam = initial_generators(inst42)
-    monos = [tuple(sorted(m.exponents.items(), key=lambda kv: kv[0].text)) for m in mam.target_list()]
+    monos = [mam.targets[v] for v in mam.pring.vars]
     assert len(monos) == 10
     assert len(set(monos)) == 10
 
@@ -51,9 +57,9 @@ def test_initial_generators_single_column():
     for v in mam.pring.vars:
         lab = mam.legend[v]
         if lab.is_q:
-            assert mam.targets[v].exponents == {xvar(lab.q_index, 1): 1, yvar(1): 1}
+            assert mam.targets[v] == inst.ring.monomial({xvar(lab.q_index, 1): 1, yvar(1): 1})
         else:
-            assert mam.targets[v].exponents == {xvar(lab.rows[0], 1): 1}
+            assert mam.targets[v] == inst.ring.monomial({xvar(lab.rows[0], 1): 1})
 
 
 # ---------------------------------------------------------------------------
@@ -115,10 +121,12 @@ def test_tau_order_total_and_multiplicative(inst42):
         a = ring.monomial({v: rng.randint(0, 2) for v in rng.sample(vars_, 3)})
         b = ring.monomial({v: rng.randint(0, 2) for v in rng.sample(vars_, 3)})
         c = ring.monomial({v: rng.randint(0, 2) for v in rng.sample(vars_, 3)})
-        ka, kb = key(a.exps), key(b.exps)
-        assert (ka > kb) or (kb > ka) or a.exps == b.exps  # total
+        ka, kb = key(a), key(b)
+        assert (ka > kb) or (kb > ka) or a == b  # total
         if ka > kb:  # multiplicative
-            assert key((a * c).exps) > key((b * c).exps)
+            ac = tuple(x + y for x, y in zip(a, c))
+            bc = tuple(x + y for x, y in zip(b, c))
+            assert key(ac) > key(bc)
 
 
 # ---------------------------------------------------------------------------
@@ -142,7 +150,11 @@ def test_kernel_42_contains_minor_pair_binomial(inst42):
     # the underlying monomial identity, checked directly
     mam = initial_generators(inst42)
     by_label = {mam.legend[v].text: mam.targets[v] for v in mam.pring.vars}
-    assert by_label["[1,4]"] * by_label["[2,3]"] == by_label["[1,3]"] * by_label["[2,4]"]
+
+    def times(a, b):
+        return tuple(x + y for x, y in zip(by_label[a], by_label[b]))
+
+    assert times("[1,4]", "[2,3]") == times("[1,3]", "[2,4]")
     kernel = toric_kernel(inst42)
     pos = {mam.legend[v].text: i for i, v in enumerate(mam.pring.vars)}
     wanted = None
@@ -240,3 +252,36 @@ def test_kernel_lifts_subduce_to_zero(inst42):
     for g in kernel.generators:
         lifted = lift_to_generators(kernel.mam, g)
         assert not subduce(inst42, lifted, mam=kernel.mam)
+
+
+def test_sagbi_deadline_reaches_the_subduction(monkeypatch):
+    # the clock passes the deadline as the first subduction starts: the
+    # step loop must notice before its first step
+    late = []
+    real = sagbi_module.subduce
+
+    def start(*args, **kwargs):
+        late.append(True)
+        return real(*args, **kwargs)
+
+    kernel = toric_kernel(build_instance(4, 2))
+    clock = types.SimpleNamespace(monotonic=lambda: time.monotonic() + (1e9 if late else 0))
+    monkeypatch.setattr(sagbi_module, "time", clock)
+    monkeypatch.setattr(sagbi_module, "subduce", start)
+    with pytest.raises(BudgetExceeded) as hit:
+        verify_sagbi(kernel)
+    assert hit.value.stats == {"generators_checked": 0, "subduce_steps": 0}
+
+
+def test_subduce_reads_the_clock_before_each_step(monkeypatch, inst42):
+    # Q3^2 + Q2^2 + Q1^2 subduces in three steps, one square each; the
+    # clock runs out at its third read, before the third step
+    f = sum((inst42.polynomials[Q(i)] ** 2 for i in (1, 2, 3)), inst42.ring.zero)
+    mam = initial_generators(inst42)
+    assert not subduce(inst42, f, mam=mam, deadline=time.monotonic() + 60)
+    reads = itertools.count()
+    clock = types.SimpleNamespace(monotonic=lambda: 1e9 if next(reads) >= 2 else 0.0)
+    monkeypatch.setattr(sagbi_module, "time", clock)
+    with pytest.raises(BudgetExceeded) as hit:
+        subduce(inst42, f, mam=mam, deadline=1.0)
+    assert hit.value.stats == {"subduce_steps": 2}
