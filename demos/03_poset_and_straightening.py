@@ -4,12 +4,14 @@ The generators carry a partial order (Q's form a chain; Q_j sits below a
 minor when j is at most its last row; minors compare row-by-row).  Products
 of incomparable generators rewrite as combinations of chains ("standard
 monomials") whose least factors drop strictly: the straightening law.
+The poset is a distributive lattice, and the leading monomials of a pair
+sum to those of its meet and join; with the rank of the leading monomials
+that proves axiom 1 in every degree at once.
 """
 
 from resint import build_instance, straighten
 from resint.labels import M, Q
 from resint.poset import (
-    enumerate_standard_monomials,
     incomparable_pairs,
     is_wonderful,
     verify_asl1,
@@ -37,10 +39,11 @@ print("  exact identity:", rel.verify(inst), "| least labels drop:", rel.min_lab
 rel2 = straighten(inst, M([1, 4]), M([2, 3]))
 print("straightening: ", rel2.text)
 
-chains = enumerate_standard_monomials(poset, 2)
-print("\nstandard monomials of degree 2:", len(chains))
-print("  the first three:", ["*".join(l.text for l in chain) for chain in chains[:3]])
-print("axiom 1 (basis) up to degree 3:", verify_asl1(inst, 3))
+print("\nmeet and join of each incomparable pair:")
+for a, b in incomparable_pairs(poset):
+    meet, join = poset.meet(a, b), poset.join(a, b)
+    print(f"  {a.text} ^ {b.text} = {meet.text},  {a.text} v {b.text} = {join.text}")
+print("axiom 1 in all degrees:", verify_asl1(inst))
 print("axiom 2 (straightening):", verify_asl2(inst))
 print("poset is wonderful:", is_wonderful(poset))
 

@@ -1,14 +1,16 @@
 """The initial algebra: Sagbi certificate and squarefree toric kernel.
 
 The leading monomials of the generators span a monomial algebra.  Its
-presentation kernel is generated by quadratic binomials, one per
-incomparable pair, each leading (under the tau order) with the
-incomparable product - so the kernel's initial ideal is squarefree.
+presentation kernel is generated by the Hibi binomials of the generator
+lattice, Y_a*Y_b - Y_{a^b}*Y_{a v b}, one per incomparable pair, each
+leading (under the tau order) with the incomparable product - so the
+kernel's initial ideal is squarefree.
 Lifting each binomial back to the actual generators and subducing to zero
 certifies that the generators are a Sagbi basis of the algebra they span.
 """
 
 from resint import build_instance, initial_generators, toric_kernel, verify_sagbi
+from resint.poset import incomparable_pairs
 from resint.ring import monomial_text
 from resint.sagbi import lift_to_generators, semigroup_dimension, subduce, verify_squarefree_initial
 
@@ -22,8 +24,13 @@ for v in mam.pring.vars:
 print("\nsemigroup dimension (exponent rank):", semigroup_dimension(mam))
 print("poset rank (same number, independent route):", inst.poset.poset_rank())
 
+print("\nHibi binomials, one per incomparable pair:")
+for a, b in incomparable_pairs(inst.poset):
+    meet, join = inst.poset.meet(a, b), inst.poset.join(a, b)
+    print(f"  {a.text}*{b.text} - {meet.text}*{join.text}")
+
 kernel = toric_kernel(inst)
-print("\ntoric kernel (reduced basis under the tau order):")
+print("\ntoric kernel (reduced basis of those binomials under the tau order):")
 for g in kernel.generators:
     print("  ", g)
 print("squarefree incomparable leading terms:", verify_squarefree_initial(kernel))

@@ -1,7 +1,8 @@
 """The initial algebra of the generator family.
 
 Leading monomials of the generators, the presentation (toric) kernel of
-the monomial algebra they span, the tau order on presentation variables,
+the monomial algebra they span, generated by the Hibi binomials of the
+generator lattice, the tau order on presentation variables,
 the squarefree-initial-term witness, and the subduction certificate that
 the generators form a Sagbi basis.
 
@@ -14,17 +15,9 @@ import time
 from dataclasses import dataclass
 
 from . import linalg
-from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded, IdealBasis, buchberger
-from .poset import incomparable
-from .ring import (
-    QQ,
-    BlockOrder,
-    IncompatibleField,
-    Polynomial,
-    PolynomialRing,
-    TauOrder,
-    pvar,
-)
+from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded, buchberger
+from .poset import incomparable, incomparable_pairs, verify_asl1
+from .ring import QQ, IncompatibleField, Polynomial, PolynomialRing, TauOrder, pvar
 from .residual import ResidualInstance
 
 
@@ -78,10 +71,14 @@ def tau_sequence(instance: ResidualInstance) -> list[int]:
 
 @dataclass
 class ToricKernel:
-    """Reduced Groebner basis (tau order) of the presentation kernel."""
+    """Reduced Groebner basis (tau order) of the presentation kernel.
+
+    `hibi` is False when `verify_asl1` refuted its certificate: the kernel
+    is then unknown, `generators` is empty, and every check on it fails."""
 
     mam: MonomialAlgebraMap
     generators: tuple  # Polynomial in the presentation ring
+    hibi: bool
 
     def legend_lines(self) -> list[str]:
         return [
@@ -92,52 +89,25 @@ class ToricKernel:
 def toric_kernel(instance: ResidualInstance, budget: Budget | None = None) -> ToricKernel:
     """Kernel of the presentation-variable map onto the monomial algebra.
 
-    Computed by elimination: the graph ideal (Y_k - target_k) in the
-    combined ring, ambient block compared first, presentation block under
-    the tau order; the ambient-free part is then re-reduced in the
-    presentation ring.  The instance must be over Q.
+    When `verify_asl1` certifies the generator poset as a distributive
+    lattice whose leading monomials satisfy the Hibi relations, the kernel
+    is generated by the binomials Y_a*Y_b - Y_{a^b}*Y_{a v b}, one per
+    incomparable pair; their reduced basis under the tau order is
+    returned.  The instance must be over Q.
     """
     if instance.field != QQ:
         raise IncompatibleField(f"the toric kernel runs over Q, not {instance.field.name}")
     mam = initial_generators(instance)
-    ambient = instance.ring
-    pring = mam.pring
-    combined_vars = ambient.vars + pring.vars
-    n_amb = len(ambient.vars)
-    tau_positions = [n_amb + i for i in tau_sequence(instance)]
-    order = BlockOrder([list(range(n_amb)), tau_positions])
-    combined = PolynomialRing(QQ, combined_vars, order)
-    gens = []
-    for v in pring.vars:
-        mono_poly = ambient._from_dict({mam.targets[v]: QQ.one}, sort=True)
-        gens.append(combined.var(v) - mono_poly.convert(combined))
-    G = buchberger(gens, budget=budget)
-    kernel_gens = []
-    for g in G.elements:
-        if all(all(e[i] == 0 for i in range(n_amb)) for e, _ in g._terms):
-            projected = pring._from_dict(
-                {e[n_amb:]: c for e, c in g._terms}, sort=True
-            )
-            kernel_gens.append(projected)
-    if kernel_gens:
-        Gk = buchberger(IdealBasis(pring, kernel_gens), budget=budget)
-        kernel_gens = list(Gk.elements)
-        for g in kernel_gens:
-            if len(g) != 2:
-                raise AssertionError(f"non-binomial kernel element {g}")
-            if mam_image(mam, g):
-                raise AssertionError(f"kernel element {g} has nonzero image")
-    return ToricKernel(mam, tuple(kernel_gens))
-
-
-def mam_image(mam: MonomialAlgebraMap, f: Polynomial) -> Polynomial:
-    """Image of a presentation polynomial under Y_k -> target monomial."""
-    ambient = mam.instance.ring
-    assignment = {
-        v: ambient._from_dict({mam.targets[v]: ambient.field.one}, sort=True)
-        for v in mam.pring.vars
-    }
-    return f.substitute(assignment, ambient)
+    if not verify_asl1(instance, budget=budget):
+        return ToricKernel(mam, (), hibi=False)
+    poset = instance.poset
+    y = {lab: mam.pring.var(v) for v, lab in mam.legend.items()}
+    binomials = [
+        y[a] * y[b] - y[poset.meet(a, b)] * y[poset.join(a, b)]
+        for a, b in incomparable_pairs(poset)
+    ]
+    basis = buchberger(binomials, budget=budget).elements if binomials else ()
+    return ToricKernel(mam, tuple(basis), hibi=True)
 
 
 def lift_to_generators(mam: MonomialAlgebraMap, f: Polynomial) -> Polynomial:
@@ -152,6 +122,8 @@ def lift_to_generators(mam: MonomialAlgebraMap, f: Polynomial) -> Polynomial:
 def verify_squarefree_initial(kernel: ToricKernel) -> bool:
     """Leading terms of the reduced kernel basis are squarefree products of
     incomparable presentation-variable pairs."""
+    if not kernel.hibi:
+        return False
     mam = kernel.mam
     for g in kernel.generators:
         lm = g._terms[0][0]
@@ -240,12 +212,15 @@ def verify_sagbi(kernel: ToricKernel, budget: Budget | None = None) -> bool:
     Every binomial generator of the toric kernel of the initial monomials,
     lifted to the corresponding difference of generator products, must
     subduce to zero; that certifies the initial algebra is generated by the
-    initial monomials in every degree at once.  A subduction that fails to
-    terminate within its step cap counts as a failed certificate.  The
-    wall-clock budget is read before each generator and each subduction
-    step; when it runs out, BudgetExceeded counts the generators checked
-    and the steps of the subduction under way.
+    initial monomials in every degree at once.  A kernel without its Hibi
+    certificate, or a subduction that fails to terminate within its step
+    cap, counts as a failed certificate.  The wall-clock budget is read
+    before each generator and each subduction step; when it runs out,
+    BudgetExceeded counts the generators checked and the steps of the
+    subduction under way.
     """
+    if not kernel.hibi:
+        return False
     mam = kernel.mam
     instance = mam.instance
     deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds

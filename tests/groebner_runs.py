@@ -3,8 +3,9 @@
 Covers each monomial order kind over both fields: radical membership of
 every generator that is not a witness at (4,2) over F_32003, in label
 order (grevlex), the colon identity at (3,2) over F_32003 (block,
-grevlex), the toric kernel at (4,2) and (4,3) over Q (block, tau), and a
-lex basis of the (3,2) residual ideal over Q.
+grevlex), the toric kernel by elimination (`references.py`) at (4,2) and
+(4,3) over Q (block, tau), and a lex basis of the (3,2) residual ideal
+over Q.
 Each record holds the run's input hash, order, pair count, peak term
 count and the text of the basis it returned.
 
@@ -19,7 +20,8 @@ import json
 
 import pytest
 
-from resint import groebner, sagbi
+from references import elimination_kernel
+from resint import groebner
 from resint.residual import build_instance, hsop, verify_colon_identity
 from resint.ring import GF, QQ, Lex, poly_text
 
@@ -44,15 +46,14 @@ def collect_runs() -> list[dict]:
     fp = GF(32003)
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groebner, "buchberger", recording)
-        mp.setattr(sagbi, "buchberger", recording)
         inst = build_instance(4, 2, field=fp)
         witnesses = hsop(inst)
         for g in inst.generators():
             if g not in witnesses:
                 groebner.radical_membership(g, groebner.IdealBasis(inst.ring, witnesses))
         verify_colon_identity(build_instance(3, 2, field=fp))
-        sagbi.toric_kernel(build_instance(4, 2, field=QQ))
-        sagbi.toric_kernel(build_instance(4, 3, field=QQ))
+        elimination_kernel(build_instance(4, 2, field=QQ))
+        elimination_kernel(build_instance(4, 3, field=QQ))
         groebner.buchberger(build_instance(3, 2, field=QQ).ideal(), order=Lex())
     return records
 

@@ -1,0 +1,118 @@
+"""Independent cross-checks for two certificates, by direct computation.
+
+`elimination_kernel` computes the toric kernel by a block-order elimination
+in the ambient ring plus the presentation ring, with no use of the
+generator lattice.  `asl1_by_expansion` checks the first straightening-law
+axiom degree by degree: every standard monomial (multichain) up to the
+degree has a leading monomial no other one shares, read off its expanded
+product, and every other product straightens to standard monomials that
+re-expand to it.  Both are bounded: the elimination grows fast with the
+instance, and the axiom check proves nothing past its degree.
+
+`groebner.buchberger` is called through its module, so that
+`groebner_runs.py` records the elimination's runs.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+from resint import groebner
+from resint.groebner import IdealBasis
+from resint.poset import expand_labels, less_eq, straighten_product
+from resint.ring import QQ, BlockOrder, Polynomial, PolynomialRing
+from resint.sagbi import MonomialAlgebraMap, initial_generators, tau_sequence
+
+
+def mam_image(mam: MonomialAlgebraMap, f: Polynomial) -> Polynomial:
+    """Image of a presentation polynomial under Y_k -> target monomial."""
+    ambient = mam.instance.ring
+    assignment = {
+        v: ambient._from_dict({mam.targets[v]: ambient.field.one}, sort=True)
+        for v in mam.pring.vars
+    }
+    return f.substitute(assignment, ambient)
+
+
+def elimination_kernel(instance, budget=None) -> tuple[Polynomial, ...]:
+    """Reduced tau-order basis of the presentation kernel, by elimination.
+
+    The graph ideal (Y_k - target_k) in the combined ring, ambient block
+    compared first, presentation block under the tau order; the
+    ambient-free part is then re-reduced in the presentation ring.  The
+    instance must be over Q.
+    """
+    mam = initial_generators(instance)
+    ambient = instance.ring
+    pring = mam.pring
+    n_amb = len(ambient.vars)
+    tau_positions = [n_amb + i for i in tau_sequence(instance)]
+    order = BlockOrder([list(range(n_amb)), tau_positions])
+    combined = PolynomialRing(QQ, ambient.vars + pring.vars, order)
+    gens = []
+    for v in pring.vars:
+        mono_poly = ambient._from_dict({mam.targets[v]: QQ.one}, sort=True)
+        gens.append(combined.var(v) - mono_poly.convert(combined))
+    G = groebner.buchberger(gens, budget=budget)
+    kernel_gens = [
+        pring._from_dict({e[n_amb:]: c for e, c in g._terms}, sort=True)
+        for g in G.elements
+        if all(not any(e[:n_amb]) for e, _ in g._terms)
+    ]
+    if not kernel_gens:
+        return ()
+    basis = groebner.buchberger(IdealBasis(pring, kernel_gens), budget=budget).elements
+    for g in basis:
+        if len(g) != 2 or mam_image(mam, g):
+            raise AssertionError(f"kernel element {g} is not a binomial with image zero")
+    return tuple(basis)
+
+
+def is_standard(labels) -> bool:
+    """Pairwise comparability; for canonically sorted labels this reduces
+    to comparability of adjacent entries (the sort is a linear extension)."""
+    ls = sorted(labels, key=lambda l: l.sort_key)
+    return all(less_eq(ls[i], ls[i + 1]) for i in range(len(ls) - 1))
+
+
+def enumerate_standard_monomials(poset, degree: int) -> list[tuple]:
+    """All multichains of the given length, in canonical order, each a
+    label tuple as `straighten_product` keys its standard monomials."""
+    if degree < 0:
+        raise ValueError("degree must be >= 0")
+    return [
+        combo
+        for combo in itertools.combinations_with_replacement(poset.elements, degree)
+        if is_standard(combo)
+    ]
+
+
+def asl1_by_expansion(instance, degree: int) -> bool:
+    """Axiom 1 up to `degree`, in one pass over the sorted products of
+    generators: distinct leading monomials of the expanded standard
+    products, and a straightening of each other product that re-expands
+    to it."""
+    field = instance.ring.field
+    for d in range(degree + 1):
+        lms = set()
+        for combo in itertools.combinations_with_replacement(instance.poset.elements, d):
+            target = expand_labels(instance, combo)
+            if is_standard(combo):
+                lm = target._terms[0][0]
+                if lm in lms:
+                    return False
+                lms.add(lm)
+                continue
+            expansion = straighten_product(instance, combo)
+            if not all(is_standard(ls) for ls in expansion):
+                return False
+            rebuilt: dict = {}
+            for ls, c in expansion.items():
+                for e, pc in expand_labels(instance, ls)._terms:
+                    prod = field.mul(pc, c)
+                    rebuilt[e] = field.add(rebuilt[e], prod) if e in rebuilt else prod
+            if {e: c for e, c in rebuilt.items() if c != field.zero} != dict(target._terms):
+                return False
+        if len(lms) != len(enumerate_standard_monomials(instance.poset, d)):
+            return False
+    return True

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import json
 import time
 import types
@@ -19,6 +20,7 @@ from resint.cli import (
     parse_field,
 )
 from resint.groebner import Budget
+from resint.labels import M, Q
 from resint.ring import QQ
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -100,19 +102,31 @@ def test_verify_32_matches_golden_report(tmp_path):
 
 
 def test_verify_computes_shared_results_once(tmp_path, monkeypatch):
-    from resint import cli
+    from resint import cli, sagbi
 
-    calls = {"build_instance": 0, "toric_kernel": 0, "verify_transcendence_basis": 0}
-    for name in calls:
-        def counted(*args, _name=name, _real=getattr(cli, name), **kwargs):
-            calls[_name] += 1
-            return _real(*args, **kwargs)
+    names = {
+        cli: ("build_instance", "toric_kernel", "verify_transcendence_basis"),
+        sagbi: ("verify_asl1", "buchberger"),
+    }
+    calls = {name: 0 for group in names.values() for name in group}
+    for module, group in names.items():
+        for name in group:
+            def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
+                calls[_name] += 1
+                return _real(*args, **kwargs)
 
-        monkeypatch.setattr(cli, name, counted)
+            monkeypatch.setattr(module, name, counted)
     _, code = cmd_verify(config(tmp_path), list(ALL_CHECKS))
     assert code == 0
-    # one instance over Fp:32003 and one over Q
-    assert calls == {"build_instance": 2, "toric_kernel": 1, "verify_transcendence_basis": 1}
+    # one instance over Fp:32003 and one over Q; one kernel, whose
+    # certificate and Groebner basis are each computed once
+    assert calls == {
+        "build_instance": 2,
+        "toric_kernel": 1,
+        "verify_transcendence_basis": 1,
+        "verify_asl1": 1,
+        "buchberger": 1,
+    }
 
 
 def test_transbasis_and_dims_share_the_run_instance(tmp_path, monkeypatch):
@@ -128,37 +142,6 @@ def test_transbasis_and_dims_share_the_run_instance(tmp_path, monkeypatch):
     _, code = cmd_verify(config(tmp_path, field_name="Q"), ["transbasis", "dims"])
     assert code == 0
     assert len(built) == 1
-
-
-def test_verify_asl1_expands_each_product_once(monkeypatch):
-    import itertools
-
-    from resint.poset import is_standard, straighten_product, verify_asl1, verify_asl2
-    from resint.residual import build_instance
-    from resint.ring import Polynomial
-
-    inst = build_instance(4, 2)
-    # straighten every incomparable pair first, so that only the products
-    # verify_asl1 expands itself are counted
-    assert verify_asl2(inst)
-    products = 0
-    real_mul = Polynomial.__mul__
-
-    def counted(self, other):
-        nonlocal products
-        products += isinstance(other, Polynomial)
-        return real_mul(self, other)
-
-    monkeypatch.setattr(Polynomial, "__mul__", counted)
-    assert verify_asl1(inst, 2)
-    monkeypatch.undo()
-    combos = [
-        c for d in range(3) for c in itertools.combinations_with_replacement(inst.poset.elements, d)
-    ]
-    rhs_terms = sum(
-        len(straighten_product(inst, c)) for c in combos if len(c) == 2 and not is_standard(c)
-    )
-    assert products <= len(combos) + rhs_terms
 
 
 def test_verify_reports_are_byte_identical(tmp_path):
@@ -208,6 +191,83 @@ def test_asl_degree_3_wall_budget_exit_2(tmp_path):
     report, code = cmd_verify(cfg, ["asl"])
     assert code == 2
     assert report["checks"]["asl"]["budget_exceeded"] is True
+
+
+@pytest.mark.parametrize(
+    "wall_seconds, stats",
+    [
+        (2, {"lattice_rows_checked": 2, "pairs_checked": 0}),
+        (42, {"lattice_rows_checked": 42, "pairs_checked": 42}),
+    ],
+    ids=["in asl1", "in asl2"],
+)
+def test_asl_budget_stats_repeat_exactly(tmp_path, monkeypatch, wall_seconds, stats):
+    # each clock read advances one second: the budget runs out in the
+    # lattice rows of axiom 1 or in the pairs of axiom 2 at (7,3), which
+    # has 42 elements, and the stats keep the same keys either way
+    from resint import poset
+
+    seen = []
+    for run in range(3):
+        clock = types.SimpleNamespace(monotonic=itertools.count().__next__)
+        monkeypatch.setattr(poset, "time", clock)
+        budget = Budget(wall_seconds=wall_seconds)
+        cfg = config(tmp_path / str(run), m=7, n=3, field_name="Q", budget=budget)
+        report, code = cmd_verify(cfg, ["asl"])
+        assert code == 2
+        seen.append(report["checks"]["asl"]["stats"])
+    assert seen == [stats] * 3
+
+
+def _wrong_join(monkeypatch):
+    # Q3 v [1,2] is [1,3] at (4,2); the table says [1,4]
+    from resint.poset import BPoset
+
+    real = BPoset._lattice_tables
+
+    def wrong(self):
+        meet, join = real(self)
+        join = [list(row) for row in join]
+        index = self.elements.index
+        join[index(Q(3))][index(M([1, 2]))] = index(M([1, 4]))
+        return meet, join
+
+    monkeypatch.setattr(BPoset, "_lattice_tables", wrong)
+
+
+def _shared_leading_monomial(monkeypatch):
+    # Q2 gets Q1's polynomial, and with it Q1's leading monomial
+    from resint import cli
+
+    real = cli.build_instance
+
+    def built(*args, **kwargs):
+        inst = real(*args, **kwargs)
+        inst.polynomials[Q(2)] = inst.polynomials[Q(1)]
+        return inst
+
+    monkeypatch.setattr(cli, "build_instance", built)
+
+
+def _rank_one_short(monkeypatch):
+    from resint import linalg
+
+    real = linalg.rank
+    monkeypatch.setattr(linalg, "rank", lambda rows: real(rows) - 1)
+
+
+@pytest.mark.parametrize(
+    "mutate",
+    [_wrong_join, _shared_leading_monomial, _rank_one_short],
+    ids=["wrong join", "shared leading monomial", "rank one short"],
+)
+def test_a_refuted_lattice_certificate_fails_asl_sagbi_squarefree(tmp_path, monkeypatch, mutate):
+    mutate(monkeypatch)
+    report, code = cmd_verify(config(tmp_path, field_name="Q"), ["asl", "sagbi", "squarefree"])
+    assert code == 1
+    assert [report["checks"][c]["verdict"] for c in ("asl", "sagbi", "squarefree")] == [False] * 3
+    assert report["checks"]["asl"]["asl1"] is False
+    assert report["checks"]["squarefree"]["kernel"] == []
 
 
 def test_sagbi_wall_budget_exit_2_with_counters(tmp_path, monkeypatch):
@@ -355,8 +415,6 @@ def test_config_validation(tmp_path):
     with pytest.raises(ValueError):
         RunConfig(m=2, n=3, output_dir=tmp_path)
     with pytest.raises(ValueError):
-        RunConfig(m=2, n=2, degree_bound=-1, output_dir=tmp_path)
-    with pytest.raises(ValueError):
         RunConfig(m=2, n=2, budget=Budget(max_pairs=0), output_dir=tmp_path)
     with pytest.raises(ValueError):
         RunConfig(m=2, n=2, field_name="Fp:4", output_dir=tmp_path)
@@ -368,7 +426,10 @@ def test_config_validation(tmp_path):
         (["verify", "--m", "2", "--n", "3"], "need m >= n >= 1"),
         (["verify", "--m", "3", "--n", "2", "--field", "Fp:91"], "91 is not prime"),
         (["verify", "--m", "3", "--n", "2", "--checks", "bogus"], "unknown checks: bogus"),
-        (["verify", "--m", "3", "--n", "2", "--degree-bound", "-1"], "degree bound must be >= 0"),
+        (
+            ["verify", "--m", "3", "--n", "2", "--degree-bound", "2"],
+            "unrecognized arguments: --degree-bound 2",
+        ),
         (["verify", "--n", "2"], "the following arguments are required: --m"),
         (
             ["verify", "--m", "3", "--n", "2", "--field", "Fp:abc"],
@@ -381,15 +442,34 @@ def test_config_validation(tmp_path):
         ),
         (["table", "--max-m", "1"], "--max-m must be between 2 and 12"),
         (["table", "--max-m", "13"], "--max-m must be between 2 and 12"),
+        (
+            ["verify", "--m", "3", "--n", "2", "--budget-wall-seconds", "nan"],
+            "the wall-clock budget must be positive and finite",
+        ),
+        (
+            ["verify", "--m", "3", "--n", "2", "--budget-wall-seconds", "inf"],
+            "the wall-clock budget must be positive and finite",
+        ),
+        (
+            ["verify", "--m", "3", "--n", "2", "--budget-wall-seconds=-inf"],
+            "the wall-clock budget must be positive and finite",
+        ),
+        (["verify", "--m", "3", "--n", "2", "--out", "taken"], "--out taken is not a directory"),
+        (["generate", "--m", "3", "--n", "2", "--out", "taken"], "--out taken is not a directory"),
+        (["verify", "--m", "3", "--n", "2", "--out", "taken/sub"], "--out taken/sub is not a directory"),
     ],
 )
-def test_usage_errors_exit_4_with_one_line(tmp_path, capsys, args, message):
-    out = [] if args[0] == "table" else ["--out", str(tmp_path)]
+def test_usage_errors_exit_4_with_one_line(tmp_path, monkeypatch, capsys, args, message):
+    # "taken" is a file in the working directory
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "taken").write_text("")
+    out = [] if args[0] == "table" or "--out" in args else ["--out", str(tmp_path / "out")]
     assert main([*args, *out]) == 4
     captured = capsys.readouterr()
     assert captured.out == ""
     assert captured.err == f"resint: error: {message}\n"
-    assert list(tmp_path.iterdir()) == []
+    assert [p.name for p in tmp_path.iterdir()] == ["taken"]
+    assert (tmp_path / "taken").read_text() == ""
 
 
 def test_value_error_inside_a_check_is_not_a_usage_error(tmp_path, monkeypatch):

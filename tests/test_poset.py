@@ -1,17 +1,19 @@
-"""Order relation, Hasse diagrams, ranks, standard monomials, straightening,
-the two ASL axioms, and the wonderful-poset condition."""
+"""Order relation, Hasse diagrams, ranks, meets and joins, standard
+monomials, straightening, the two ASL axioms, and the wonderful-poset
+condition."""
 
 from __future__ import annotations
 
 import itertools
 import json
 import random
-import time
 import types
 from pathlib import Path
 
 import pytest
 
+import references
+from references import asl1_by_expansion, enumerate_standard_monomials, is_standard
 from resint import poset as poset_module
 from resint.groebner import Budget, BudgetExceeded
 from resint.labels import M, Q, canonical_labels
@@ -19,13 +21,10 @@ from resint.poset import (
     BPoset,
     StraighteningRelation,
     bordered_relation,
-    enumerate_standard_monomials,
     expand_labels,
     incomparable,
     incomparable_pairs,
-    is_standard,
     is_wonderful,
-    leading_exponents,
     less_eq,
     straighten,
     straighten_product,
@@ -295,16 +294,58 @@ def test_straighten_product_reexpands(inst42):
 # the ASL axioms
 
 
+# verify_asl1 holds in every degree; asl1_by_expansion is its bounded
+# cross-check
+
+
 def test_asl1_42_degree3(inst42):
-    assert verify_asl1(inst42, 3)
+    assert verify_asl1(inst42)
+    assert asl1_by_expansion(inst42, 3)
 
 
 def test_asl1_22_any_degree(inst22):
-    assert verify_asl1(inst22, 4)
+    assert verify_asl1(inst22)
+    assert asl1_by_expansion(inst22, 4)
 
 
 def test_asl1_33_degree2(inst33):
-    assert verify_asl1(inst33, 2)
+    assert verify_asl1(inst33)
+    assert asl1_by_expansion(inst33, 2)
+
+
+@pytest.mark.parametrize("m,n", [(2, 2), (4, 2), (5, 3), (4, 1)])
+def test_lattice_tables_match_brute_force(m, n):
+    poset = BPoset(m, n)
+    E = poset.elements
+    for a, b in itertools.product(E, E):
+        lower = [c for c in E if poset.leq(c, a) and poset.leq(c, b)]
+        upper = [c for c in E if poset.leq(a, c) and poset.leq(b, c)]
+        assert all(poset.leq(c, poset.meet(a, b)) for c in lower)
+        assert all(poset.leq(poset.join(a, b), c) for c in upper)
+        assert poset.meet(a, b) in lower and poset.join(a, b) in upper
+
+
+@pytest.mark.parametrize(
+    "size, pairs, lattice",
+    [
+        (4, {(0, 1), (0, 2), (0, 3), (1, 3), (2, 3)}, True),
+        (5, {(0, 1), (0, 2), (0, 3), (0, 4), (1, 3), (1, 4), (2, 4), (3, 4)}, False),
+        (5, {(0, 1), (0, 2), (0, 3), (0, 4), (1, 4), (2, 4), (3, 4)}, False),
+        (3, {(0, 2), (1, 2)}, False),
+    ],
+    ids=["square", "pentagon", "diamond", "no meet"],
+)
+def test_asl1_needs_a_distributive_lattice(monkeypatch, size, pairs, lattice):
+    # every leading monomial is 0 and the rank check always passes, so only
+    # the lattice conditions decide; the pentagon and the diamond are the
+    # lattices that are not distributive
+    poset = BPoset(2, 2)
+    poset.elements = tuple(range(size))
+    poset._leq = [[i == j or (i, j) in pairs for j in range(size)] for i in range(size)]
+    zero = types.SimpleNamespace(leading_monomial=lambda: (0,))
+    inst = types.SimpleNamespace(poset=poset, polynomials=dict.fromkeys(poset.elements, zero))
+    monkeypatch.setattr(poset_module.linalg, "rank", lambda rows: poset.poset_rank())
+    assert verify_asl1(inst) is lattice
 
 
 def straighten_relation_texts() -> dict[str, list[str]]:
@@ -326,19 +367,19 @@ TAMPERED = (Q(3), M([1, 2]))
 
 
 def tamper_straightening(monkeypatch, tamper):
-    """verify_asl1 sees `tamper(expansion)` as the straightening of TAMPERED."""
-    real = poset_module.straighten_product
+    """asl1_by_expansion sees `tamper(expansion)` as the straightening of TAMPERED."""
+    real = references.straighten_product
 
     def tampered(instance, labels, *args, **kwargs):
         expansion = real(instance, labels, *args, **kwargs)
         return tamper(dict(expansion)) if tuple(labels) == TAMPERED else expansion
 
-    monkeypatch.setattr(poset_module, "straighten_product", tampered)
+    monkeypatch.setattr(references, "straighten_product", tampered)
 
 
 def test_asl1_rejects_a_dropped_term(monkeypatch):
     tamper_straightening(monkeypatch, lambda e: dict(list(e.items())[1:]))
-    assert not verify_asl1(build_instance(4, 2), 2)
+    assert not asl1_by_expansion(build_instance(4, 2), 2)
 
 
 def test_asl1_rejects_a_scaled_coefficient(monkeypatch):
@@ -348,52 +389,47 @@ def test_asl1_rejects_a_scaled_coefficient(monkeypatch):
         return e
 
     tamper_straightening(monkeypatch, scale_first)
-    assert not verify_asl1(build_instance(4, 2), 2)
+    assert not asl1_by_expansion(build_instance(4, 2), 2)
 
 
 def test_asl1_rejects_a_non_standard_expansion(monkeypatch):
     # the product itself re-expands to the target; only its shape is wrong
     tamper_straightening(monkeypatch, lambda e: {TAMPERED: 1})
-    assert not verify_asl1(build_instance(4, 2), 2)
+    assert not asl1_by_expansion(build_instance(4, 2), 2)
 
 
 def test_asl1_rejects_a_shared_leading_monomial(monkeypatch):
-    # Q2 gets Q1's polynomial, so Q1 and Q2 share a leading exponent
-    # vector, and so do the summed Q1*Q1 and Q1*Q2
+    # Q2 gets Q1's polynomial, so Q1 and Q2 share a leading monomial, and
+    # so do the standard monomials Q1*Q1 and Q1*Q2
     inst = build_instance(4, 2)
     monkeypatch.setitem(inst.polynomials, Q(2), inst.polynomials[Q(1)])
-    assert leading_exponents(inst, (Q(1), Q(1))) == leading_exponents(inst, (Q(1), Q(2)))
-    assert not verify_asl1(inst, 2)
+    assert inst.polynomials[Q(2)].leading_monomial() == inst.polynomials[Q(1)].leading_monomial()
+    assert not verify_asl1(inst)
+    assert not asl1_by_expansion(inst, 2)
     monkeypatch.undo()
-    assert verify_asl1(inst, 2)
+    assert verify_asl1(inst)
 
 
 @pytest.mark.parametrize("m,n,degree", [(4, 2, 3), (5, 3, 2)])
 def test_summed_leading_monomial_is_the_products(m, n, degree):
-    # what verify_asl1 sums instead of expanding every standard product
+    # lm(fg) = lm(f) + lm(g): the monomial algebra verify_asl1 compares
+    # with the Hibi ring is spanned by the sums of generators' leading
+    # monomials
     inst = build_instance(m, n)
+    zero = (0,) * len(inst.ring.vars)
     for d in range(degree + 1):
         for chain in enumerate_standard_monomials(inst.poset, d):
             assert is_standard(chain)
             product = expand_labels(inst, chain)
-            assert leading_exponents(inst, chain) == product._terms[0][0]
+            lms = (inst.polynomials[l].leading_monomial() for l in chain)
+            assert tuple(map(sum, zip(zero, *lms))) == product._terms[0][0]
 
 
-def test_asl1_deadline_reaches_the_straightening(monkeypatch):
-    # the clock passes the deadline as the first straightening starts: the
-    # rewrite loop must notice before the next product does
-    late = []
-    real = poset_module.straighten_product
-
-    def start(*args, **kwargs):
-        late.append(True)
-        return real(*args, **kwargs)
-
-    clock = types.SimpleNamespace(monotonic=lambda: time.monotonic() + (1e9 if late else 0))
-    monkeypatch.setattr(poset_module, "time", clock)
-    monkeypatch.setattr(poset_module, "straighten_product", start)
+def test_straighten_product_reads_the_clock_before_each_step(monkeypatch):
+    # the clock is past the deadline before the first rewrite step
+    monkeypatch.setattr(poset_module, "time", types.SimpleNamespace(monotonic=lambda: 2.0))
     with pytest.raises(BudgetExceeded) as hit:
-        verify_asl1(build_instance(4, 2), 2)
+        straighten_product(build_instance(4, 2), TAMPERED, deadline=1.0)
     assert hit.value.stats == {"rewrite_steps": 1}
 
 
@@ -436,8 +472,8 @@ def test_asl_checks_honour_the_wall_budget():
     inst = build_instance(4, 2)
     budget = Budget(wall_seconds=1e-9)
     with pytest.raises(BudgetExceeded) as hit:
-        verify_asl1(inst, 2, budget=budget)
-    assert "products_checked" in hit.value.stats
+        verify_asl1(inst, budget=budget)
+    assert hit.value.stats == {"lattice_rows_checked": 0}
     with pytest.raises(BudgetExceeded) as hit:
         verify_asl2(inst, budget=budget)
     assert "pairs_checked" in hit.value.stats

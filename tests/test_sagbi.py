@@ -10,6 +10,7 @@ import types
 
 import pytest
 
+from references import elimination_kernel, mam_image
 from resint import sagbi as sagbi_module
 from resint.groebner import BudgetExceeded
 from resint.labels import M, Q
@@ -18,7 +19,6 @@ from resint.residual import build_instance
 from resint.sagbi import (
     initial_generators,
     lift_to_generators,
-    mam_image,
     semigroup_dimension,
     subduce,
     tau_sequence,
@@ -26,7 +26,7 @@ from resint.sagbi import (
     verify_sagbi,
     verify_squarefree_initial,
 )
-from resint.ring import GF, IncompatibleField, xvar, yvar
+from resint.ring import GF, IncompatibleField, poly_text, xvar, yvar
 
 
 # ---------------------------------------------------------------------------
@@ -139,6 +139,15 @@ def test_kernel_22_zero(inst22):
 
 def test_kernel_33_zero(inst33):
     assert not toric_kernel(inst33).generators
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (5, 2), (4, 3), (3, 3), (8, 1), (5, 3)])
+def test_kernel_matches_elimination(m, n):
+    inst = build_instance(m, n)
+    kernel = toric_kernel(inst)
+    assert kernel.hibi
+    want = [poly_text(g) for g in elimination_kernel(inst)]
+    assert [poly_text(g) for g in kernel.generators] == want
 
 
 def test_kernel_refuses_a_prime_field():
