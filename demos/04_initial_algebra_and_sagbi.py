@@ -1,18 +1,20 @@
-"""The initial algebra: Sagbi certificate and squarefree toric kernel.
+"""The initial algebra: Sagbi verdict and squarefree toric kernel.
 
-The leading monomials of the generators span a monomial algebra.  Its
-presentation kernel is generated by the Hibi binomials of the generator
-lattice, Y_a*Y_b - Y_{a^b}*Y_{a v b}, one per incomparable pair, each
-leading (under the tau order) with the incomparable product - so the
-kernel's initial ideal is squarefree.
-Lifting each binomial back to the actual generators and subducing to zero
-certifies that the generators are a Sagbi basis of the algebra they span.
+The leading monomials of the generators span a monomial algebra.  The
+first straightening-law axiom is a certificate on the generator lattice:
+it proves that the presentation kernel of that algebra is generated by
+the Hibi binomials Y_a*Y_b - Y_{a^b}*Y_{a v b}, one per incomparable pair.
+Each leads (under the tau order) with the incomparable product, so the
+binomials are the kernel's reduced basis and its initial ideal is
+squarefree.  With the second axiom, the straightening relations, the
+generators are a Sagbi basis of the algebra they span: the standard
+monomials span it and have distinct leading monomials.
 """
 
-from resint import build_instance, initial_generators, toric_kernel, verify_sagbi
-from resint.poset import incomparable_pairs
+from resint import build_instance, initial_generators, toric_kernel, verify_squarefree_initial
+from resint.poset import incomparable_pairs, verify_asl1, verify_asl2
 from resint.ring import monomial_text
-from resint.sagbi import lift_to_generators, semigroup_dimension, subduce, verify_squarefree_initial
+from resint.sagbi import semigroup_dimension
 
 inst = build_instance(4, 2)
 
@@ -29,15 +31,14 @@ for a, b in incomparable_pairs(inst.poset):
     meet, join = inst.poset.meet(a, b), inst.poset.join(a, b)
     print(f"  {a.text}*{b.text} - {meet.text}*{join.text}")
 
-kernel = toric_kernel(inst)
-print("\ntoric kernel (reduced basis of those binomials under the tau order):")
+asl1 = verify_asl1(inst)
+print("\nfirst axiom (lattice certificate):", asl1)
+kernel = toric_kernel(inst, asl1)
+print("toric kernel (those binomials, sorted by their tau-leading terms):")
 for g in kernel.generators:
     print("  ", g)
 print("squarefree incomparable leading terms:", verify_squarefree_initial(kernel))
 
-print("\nsubduction of each lifted binomial:")
-for g in kernel.generators:
-    lifted = lift_to_generators(mam, g)
-    remainder = subduce(inst, lifted, mam=mam)
-    print(f"  lift of {g}  ->  remainder {remainder}")
-print("Sagbi certificate:", verify_sagbi(kernel))
+asl2 = verify_asl2(inst)
+print("\nsecond axiom (straightening relations with least labels):", asl2)
+print("Sagbi verdict (both axioms):", asl1 and asl2)

@@ -38,5 +38,5 @@ from .ring import (
     poly_text,
     q_entry,
 )
-from .sagbi import initial_generators, toric_kernel, verify_sagbi, verify_squarefree_initial
+from .sagbi import initial_generators, toric_kernel, verify_squarefree_initial
 from .transcendence import build_D, verify_transcendence_basis

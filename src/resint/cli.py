@@ -7,8 +7,10 @@ takes the same four plus the three --budget-* caps, --timings and
 
 `verify` runs the selected checks one after another, in `ALL_CHECKS`
 order, on one instance per field; results that several checks use (the
-straightening relations, the toric kernel, the transcendence certificate)
-are computed once per run.
+straightening relations, the lattice certificate of the first
+straightening-law axiom, the verdict of the second, the toric kernel, the
+transcendence certificate) are computed once per run.  `sagbi` and
+`squarefree` follow from the two axioms, so only colon runs Buchberger.
 `_Run` is the one place that picks a check's field: only colon runs over
 the configured field; radical is certified by integer identities over Z,
 and the structural checks run over Q.  Each algebraic check records in
@@ -50,7 +52,6 @@ from .sagbi import (
     initial_generators,
     semigroup_dimension,
     toric_kernel,
-    verify_sagbi,
     verify_squarefree_initial,
 )
 from .transcendence import build_D, verify_transcendence_basis
@@ -194,8 +195,16 @@ class _Run:
         return build_instance(self.config.m, self.config.n, field=QQ)
 
     @cached_property
+    def asl1(self):
+        return verify_asl1(self.rational_instance, budget=self.config.budget)
+
+    @cached_property
+    def asl2(self):
+        return verify_asl2(self.rational_instance, budget=self.config.budget)
+
+    @cached_property
     def kernel(self):
-        return toric_kernel(self.rational_instance, budget=self.config.budget)
+        return toric_kernel(self.rational_instance, self.asl1)
 
     @cached_property
     def transcendence(self):
@@ -214,16 +223,18 @@ def _check_colon(run: _Run) -> dict:
     }
 
 
-def _check_asl(run: _Run) -> dict:
-    """Both axioms; a budget hit reports how far each got, with the same
-    keys whichever axiom it stopped."""
-    instance, budget = run.rational_instance, run.config.budget
+def _axioms(run: _Run) -> tuple[bool, bool]:
+    """Both straightening-law axioms; a budget hit reports how far each
+    got, with the same keys whichever axiom it stopped."""
     try:
-        ok1 = verify_asl1(instance, budget=budget)
-        ok2 = verify_asl2(instance, budget=budget)
+        return run.asl1, run.asl2
     except BudgetExceeded as exc:
-        done = {"lattice_rows_checked": len(instance.poset), "pairs_checked": 0}
+        done = {"lattice_rows_checked": len(run.rational_instance.poset), "pairs_checked": 0}
         raise BudgetExceeded(str(exc), {**done, **exc.stats}) from None
+
+
+def _check_asl(run: _Run) -> dict:
+    ok1, ok2 = _axioms(run)
     return {"verdict": ok1 and ok2, "holds_over": "Q", "asl1": ok1, "asl2": ok2, "degrees": "all"}
 
 
@@ -232,7 +243,10 @@ def _check_wonderful(run: _Run) -> dict:
 
 
 def _check_sagbi(run: _Run) -> dict:
-    return {"verdict": verify_sagbi(run.kernel, budget=run.config.budget), "holds_over": "Q"}
+    """The generators are a Sagbi basis when both axioms hold (proof in
+    the `sagbi` module docstring)."""
+    ok1, ok2 = _axioms(run)
+    return {"verdict": ok1 and ok2, "holds_over": "Q"}
 
 
 def _check_squarefree(run: _Run) -> dict:

@@ -2,11 +2,30 @@
 
 Leading monomials of the generators, the presentation (toric) kernel of
 the monomial algebra they span, generated by the Hibi binomials of the
-generator lattice, the tau order on presentation variables,
-the squarefree-initial-term witness, and the subduction certificate that
-the generators form a Sagbi basis.
+generator lattice, the tau order on presentation variables, the
+squarefree-initial-term witness, and subduction.
 
-All kernel computations run over Q.
+The Sagbi property and the squarefree initial ideal follow from the two
+straightening-law axioms (Hibi, "Distributive lattices, affine semigroup
+rings and algebras with straightening laws", 1987; Conca, Herzog and
+Valla, "Sagbi bases with applications to blow-up algebras", 1996), so
+nothing here runs Buchberger:
+
+- *Sagbi.*  The relations `verify_asl2` verifies, with their least-label
+  condition, make the standard monomials span the algebra A (De Concini,
+  Eisenbud and Procesi).  The `verify_asl1` certificate gives them
+  pairwise distinct leading monomials.  So every nonzero f in A has lm(f)
+  equal to the leading monomial of one standard monomial, a product of
+  generator leading monomials.
+- *Squarefree.*  By the `verify_asl1` certificate, the Hibi binomials B
+  generate the kernel and the multichains are a K-basis of K[u]/(B).
+  `verify_squarefree_initial` checks that each binomial leads with its
+  incomparable product under tau.  The standard monomials of those leads
+  are exactly the multichains, so the leads generate in_tau(B), and B is
+  the reduced tau-basis: each trailing term is a chain.
+
+`subduce` reduces in the algebra directly; the tests use it to
+cross-check the Sagbi verdict.  All kernel computations run over Q.
 """
 
 from __future__ import annotations
@@ -15,8 +34,8 @@ import time
 from dataclasses import dataclass
 
 from . import linalg
-from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded, buchberger
-from .poset import incomparable, incomparable_pairs, verify_asl1
+from .groebner import BudgetExceeded
+from .poset import incomparable, incomparable_pairs
 from .ring import QQ, IncompatibleField, Polynomial, PolynomialRing, TauOrder, pvar
 from .residual import ResidualInstance
 
@@ -71,7 +90,7 @@ def tau_sequence(instance: ResidualInstance) -> list[int]:
 
 @dataclass
 class ToricKernel:
-    """Reduced Groebner basis (tau order) of the presentation kernel.
+    """Generators of the presentation kernel, the Hibi binomials.
 
     `hibi` is False when `verify_asl1` refuted its certificate: the kernel
     is then unknown, `generators` is empty, and every check on it fails."""
@@ -86,19 +105,20 @@ class ToricKernel:
         ]
 
 
-def toric_kernel(instance: ResidualInstance, budget: Budget | None = None) -> ToricKernel:
+def toric_kernel(instance: ResidualInstance, hibi: bool) -> ToricKernel:
     """Kernel of the presentation-variable map onto the monomial algebra.
 
-    When `verify_asl1` certifies the generator poset as a distributive
-    lattice whose leading monomials satisfy the Hibi relations, the kernel
-    is generated by the binomials Y_a*Y_b - Y_{a^b}*Y_{a v b}, one per
-    incomparable pair; their reduced basis under the tau order is
-    returned.  The instance must be over Q.
+    `hibi` is the caller's `verify_asl1` verdict on the instance.  When it
+    holds, the Hibi binomials Y_a*Y_b - Y_{a^b}*Y_{a v b}, one per
+    incomparable pair, generate the kernel; they are returned sorted by
+    the tau key of their leading monomials, and are the reduced tau-basis
+    when `verify_squarefree_initial` holds (module docstring).  The
+    instance must be over Q.
     """
     if instance.field != QQ:
         raise IncompatibleField(f"the toric kernel runs over Q, not {instance.field.name}")
     mam = initial_generators(instance)
-    if not verify_asl1(instance, budget=budget):
+    if not hibi:
         return ToricKernel(mam, (), hibi=False)
     poset = instance.poset
     y = {lab: mam.pring.var(v) for v, lab in mam.legend.items()}
@@ -106,22 +126,15 @@ def toric_kernel(instance: ResidualInstance, budget: Budget | None = None) -> To
         y[a] * y[b] - y[poset.meet(a, b)] * y[poset.join(a, b)]
         for a, b in incomparable_pairs(poset)
     ]
-    basis = buchberger(binomials, budget=budget).elements if binomials else ()
-    return ToricKernel(mam, tuple(basis), hibi=True)
-
-
-def lift_to_generators(mam: MonomialAlgebraMap, f: Polynomial) -> Polynomial:
-    """Replace each presentation variable by its actual generator."""
-    instance = mam.instance
-    assignment = {
-        v: instance.polynomials[mam.legend[v]] for v in mam.pring.vars
-    }
-    return f.substitute(assignment, instance.ring)
+    key = mam.pring.order.key
+    binomials.sort(key=lambda g: key(g._terms[0][0]))
+    return ToricKernel(mam, tuple(binomials), hibi=True)
 
 
 def verify_squarefree_initial(kernel: ToricKernel) -> bool:
-    """Leading terms of the reduced kernel basis are squarefree products of
-    incomparable presentation-variable pairs."""
+    """Leading terms of the kernel basis are squarefree products of
+    incomparable presentation-variable pairs; with the lattice certificate,
+    that makes the Hibi binomials the reduced tau-basis (module docstring)."""
     if not kernel.hibi:
         return False
     mam = kernel.mam
@@ -204,37 +217,3 @@ def subduce(
             prod = prod * instance.polynomials[instance.labels[idx]]
         f = f - prod * lc
     return f
-
-
-def verify_sagbi(kernel: ToricKernel, budget: Budget | None = None) -> bool:
-    """Sagbi certificate by the kernel-lift criterion.
-
-    Every binomial generator of the toric kernel of the initial monomials,
-    lifted to the corresponding difference of generator products, must
-    subduce to zero; that certifies the initial algebra is generated by the
-    initial monomials in every degree at once.  A kernel without its Hibi
-    certificate, or a subduction that fails to terminate within its step
-    cap, counts as a failed certificate.  The wall-clock budget is read
-    before each generator and each subduction step; when it runs out,
-    BudgetExceeded counts the generators checked and the steps of the
-    subduction under way.
-    """
-    if not kernel.hibi:
-        return False
-    mam = kernel.mam
-    instance = mam.instance
-    deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
-    for checked, g in enumerate(kernel.generators):
-        stats = {"generators_checked": checked, "subduce_steps": 0}
-        if time.monotonic() > deadline:
-            raise BudgetExceeded("wall-clock budget exhausted", stats)
-        lifted = lift_to_generators(mam, g)
-        try:
-            remainder = subduce(instance, lifted, mam=mam, deadline=deadline)
-        except SubductionFailure:
-            return False
-        except BudgetExceeded as exc:
-            raise BudgetExceeded(str(exc), {**stats, **exc.stats}) from None
-        if remainder:
-            return False
-    return True

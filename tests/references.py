@@ -1,4 +1,4 @@
-"""Independent cross-checks for two certificates, by direct computation.
+"""Independent cross-checks for three certificates, by direct computation.
 
 `elimination_kernel` computes the toric kernel by a block-order elimination
 in the ambient ring plus the presentation ring, with no use of the
@@ -6,8 +6,10 @@ generator lattice.  `asl1_by_expansion` checks the first straightening-law
 axiom degree by degree: every standard monomial (multichain) up to the
 degree has a leading monomial no other one shares, read off its expanded
 product, and every other product straightens to standard monomials that
-re-expand to it.  Both are bounded: the elimination grows fast with the
-instance, and the axiom check proves nothing past its degree.
+re-expand to it.  `sagbi_by_subduction` checks the Sagbi property by the
+kernel-lift criterion instead of the two axioms.  All are bounded: the
+elimination grows fast with the instance, the axiom check proves nothing
+past its degree, and subduction expands every lifted binomial.
 
 `groebner.buchberger` is called through its module, so that
 `groebner_runs.py` records the elimination's runs.
@@ -21,7 +23,14 @@ from resint import groebner
 from resint.groebner import IdealBasis
 from resint.poset import expand_labels, less_eq, straighten_product
 from resint.ring import QQ, BlockOrder, Polynomial, PolynomialRing
-from resint.sagbi import MonomialAlgebraMap, initial_generators, tau_sequence
+from resint.sagbi import (
+    MonomialAlgebraMap,
+    SubductionFailure,
+    ToricKernel,
+    initial_generators,
+    subduce,
+    tau_sequence,
+)
 
 
 def mam_image(mam: MonomialAlgebraMap, f: Polynomial) -> Polynomial:
@@ -114,5 +123,37 @@ def asl1_by_expansion(instance, degree: int) -> bool:
             if {e: c for e, c in rebuilt.items() if c != field.zero} != dict(target._terms):
                 return False
         if len(lms) != len(enumerate_standard_monomials(instance.poset, d)):
+            return False
+    return True
+
+
+def lift_to_generators(mam: MonomialAlgebraMap, f: Polynomial) -> Polynomial:
+    """Replace each presentation variable by its actual generator."""
+    instance = mam.instance
+    assignment = {
+        v: instance.polynomials[mam.legend[v]] for v in mam.pring.vars
+    }
+    return f.substitute(assignment, instance.ring)
+
+
+def sagbi_by_subduction(kernel: ToricKernel) -> bool:
+    """Sagbi certificate by the kernel-lift criterion.
+
+    Every binomial generator of the toric kernel of the initial monomials,
+    lifted to the corresponding difference of generator products, must
+    subduce to zero; that certifies the initial algebra is generated by the
+    initial monomials in every degree at once.  A kernel without its Hibi
+    certificate, or a subduction that fails to terminate within its step
+    cap, counts as a failed certificate.
+    """
+    if not kernel.hibi:
+        return False
+    mam = kernel.mam
+    for g in kernel.generators:
+        try:
+            remainder = subduce(mam.instance, lift_to_generators(mam, g), mam=mam)
+        except SubductionFailure:
+            return False
+        if remainder:
             return False
     return True

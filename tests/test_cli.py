@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import json
+import sys
 import time
 import types
 from pathlib import Path
@@ -101,32 +102,45 @@ def test_verify_32_matches_golden_report(tmp_path):
     assert (tmp_path / "report.json").read_bytes() == (GOLDEN / "report_3_2.json").read_bytes()
 
 
-def test_verify_computes_shared_results_once(tmp_path, monkeypatch):
-    from resint import cli, sagbi
+def _count_calls(monkeypatch, names) -> dict:
+    """Count the calls of each named function, in every resint module that
+    holds it by name."""
+    calls = dict.fromkeys(names, 0)
+    modules = [m for k, m in sys.modules.items() if k == "resint" or k.startswith("resint.")]
+    for module in modules:
+        for name in names:
+            if not hasattr(module, name):
+                continue
 
-    names = {
-        cli: ("build_instance", "toric_kernel", "verify_transcendence_basis"),
-        sagbi: ("verify_asl1", "buchberger"),
-    }
-    calls = {name: 0 for group in names.values() for name in group}
-    for module, group in names.items():
-        for name in group:
             def counted(*args, _name=name, _real=getattr(module, name), **kwargs):
                 calls[_name] += 1
                 return _real(*args, **kwargs)
 
             monkeypatch.setattr(module, name, counted)
-    _, code = cmd_verify(config(tmp_path), list(ALL_CHECKS))
+    return calls
+
+
+def test_verify_computes_shared_results_once(tmp_path, monkeypatch):
+    shared = ("build_instance", "verify_asl1", "verify_asl2", "toric_kernel", "verify_transcendence_basis")
+    calls = _count_calls(monkeypatch, shared + ("buchberger",))
+    _, code = cmd_verify(config(tmp_path / "all"), list(ALL_CHECKS))
     assert code == 0
-    # one instance over Fp:32003 and one over Q; one kernel, whose
-    # certificate and Groebner basis are each computed once
-    assert calls == {
+    # one instance over Fp:32003 and one over Q; each axiom, the kernel
+    # and the transcendence certificate once
+    assert {name: calls[name] for name in shared} == {
         "build_instance": 2,
+        "verify_asl1": 1,
+        "verify_asl2": 1,
         "toric_kernel": 1,
         "verify_transcendence_basis": 1,
-        "verify_asl1": 1,
-        "buchberger": 1,
     }
+    # only radical and colon may reach Buchberger
+    calls.update(dict.fromkeys(calls, 0))
+    structural = [c for c in ALL_CHECKS if c not in ("radical", "colon")]
+    _, code = cmd_verify(config(tmp_path / "structural", field_name="Q"), structural)
+    assert code == 0
+    assert calls["buchberger"] == 0
+    assert calls["verify_asl1"] == calls["verify_asl2"] == 1
 
 
 def test_transbasis_and_dims_share_the_run_instance(tmp_path, monkeypatch):
@@ -178,30 +192,36 @@ def test_radical_wall_budget_exit_2(tmp_path):
     assert stats["partial_certificate"]["relations"]
 
 
-@pytest.mark.parametrize("checks", [["asl"], ["transbasis"]])
+#: the stats keys of a budget-hit report, for the checks that fix them
+LATTICE_STATS = {
+    "asl": {"lattice_rows_checked", "pairs_checked"},
+    "sagbi": {"lattice_rows_checked", "pairs_checked"},
+    "squarefree": {"lattice_rows_checked"},
+}
+
+
+@pytest.mark.parametrize("checks", [["asl"], ["transbasis"], ["sagbi"], ["squarefree"]])
 def test_structure_wall_budget_exit_2(tmp_path, checks):
-    cfg = config(tmp_path, budget=Budget(wall_seconds=1e-9))
+    cfg = config(tmp_path, field_name="Q", budget=Budget(wall_seconds=1e-9))
     report, code = cmd_verify(cfg, checks)
     assert code == 2
-    assert report["checks"][checks[0]]["budget_exceeded"] is True
-
-
-def test_asl_degree_3_wall_budget_exit_2(tmp_path):
-    cfg = config(tmp_path, field_name="Q", degree_bound=3, budget=Budget(wall_seconds=1e-9))
-    report, code = cmd_verify(cfg, ["asl"])
-    assert code == 2
-    assert report["checks"]["asl"]["budget_exceeded"] is True
+    entry = report["checks"][checks[0]]
+    assert entry["budget_exceeded"] is True
+    if checks[0] in LATTICE_STATS:
+        assert set(entry["stats"]) == LATTICE_STATS[checks[0]]
 
 
 @pytest.mark.parametrize(
-    "wall_seconds, stats",
+    "check, wall_seconds, stats",
     [
-        (2, {"lattice_rows_checked": 2, "pairs_checked": 0}),
-        (42, {"lattice_rows_checked": 42, "pairs_checked": 42}),
+        ("asl", 2, {"lattice_rows_checked": 2, "pairs_checked": 0}),
+        ("asl", 42, {"lattice_rows_checked": 42, "pairs_checked": 42}),
+        ("sagbi", 2, {"lattice_rows_checked": 2, "pairs_checked": 0}),
+        ("sagbi", 42, {"lattice_rows_checked": 42, "pairs_checked": 42}),
     ],
-    ids=["in asl1", "in asl2"],
+    ids=["in asl1", "in asl2", "sagbi in asl1", "sagbi in asl2"],
 )
-def test_asl_budget_stats_repeat_exactly(tmp_path, monkeypatch, wall_seconds, stats):
+def test_asl_budget_stats_repeat_exactly(tmp_path, monkeypatch, check, wall_seconds, stats):
     # each clock read advances one second: the budget runs out in the
     # lattice rows of axiom 1 or in the pairs of axiom 2 at (7,3), which
     # has 42 elements, and the stats keep the same keys either way
@@ -213,9 +233,9 @@ def test_asl_budget_stats_repeat_exactly(tmp_path, monkeypatch, wall_seconds, st
         monkeypatch.setattr(poset, "time", clock)
         budget = Budget(wall_seconds=wall_seconds)
         cfg = config(tmp_path / str(run), m=7, n=3, field_name="Q", budget=budget)
-        report, code = cmd_verify(cfg, ["asl"])
+        report, code = cmd_verify(cfg, [check])
         assert code == 2
-        seen.append(report["checks"]["asl"]["stats"])
+        seen.append(report["checks"][check]["stats"])
     assert seen == [stats] * 3
 
 
@@ -271,24 +291,63 @@ def test_a_refuted_lattice_certificate_fails_asl_sagbi_squarefree(tmp_path, monk
 
 
 def test_sagbi_wall_budget_exit_2_with_counters(tmp_path, monkeypatch):
-    # the sagbi clock runs out once the first kernel generator is checked
-    from resint import sagbi
+    # the clock runs out once the first pair of axiom 2 is straightened:
+    # all 10 lattice rows and one pair are done
+    from resint import poset
 
     done = []
-    real = sagbi.subduce
+    real = poset.straighten
 
     def counted(*args, **kwargs):
-        remainder = real(*args, **kwargs)
         done.append(True)
-        return remainder
+        return real(*args, **kwargs)
 
     clock = types.SimpleNamespace(monotonic=lambda: time.monotonic() + (1e9 if done else 0))
-    monkeypatch.setattr(sagbi, "time", clock)
-    monkeypatch.setattr(sagbi, "subduce", counted)
+    monkeypatch.setattr(poset, "time", clock)
+    monkeypatch.setattr(poset, "straighten", counted)
     report, code = cmd_verify(config(tmp_path), ["sagbi"])
     assert code == 2
     assert report["checks"]["sagbi"]["budget_exceeded"] is True
-    assert report["checks"]["sagbi"]["stats"] == {"generators_checked": 1, "subduce_steps": 0}
+    assert report["checks"]["sagbi"]["stats"] == {"lattice_rows_checked": 10, "pairs_checked": 1}
+
+
+def test_a_flipped_straightening_coefficient_fails_asl_and_sagbi(tmp_path, monkeypatch):
+    # Q3*[1,2] keeps its least labels but no longer re-expands; the
+    # lattice, and with it the kernel, is untouched
+    from resint import poset
+
+    real = poset.straighten
+
+    def flipped(instance, a, b):
+        rel = real(instance, a, b)
+        if {a, b} != {Q(3), M([1, 2])}:
+            return rel
+        (c, pair), *rest = rel.right
+        return poset.StraighteningRelation(rel.left, ((-c, pair), *rest))
+
+    monkeypatch.setattr(poset, "straighten", flipped)
+    report, code = cmd_verify(config(tmp_path, field_name="Q"), ["asl", "sagbi", "squarefree"])
+    assert code == 1
+    checks = report["checks"]
+    assert (checks["asl"]["asl1"], checks["asl"]["asl2"]) == (True, False)
+    assert [checks[c]["verdict"] for c in ("asl", "sagbi", "squarefree")] == [False, False, True]
+
+
+def test_a_tau_order_that_is_no_linear_extension_fails_squarefree(tmp_path, monkeypatch):
+    # with [2,3] first, the binomial of [1,4]*[2,3] leads with the chain
+    # [1,3]*[2,4]
+    from resint import sagbi
+
+    real = sagbi.tau_sequence
+
+    def mixed(instance):
+        first = instance.labels.index(M([2, 3]))
+        return [first] + [k for k in real(instance) if k != first]
+
+    monkeypatch.setattr(sagbi, "tau_sequence", mixed)
+    report, code = cmd_verify(config(tmp_path, field_name="Q"), ["squarefree"])
+    assert code == 1
+    assert report["checks"]["squarefree"]["verdict"] is False
 
 
 def test_dims_counts_only_a_proved_transcendence_dimension(tmp_path, monkeypatch):

@@ -1,5 +1,5 @@
 """Initial monomials, toric kernels, the tau order, squarefree leading
-terms, and the subduction certificate."""
+terms, the Sagbi verdict, and subduction as its cross-check."""
 
 from __future__ import annotations
 
@@ -10,20 +10,20 @@ import types
 
 import pytest
 
-from references import elimination_kernel, mam_image
+from references import elimination_kernel, lift_to_generators, mam_image, sagbi_by_subduction
+from resint import groebner
 from resint import sagbi as sagbi_module
+from resint.cli import RunConfig, cmd_verify
 from resint.groebner import BudgetExceeded
 from resint.labels import M, Q
-from resint.poset import incomparable
+from resint.poset import incomparable, verify_asl1, verify_asl2
 from resint.residual import build_instance
 from resint.sagbi import (
     initial_generators,
-    lift_to_generators,
     semigroup_dimension,
     subduce,
     tau_sequence,
     toric_kernel,
-    verify_sagbi,
     verify_squarefree_initial,
 )
 from resint.ring import GF, IncompatibleField, poly_text, xvar, yvar
@@ -133,26 +133,51 @@ def test_tau_order_total_and_multiplicative(inst42):
 # toric kernels
 
 
+def certified_kernel(inst):
+    return toric_kernel(inst, verify_asl1(inst))
+
+
 def test_kernel_22_zero(inst22):
-    assert not toric_kernel(inst22).generators
+    assert not certified_kernel(inst22).generators
 
 
 def test_kernel_33_zero(inst33):
-    assert not toric_kernel(inst33).generators
+    assert not certified_kernel(inst33).generators
 
 
 @pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (5, 2), (4, 3), (3, 3), (8, 1), (5, 3)])
 def test_kernel_matches_elimination(m, n):
     inst = build_instance(m, n)
-    kernel = toric_kernel(inst)
+    kernel = certified_kernel(inst)
     assert kernel.hibi
     want = [poly_text(g) for g in elimination_kernel(inst)]
     assert [poly_text(g) for g in kernel.generators] == want
 
 
+#: the shapes of `test_kernel_matches_elimination`, and (7,3)
+CROSS_CHECK_SHAPES = [(3, 2), (4, 2), (5, 2), (4, 3), (3, 3), (8, 1), (5, 3), (7, 3)]
+
+
+@pytest.mark.parametrize("m,n", CROSS_CHECK_SHAPES)
+def test_kernel_is_its_own_reduced_tau_basis(m, n):
+    kernel = certified_kernel(build_instance(m, n))
+    texts = [poly_text(g) for g in kernel.generators]
+    # (3,3) is a chain: no pair, no binomial, nothing for Buchberger
+    basis = groebner.buchberger(kernel.generators).elements if texts else ()
+    assert [poly_text(g) for g in basis] == texts
+
+
+@pytest.mark.parametrize("m,n", CROSS_CHECK_SHAPES)
+def test_subduction_agrees_with_the_two_axioms(m, n):
+    inst = build_instance(m, n)
+    asl1 = verify_asl1(inst)
+    assert asl1 and verify_asl2(inst)
+    assert sagbi_by_subduction(toric_kernel(inst, asl1))
+
+
 def test_kernel_refuses_a_prime_field():
     with pytest.raises(IncompatibleField):
-        toric_kernel(build_instance(3, 2, field=GF(101)))
+        toric_kernel(build_instance(3, 2, field=GF(101)), True)
 
 
 def test_kernel_42_contains_minor_pair_binomial(inst42):
@@ -164,7 +189,7 @@ def test_kernel_42_contains_minor_pair_binomial(inst42):
         return tuple(x + y for x, y in zip(by_label[a], by_label[b]))
 
     assert times("[1,4]", "[2,3]") == times("[1,3]", "[2,4]")
-    kernel = toric_kernel(inst42)
+    kernel = certified_kernel(inst42)
     pos = {mam.legend[v].text: i for i, v in enumerate(mam.pring.vars)}
     wanted = None
     for g in kernel.generators:
@@ -178,18 +203,18 @@ def test_kernel_42_contains_minor_pair_binomial(inst42):
 def test_kernel_42_size_matches_incomparable_pairs(inst42):
     from resint.poset import incomparable_pairs
 
-    kernel = toric_kernel(inst42)
+    kernel = certified_kernel(inst42)
     assert len(kernel.generators) == len(incomparable_pairs(inst42.poset)) == 5
 
 
 def test_kernel_generators_map_to_zero(inst42):
-    kernel = toric_kernel(inst42)
+    kernel = certified_kernel(inst42)
     for g in kernel.generators:
         assert not mam_image(kernel.mam, g)
 
 
 def test_kernel_generators_are_binomial_differences(inst42):
-    kernel = toric_kernel(inst42)
+    kernel = certified_kernel(inst42)
     one = kernel.mam.pring.field.one
     for g in kernel.generators:
         assert len(g) == 2
@@ -198,7 +223,7 @@ def test_kernel_generators_are_binomial_differences(inst42):
 
 
 def test_kernel_legend_header(inst42):
-    lines = toric_kernel(inst42).legend_lines()
+    lines = certified_kernel(inst42).legend_lines()
     assert lines[0] == "Y[1] = Q1"
     assert lines[-1] == "Y[10] = [3,4]"
 
@@ -210,11 +235,11 @@ def test_kernel_legend_header(inst42):
 @pytest.mark.parametrize("m,n", [(4, 2), (3, 3), (3, 2), (2, 2)])
 def test_squarefree_initial(m, n):
     inst = build_instance(m, n)
-    assert verify_squarefree_initial(toric_kernel(inst))
+    assert verify_squarefree_initial(certified_kernel(inst))
 
 
 def test_squarefree_leading_terms_are_incomparable_products(inst42):
-    kernel = toric_kernel(inst42)
+    kernel = certified_kernel(inst42)
     mam = kernel.mam
     seen = set()
     for g in kernel.generators:
@@ -251,35 +276,17 @@ def test_subduction_remainder_outside_algebra(inst42):
 
 
 @pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (3, 3), (2, 2)])
-def test_verify_sagbi(m, n):
-    inst = build_instance(m, n)
-    assert verify_sagbi(toric_kernel(inst))
+def test_verify_sagbi(tmp_path, m, n):
+    report, code = cmd_verify(RunConfig(m=m, n=n, field_name="Q", output_dir=tmp_path), ["sagbi"])
+    assert code == 0
+    assert report["checks"]["sagbi"] == {"verdict": True, "holds_over": "Q"}
 
 
 def test_kernel_lifts_subduce_to_zero(inst42):
-    kernel = toric_kernel(inst42)
+    kernel = certified_kernel(inst42)
     for g in kernel.generators:
         lifted = lift_to_generators(kernel.mam, g)
         assert not subduce(inst42, lifted, mam=kernel.mam)
-
-
-def test_sagbi_deadline_reaches_the_subduction(monkeypatch):
-    # the clock passes the deadline as the first subduction starts: the
-    # step loop must notice before its first step
-    late = []
-    real = sagbi_module.subduce
-
-    def start(*args, **kwargs):
-        late.append(True)
-        return real(*args, **kwargs)
-
-    kernel = toric_kernel(build_instance(4, 2))
-    clock = types.SimpleNamespace(monotonic=lambda: time.monotonic() + (1e9 if late else 0))
-    monkeypatch.setattr(sagbi_module, "time", clock)
-    monkeypatch.setattr(sagbi_module, "subduce", start)
-    with pytest.raises(BudgetExceeded) as hit:
-        verify_sagbi(kernel)
-    assert hit.value.stats == {"generators_checked": 0, "subduce_steps": 0}
 
 
 def test_subduce_reads_the_clock_before_each_step(monkeypatch, inst42):
