@@ -192,6 +192,13 @@ def test_radical_wall_budget_exit_2(tmp_path):
     assert stats["partial_certificate"]["relations"]
 
 
+def test_asl_degree_3_wall_budget_exit_2(tmp_path):
+    cfg = config(tmp_path, field_name="Q", degree_bound=3, budget=Budget(wall_seconds=1e-9))
+    report, code = cmd_verify(cfg, ["asl"])
+    assert code == 2
+    assert report["checks"]["asl"]["budget_exceeded"] is True
+
+
 #: the stats keys of a budget-hit report, for the checks that fix them
 LATTICE_STATS = {
     "asl": {"lattice_rows_checked", "pairs_checked"},
