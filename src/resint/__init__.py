@@ -17,8 +17,6 @@ from .groebner import (
     GroebnerBasis,
     IdealBasis,
     buchberger,
-    colon_ideal,
-    ideal_equal,
     normal_form,
     quotient_dimension,
     radical_membership,

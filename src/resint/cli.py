@@ -172,10 +172,31 @@ def cmd_generate(config: RunConfig) -> list[Path]:
 # verify
 
 
+def _shared(compute):
+    """Like `cached_property`, but a budget hit is stored as well and raised
+    again on every later read, so the result is attempted once per run."""
+    name = compute.__name__
+
+    def get(run):
+        if name not in run.__dict__:
+            try:
+                run.__dict__[name] = compute(run)
+            except BudgetExceeded as exc:
+                run.__dict__[name] = exc
+        result = run.__dict__[name]
+        if isinstance(result, BudgetExceeded):
+            raise result
+        return result
+
+    return property(get)
+
+
 class _Run:
     """One `verify` run: its config and the results its checks share, each
-    computed on first use.  A computation that raises (a budget hit) stores
-    nothing, so every check that needs it reports its own budget hit.
+    computed on first use and at most once.  A shared computation that hits
+    its budget is not started again: every check that needs it reports the
+    same budget hit, with the same stats, and the run spends each budget
+    once.
 
     `instance` is over the configured field and is the one `colon` gets;
     `rational_instance`, the one radical, the structural checks and the
@@ -194,19 +215,19 @@ class _Run:
             return self.instance
         return build_instance(self.config.m, self.config.n, field=QQ)
 
-    @cached_property
+    @_shared
     def asl1(self):
         return verify_asl1(self.rational_instance, budget=self.config.budget)
 
-    @cached_property
+    @_shared
     def asl2(self):
         return verify_asl2(self.rational_instance, budget=self.config.budget)
 
-    @cached_property
+    @_shared
     def kernel(self):
         return toric_kernel(self.rational_instance, self.asl1)
 
-    @cached_property
+    @_shared
     def transcendence(self):
         return verify_transcendence_basis(self.rational_instance, budget=self.config.budget)
 

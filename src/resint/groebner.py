@@ -1,9 +1,8 @@
 """Buchberger engine and the ideal-theoretic toolbox built on it.
 
-Provides reduced Groebner bases, normal forms, ideal membership and
-equality, radical membership through the slack-variable trick, colon and
-intersection via elimination, and the combinatorial Krull dimension of a
-quotient read off the initial ideal.
+Provides reduced Groebner bases, normal forms, radical membership
+through the slack-variable trick, and the combinatorial Krull dimension of
+a quotient read off the initial ideal.
 
 The engine (buchberger, normal_form and the heap-division reducer behind
 them) runs on packed monomials: each exponent vector is one int with an
@@ -27,18 +26,14 @@ from operator import mul
 from typing import Iterable, Sequence
 
 from .ring import (
-    BlockOrder,
     GrevLex,
     MonomialOrder,
     Polynomial,
     PolynomialRing,
+    VariableId,
     poly_text,
     tvar,
 )
-
-
-class BadColon(Exception):
-    """Raised when the divisor ideal of a colon is zero."""
 
 
 class BudgetExceeded(Exception):
@@ -535,30 +530,16 @@ def _interreduce(polys: list, leads: list, guard: int, nvars: int, field, trace:
 
 
 # ---------------------------------------------------------------------------
-# membership, equality, radical membership
+# radical membership
 
 
-def in_ideal(f: Polynomial, G: GroebnerBasis) -> bool:
-    return not normal_form(f, G)
-
-
-def ideal_equal(I: IdealBasis, J: IdealBasis, budget: Budget | None = None) -> bool:
-    """Literal equality of ideals via mutual normal-form reduction."""
-    GI = buchberger(I, budget=budget)
-    GJ = buchberger(J, budget=budget)
-    return all(in_ideal(g, GJ) for g in I.generators) and all(
-        in_ideal(g, GI) for g in J.generators
-    )
-
-
-def _extended_ring(ring: PolynomialRing, order: MonomialOrder, front: bool) -> PolynomialRing:
-    """Adjoin a fresh slack variable below (front) or above everything."""
+def _extended_ring(ring: PolynomialRing, order: MonomialOrder) -> tuple[PolynomialRing, VariableId]:
+    """Adjoin a fresh slack variable below every other variable."""
     k = 0
     while tvar(k) in ring.index:
         k += 1
     aux = tvar(k)
-    vs = (aux, *ring.vars) if front else (*ring.vars, aux)
-    ext = PolynomialRing(ring.field, vs, order)
+    ext = PolynomialRing(ring.field, (aux, *ring.vars), order)
     return ext, aux
 
 
@@ -569,64 +550,10 @@ def radical_membership(f: Polynomial, I: IdealBasis, budget: Budget | None = Non
     slack t (placed below every other variable); the Groebner run uses
     grevlex, as unit detection does not depend on the order.
     """
-    ext, aux = _extended_ring(I.ring, GrevLex(), front=True)
+    ext, aux = _extended_ring(I.ring, GrevLex())
     gens = [g.convert(ext) for g in I.generators]
     gens.append(ext.one - ext.var(aux) * f.convert(ext))
     return buchberger(gens, budget=budget).is_unit()
-
-
-# ---------------------------------------------------------------------------
-# intersection and colon via elimination
-
-
-def _eliminate_aux(G: GroebnerBasis, ext: PolynomialRing, base: PolynomialRing, aux_index: int):
-    """Aux-free elements of an elimination Groebner basis, in the base ring."""
-    out = []
-    for g in G.elements:
-        if all(e[aux_index] == 0 for e, _ in g._terms):
-            d = {}
-            for e, c in g._terms:
-                d[tuple(x for i, x in enumerate(e) if i != aux_index)] = c
-            out.append(base._from_dict(d, sort=True))
-    return out
-
-
-def intersect_ideals(I: IdealBasis, J: IdealBasis, budget: Budget | None = None) -> IdealBasis:
-    """I cap J = (u*I + (1-u)*J) cap base ring, by block elimination."""
-    base = I.ring
-    ext, aux = _extended_ring(base, GrevLex(), front=False)
-    aux_index = ext.index[aux]
-    elim = BlockOrder([[aux_index], [i for i in range(len(ext.vars)) if i != aux_index]])
-    ext = ext.with_order(elim)
-    u = ext.var(aux)
-    gens = [u * g.convert(ext) for g in I.generators]
-    one_minus_u = ext.one - u
-    gens += [one_minus_u * g.convert(ext) for g in J.generators]
-    G = buchberger(gens, budget=budget)
-    inter = _eliminate_aux(G, ext, base, aux_index)
-    if not inter:
-        raise ValueError("intersection of nonzero ideals came out zero")
-    return IdealBasis(base, inter)
-
-
-def colon_ideal(I: IdealBasis, J, budget: Budget | None = None) -> IdealBasis:
-    """The colon I : J, as the intersection over J's generators of I : g.
-
-    Each single colon is computed as (I cap (g)) / g, the intersection via
-    elimination of an auxiliary scalar and the division exact.  J may be an
-    IdealBasis or a plain sequence of polynomials.
-    """
-    divisors = list(J.generators) if isinstance(J, IdealBasis) else [g for g in J if g]
-    if not divisors:
-        raise BadColon("colon by the zero ideal")
-    if not isinstance(J, IdealBasis):
-        J = IdealBasis(I.ring, divisors)
-    partial: IdealBasis | None = None
-    for g in J.generators:
-        inter = intersect_ideals(I, IdealBasis(I.ring, [g]), budget=budget)
-        quo = IdealBasis(I.ring, [h.exact_div(g) for h in inter.generators])
-        partial = quo if partial is None else intersect_ideals(partial, quo, budget=budget)
-    return partial
 
 
 # ---------------------------------------------------------------------------

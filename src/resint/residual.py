@@ -1,6 +1,6 @@
 """The residual-intersection objects: the generator family, the witness
 ideal, rank-sum systems of parameters, specializations, and the end-to-end
-radical-equality certificate.
+radical-equality and colon-identity certificates.
 """
 
 from __future__ import annotations
@@ -10,23 +10,18 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from .groebner import (
-    DEFAULT_BUDGET,
-    Budget,
-    BudgetExceeded,
-    IdealBasis,
-    colon_ideal,
-    ideal_equal,
-)
+from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded, IdealBasis, buchberger
 from .labels import GeneratorLabel, M, Q, canonical_labels
 from .poset import BPoset, straighten
 from .ring import (
     QQ,
+    GrevLex,
     IncompatibleField,
     Polynomial,
     PolynomialRing,
     VariableId,
     ambient_ring,
+    det_laplace,
     minor,
     q_entry,
     xvar,
@@ -202,12 +197,49 @@ def verify_ara_witness(instance: ResidualInstance, budget: Budget | None = None)
 
 
 def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = None) -> bool:
-    """(X y) : (y) equals the full generator ideal, as literal ideals."""
-    ring = instance.ring
-    qs = IdealBasis(ring, [q_entry(ring, i) for i in range(1, instance.m + 1)])
-    ys = IdealBasis(ring, [ring.var(yvar(j)) for j in range(1, instance.n + 1)])
-    computed = colon_ideal(qs, ys, budget=budget)
-    return ideal_equal(computed, instance.ideal(), budget=budget)
+    """Certify (X y) : (y) = J, where J = I_n(X) + (X y) is the generator ideal.
+
+    Two facts make the proof:
+
+    - J : y1 = J.  J is homogeneous, and y1 is the smallest variable of the
+      ambient grevlex order (first in `ambient_variables`, and the key is
+      (degree, -exponents)), so by Bayer-Stillman in(J : y1) = in(J) : y1.
+      A monomial ideal is its own colon by y1 exactly when no minimal
+      generator contains y1, and the leading monomials of the reduced
+      grevlex basis of J are the minimal generators of in(J).
+    - J is in (X y) : (y).  For each n-row set R and each column j,
+      Cramer's rule gives y_j * [R] = det of X_R with column j replaced by
+      the column (Q_r) for r in R; that determinant is linear in the Q_r, so
+      it lies in (X y).  Each identity is checked as polynomials.
+
+    Then (X y) : (y) is in (X y) : y1, which is in J : y1 = J.  A false
+    verdict means the certificate failed, not that the identity does.
+
+    The basis run spends the pair, term and wall budgets as any Buchberger
+    run does; the Cramer loop reads the clock once per row set.  A budget
+    hit carries the basis run's trace and the number of row sets checked.
+    """
+    deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
+    try:
+        G = buchberger(instance.ideal(), order=GrevLex(), budget=budget)
+    except BudgetExceeded as exc:
+        raise BudgetExceeded(str(exc), {**exc.stats, "row_sets_checked": 0}) from None
+    y1 = instance.ring.index[yvar(1)]
+    verdict = all(g.leading_monomial()[y1] == 0 for g in G.elements)
+    ring, n = instance.ring, instance.n
+    ys = [ring.var(yvar(j)) for j in range(1, n + 1)]
+    for checked, rows in enumerate(itertools.combinations(range(1, instance.m + 1), n)):
+        if time.monotonic() > deadline:
+            raise BudgetExceeded(
+                "wall-clock budget exhausted", {**G.trace.as_dict(), "row_sets_checked": checked}
+            )
+        qs = [instance.polynomials[Q(r)] for r in rows]
+        x = [[ring.var(xvar(r, k)) for k in range(1, n + 1)] for r in rows]
+        for j in range(n):
+            replaced = [row[:j] + [q] + row[j + 1 :] for row, q in zip(x, qs)]
+            ok = ys[j] * instance.polynomials[M(rows)] == det_laplace(ring, replaced)
+            verdict = verdict and ok
+    return verdict
 
 
 # ---------------------------------------------------------------------------

@@ -2,10 +2,10 @@
 
 Covers each monomial order kind over both fields: radical membership of
 every generator that is not a witness at (4,2) over F_32003, in label
-order (grevlex), the colon identity at (3,2) over F_32003 (block,
-grevlex), the toric kernel by elimination (`references.py`) at (4,2) and
-(4,3) over Q (block, tau), and a lex basis of the (3,2) residual ideal
-over Q.
+order (grevlex), the colon identity by elimination at (3,2) over F_32003
+(block, grevlex) and the toric kernel by elimination at (4,2) and (4,3)
+over Q (block, tau), both from `references.py`, and a lex basis of the
+(3,2) residual ideal over Q.
 Each record holds the run's input hash, order, pair count, peak term
 count and the text of the basis it returned.
 
@@ -20,9 +20,9 @@ import json
 
 import pytest
 
-from references import elimination_kernel
+from references import colon_identity_by_elimination, elimination_kernel
 from resint import groebner
-from resint.residual import build_instance, hsop, verify_colon_identity
+from resint.residual import build_instance, hsop
 from resint.ring import GF, QQ, Lex, poly_text
 
 
@@ -51,7 +51,7 @@ def collect_runs() -> list[dict]:
         for g in inst.generators():
             if g not in witnesses:
                 groebner.radical_membership(g, groebner.IdealBasis(inst.ring, witnesses))
-        verify_colon_identity(build_instance(3, 2, field=fp))
+        colon_identity_by_elimination(build_instance(3, 2, field=fp))
         elimination_kernel(build_instance(4, 2, field=QQ))
         elimination_kernel(build_instance(4, 3, field=QQ))
         groebner.buchberger(build_instance(3, 2, field=QQ).ideal(), order=Lex())

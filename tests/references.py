@@ -1,18 +1,20 @@
-"""Independent cross-checks for three certificates, by direct computation.
+"""Independent cross-checks for four certificates, by direct computation.
 
-`elimination_kernel` computes the toric kernel by a block-order elimination
-in the ambient ring plus the presentation ring, with no use of the
-generator lattice.  `asl1_by_expansion` checks the first straightening-law
+`colon_identity_by_elimination` computes (X y) : (y) as an intersection of
+single colons, each by eliminating a slack variable, and compares it with
+the generator ideal by mutual normal forms.  `elimination_kernel` computes
+the toric kernel by a block-order elimination in the ambient ring plus the
+presentation ring, with no use of the generator lattice.  `asl1_by_expansion` checks the first straightening-law
 axiom degree by degree: every standard monomial (multichain) up to the
 degree has a leading monomial no other one shares, read off its expanded
 product, and every other product straightens to standard monomials that
 re-expand to it.  `sagbi_by_subduction` checks the Sagbi property by the
 kernel-lift criterion instead of the two axioms.  All are bounded: the
-elimination grows fast with the instance, the axiom check proves nothing
+eliminations grow fast with the instance, the axiom check proves nothing
 past its degree, and subduction expands every lifted binomial.
 
 `groebner.buchberger` is called through its module, so that
-`groebner_runs.py` records the elimination's runs.
+`groebner_runs.py` records the eliminations' runs.
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ import itertools
 from resint import groebner
 from resint.groebner import IdealBasis
 from resint.poset import expand_labels, less_eq, straighten_product
-from resint.ring import QQ, BlockOrder, Polynomial, PolynomialRing
+from resint.ring import QQ, BlockOrder, Polynomial, PolynomialRing, q_entry, tvar, yvar
 from resint.sagbi import (
     MonomialAlgebraMap,
     SubductionFailure,
@@ -31,6 +33,59 @@ from resint.sagbi import (
     subduce,
     tau_sequence,
 )
+
+
+def ideal_equal(I: IdealBasis, J: IdealBasis, budget=None) -> bool:
+    """Literal equality of ideals via mutual normal-form reduction."""
+    GI = groebner.buchberger(I, budget=budget)
+    GJ = groebner.buchberger(J, budget=budget)
+    return all(not groebner.normal_form(g, GJ) for g in I.generators) and all(
+        not groebner.normal_form(g, GI) for g in J.generators
+    )
+
+
+def intersect_by_elimination(I: IdealBasis, J: IdealBasis, budget=None) -> IdealBasis:
+    """I cap J = (u*I + (1-u)*J) cap base ring, with the fresh slack u
+    appended last and eliminated by a block order."""
+    base = I.ring
+    k = 0
+    while tvar(k) in base.index:
+        k += 1
+    aux = tvar(k)
+    aux_index = len(base.vars)
+    ext = PolynomialRing(base.field, (*base.vars, aux), BlockOrder([[aux_index], range(aux_index)]))
+    u = ext.var(aux)
+    gens = [u * g.convert(ext) for g in I.generators]
+    gens += [(ext.one - u) * g.convert(ext) for g in J.generators]
+    G = groebner.buchberger(gens, budget=budget)
+    inter = [
+        base._from_dict({e[:-1]: c for e, c in g._terms}, sort=True)
+        for g in G.elements
+        if all(e[-1] == 0 for e, _ in g._terms)
+    ]
+    if not inter:
+        raise ValueError("intersection of nonzero ideals came out zero")
+    return IdealBasis(base, inter)
+
+
+def colon_by_elimination(I: IdealBasis, divisors, budget=None) -> IdealBasis:
+    """The colon I : (divisors), as the intersection over the divisors g of
+    I : g; each single colon is (I cap (g)) / g, the division exact.
+    ValueError when every divisor is zero."""
+    partial = None
+    for g in IdealBasis(I.ring, divisors).generators:
+        inter = intersect_by_elimination(I, IdealBasis(I.ring, [g]), budget=budget)
+        quo = IdealBasis(I.ring, [h.exact_div(g) for h in inter.generators])
+        partial = quo if partial is None else intersect_by_elimination(partial, quo, budget=budget)
+    return partial
+
+
+def colon_identity_by_elimination(instance, budget=None) -> bool:
+    """(X y) : (y) equals the generator ideal, as literal ideals."""
+    ring = instance.ring
+    qs = IdealBasis(ring, [q_entry(ring, i) for i in range(1, instance.m + 1)])
+    ys = [ring.var(yvar(j)) for j in range(1, instance.n + 1)]
+    return ideal_equal(colon_by_elimination(qs, ys, budget=budget), instance.ideal(), budget=budget)
 
 
 def mam_image(mam: MonomialAlgebraMap, f: Polynomial) -> Polynomial:

@@ -219,31 +219,49 @@ def test_structure_wall_budget_exit_2(tmp_path, checks):
 
 
 @pytest.mark.parametrize(
-    "check, wall_seconds, stats",
+    "checks, wall_seconds, stats",
     [
         ("asl", 2, {"lattice_rows_checked": 2, "pairs_checked": 0}),
         ("asl", 42, {"lattice_rows_checked": 42, "pairs_checked": 42}),
         ("sagbi", 2, {"lattice_rows_checked": 2, "pairs_checked": 0}),
         ("sagbi", 42, {"lattice_rows_checked": 42, "pairs_checked": 42}),
+        ("asl,sagbi", 2, {"lattice_rows_checked": 2, "pairs_checked": 0}),
+        ("asl,sagbi", 42, {"lattice_rows_checked": 42, "pairs_checked": 42}),
     ],
-    ids=["in asl1", "in asl2", "sagbi in asl1", "sagbi in asl2"],
+    ids=[
+        "in asl1", "in asl2", "sagbi in asl1", "sagbi in asl2",
+        "asl+sagbi in asl1", "asl+sagbi in asl2",
+    ],
 )
-def test_asl_budget_stats_repeat_exactly(tmp_path, monkeypatch, check, wall_seconds, stats):
+def test_asl_budget_stats_repeat_exactly(tmp_path, monkeypatch, checks, wall_seconds, stats):
     # each clock read advances one second: the budget runs out in the
     # lattice rows of axiom 1 or in the pairs of axiom 2 at (7,3), which
     # has 42 elements, and the stats keep the same keys either way
     from resint import poset
 
+    names = checks.split(",")
     seen = []
     for run in range(3):
         clock = types.SimpleNamespace(monotonic=itertools.count().__next__)
         monkeypatch.setattr(poset, "time", clock)
         budget = Budget(wall_seconds=wall_seconds)
         cfg = config(tmp_path / str(run), m=7, n=3, field_name="Q", budget=budget)
-        report, code = cmd_verify(cfg, [check])
+        report, code = cmd_verify(cfg, names)
         assert code == 2
-        seen.append(report["checks"][check]["stats"])
-    assert seen == [stats] * 3
+        seen.append([report["checks"][name]["stats"] for name in names])
+    assert seen == [[stats] * len(names)] * 3
+
+
+def test_a_budget_hit_is_attempted_once_per_run(tmp_path, monkeypatch):
+    calls = _count_calls(monkeypatch, ("verify_asl1", "verify_transcendence_basis"))
+    checks = ["asl", "sagbi", "squarefree", "transbasis", "dims"]
+    cfg = config(tmp_path, field_name="Q", budget=Budget(wall_seconds=1e-9))
+    report, code = cmd_verify(cfg, checks)
+    assert code == 2
+    assert calls == {"verify_asl1": 1, "verify_transcendence_basis": 1}
+    assert all(report["checks"][c]["budget_exceeded"] for c in checks)
+    assert report["checks"]["asl"]["stats"] == report["checks"]["sagbi"]["stats"]
+    assert report["checks"]["transbasis"]["stats"] == report["checks"]["dims"]["stats"]
 
 
 def _wrong_join(monkeypatch):
@@ -367,6 +385,24 @@ def test_dims_counts_only_a_proved_transcendence_dimension(tmp_path, monkeypatch
     assert dims["values"] == {"poset_rank": 7, "semigroup_rank": 7, "transcendence": None}
     assert dims["verdict"] is False
     assert dims["consistent"] is True
+
+
+def test_a_wrong_q_entry_fails_colon(tmp_path, monkeypatch):
+    # Q1 = x11*y1 breaks the Cramer identities of every row set with row 1
+    from resint import cli
+    from resint.ring import xvar, yvar
+
+    real = cli.build_instance
+
+    def built(*args, **kwargs):
+        inst = real(*args, **kwargs)
+        inst.polynomials[Q(1)] = inst.ring.var(xvar(1, 1)) * inst.ring.var(yvar(1))
+        return inst
+
+    monkeypatch.setattr(cli, "build_instance", built)
+    report, code = cmd_verify(config(tmp_path), ["colon"])
+    assert code == 1
+    assert report["checks"]["colon"]["verdict"] is False
 
 
 def test_verify_false_verdict_exit_1(tmp_path, monkeypatch):

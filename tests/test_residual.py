@@ -3,13 +3,16 @@ specializations, and the bound table."""
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
+import types
 from fractions import Fraction
 
 import pytest
 
-from resint.groebner import Budget, BudgetExceeded, IdealBasis, radical_membership
+from references import colon_identity_by_elimination
+from resint.groebner import Budget, BudgetExceeded, IdealBasis, buchberger, radical_membership
 from resint.labels import M, Q
 from resint.poset import StraighteningRelation
 from resint.residual import (
@@ -24,7 +27,7 @@ from resint.residual import (
     verify_ara_witness,
     verify_colon_identity,
 )
-from resint.ring import GF, IncompatibleField, det_laplace, xvar, yvar
+from resint.ring import GF, GrevLex, IncompatibleField, det_laplace, xvar, yvar
 
 FP = GF(32003)
 
@@ -248,6 +251,51 @@ def test_colon_identity(m, n):
 def test_colon_identity_single_column():
     inst = build_instance(3, 1, field=FP)
     assert verify_colon_identity(inst)
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@pytest.mark.parametrize("m,n", [(2, 2), (3, 1), (3, 2), (4, 2), (4, 3), (5, 2), (5, 3), (6, 3)])
+def test_colon_identity_matches_elimination(m, n, p):
+    inst = build_instance(m, n, field=GF(p))
+    assert verify_colon_identity(inst) is colon_identity_by_elimination(inst) is True
+
+
+def test_colon_identity_rejects_a_wrong_cramer_identity(monkeypatch):
+    # Q1 = x11*y1 enters only the Cramer identities: the basis is still J's
+    inst = build_instance(4, 2, field=FP)
+    monkeypatch.setattr(inst, "ideal", lambda real=inst.ideal(): real)
+    inst.polynomials[Q(1)] = inst.ring.var(xvar(1, 1)) * inst.ring.var(yvar(1))
+    assert verify_colon_identity(inst) is False
+
+
+def test_colon_identity_rejects_y1_in_a_leading_monomial(monkeypatch):
+    # without [1,2], y1*[1,2] is in the ideal but [1,2] is not
+    inst = build_instance(4, 2, field=FP)
+    gens = [inst.polynomials[lab] for lab in inst.labels if lab != M([1, 2])]
+    monkeypatch.setattr(inst, "ideal", lambda: IdealBasis(inst.ring, gens))
+    G = buchberger(inst.ideal(), order=GrevLex())
+    y1 = inst.ring.index[yvar(1)]
+    assert any(g.leading_monomial()[y1] for g in G.elements)
+    assert verify_colon_identity(inst) is False
+
+
+def test_colon_budget_hit_has_the_same_keys_in_either_part(monkeypatch):
+    # each clock read of the Cramer loop advances one second: at (4,2)
+    # two of the six row sets are checked; the pair budget stops the basis
+    from resint import residual
+
+    inst = build_instance(4, 2, field=FP)
+    with pytest.raises(BudgetExceeded) as in_basis:
+        verify_colon_identity(inst, budget=Budget(max_pairs=2))
+    clock = types.SimpleNamespace(monotonic=itertools.count().__next__)
+    monkeypatch.setattr(residual, "time", clock)
+    with pytest.raises(BudgetExceeded) as in_cramer:
+        verify_colon_identity(inst, budget=Budget(wall_seconds=2))
+    assert in_basis.value.stats["row_sets_checked"] == 0
+    assert in_cramer.value.stats["row_sets_checked"] == 2
+    assert set(in_basis.value.stats) == set(in_cramer.value.stats) >= {
+        "input_hash", "order", "pairs", "max_terms", "row_sets_checked",
+    }
 
 
 # ---------------------------------------------------------------------------
