@@ -18,7 +18,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded
 from .labels import GeneratorLabel, M, Q, canonical_labels
-from .ring import NotIncomparable, Polynomial
+from .ring import NotIncomparable
 
 
 class StraighteningBudgetExceeded(BudgetExceeded):
@@ -228,15 +228,32 @@ def _sorted_labels(labels: Iterable[GeneratorLabel]) -> tuple[GeneratorLabel, ..
     return tuple(sorted(labels, key=lambda l: l.sort_key))
 
 
-def expand_labels(instance, labels: Iterable[GeneratorLabel]) -> Polynomial:
-    """Product in the ambient ring of the polynomials behind the labels."""
-    polys = [instance.polynomials[l] for l in labels]
-    if not polys:
-        return instance.ring.one
-    result = polys[0]
-    for p in polys[1:]:
-        result = result * p
-    return result
+def _add_product(acc: dict, instance, pair, coeff) -> dict:
+    """Add coeff times the product of the two polynomials behind `pair` to
+    `acc` (exponents -> coefficient) by the field's mul and add, and return
+    it.  No Polynomial is built and nothing is sorted; cancelled terms stay
+    as zeros."""
+    mul, add = instance.ring.field.mul, instance.ring.field.add
+    f, g = (instance.polynomials[l]._terms for l in pair)
+    for e1, c1 in f:
+        c1 = mul(c1, coeff)
+        for e2, c2 in g:
+            e = tuple(map(operator.add, e1, e2))
+            prod = mul(c1, c2)
+            acc[e] = add(acc[e], prod) if e in acc else prod
+    return acc
+
+
+def _to_pattern(labels: Iterable[GeneratorLabel]) -> dict[int, int]:
+    """The rows the labels use (a Q index counts as a row) -> 1..k, in order."""
+    rows = sorted({r for l in labels for r in ((l.q_index,) if l.is_q else l.rows)})
+    return {r: i for i, r in enumerate(rows, start=1)}
+
+
+def _rename(label: GeneratorLabel, f: dict[int, int]) -> GeneratorLabel:
+    if label.is_q:
+        return GeneratorLabel(q_index=f[label.q_index])
+    return GeneratorLabel(rows=tuple(f[r] for r in label.rows))
 
 
 # ---------------------------------------------------------------------------
@@ -294,16 +311,32 @@ class StraighteningRelation:
         return True
 
     def verify(self, instance) -> bool:
-        """Re-expand both sides independently of `straighten` and compare;
-        the right-hand side is summed into one dict."""
-        ring = instance.ring
-        mul, add = ring.field.mul, ring.field.add
-        rhs: dict = {}
+        """Re-expand both sides independently of `straighten` and compare.
+
+        The verdict is memoized on the instance under the whole relation
+        with its rows renamed to 1..k in order.  An order-preserving
+        injection f of rows gives the injective ring map x_ij -> x_f(i)j
+        fixing y; it sends [R] to [f(R)] with no sign change and Q_i to
+        Q_f(i), so a relation holds exactly when its renamed key does.  A
+        relation that differs in any term is a new key and is re-expanded."""
+        key = self._renamed(_to_pattern(self.left + tuple(l for _, p in self.right for l in p)))
+        if key not in instance._verified:
+            instance._verified[key] = self._reexpands(instance)
+        return instance._verified[key]
+
+    def _reexpands(self, instance) -> bool:
+        """left - sum of coeff * pair, summed into one dict, is zero."""
+        field = instance.ring.field
+        diff = _add_product({}, instance, self.left, field.one)
         for coeff, pair in self.right:
-            for e, c in expand_labels(instance, pair)._terms:
-                prod = mul(c, coeff)
-                rhs[e] = add(rhs[e], prod) if e in rhs else prod
-        return expand_labels(instance, self.left) == ring._from_dict(rhs)
+            _add_product(diff, instance, pair, field.neg(coeff))
+        return all(c == field.zero for c in diff.values())
+
+    def _renamed(self, f: dict[int, int]) -> "StraighteningRelation":
+        return StraighteningRelation(
+            tuple(_rename(l, f) for l in self.left),
+            tuple((c, tuple(_rename(l, f) for l in pair)) for c, pair in self.right),
+        )
 
     @property
     def text(self) -> str:
@@ -322,13 +355,23 @@ def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningR
     the product; the minor-times-minor case solves for the coordinates of
     the expanded product in the basis of standard monomials of that shape
     (unique once the standard monomials are known independent).
+
+    Relations are tabled on the instance by row pattern: the pair with its
+    k distinct rows (a Q index counts as a row) renamed to 1..k in order.
+    A miss solves for (a, b) and stores the relation in pattern rows; a hit
+    returns the stored one renamed back.  An order-preserving injection f of
+    rows gives the injective ring map x_ij -> x_f(i)j fixing y; it sends
+    [R] to [f(R)] with no sign change and Q_i to Q_f(i), and preserves
+    `less_eq` and `sort_key`, so the renamed relation is the pair's own.
     """
     if not incomparable(a, b):
         raise NotIncomparable(f"{a.text} and {b.text} are comparable")
-    cache = instance._straighten_cache
     key = _sorted_labels((a, b))
-    if key in cache:
-        return cache[key]
+    to_pattern = _to_pattern(key)
+    pattern = tuple(_rename(l, to_pattern) for l in key)
+    table = instance._straighten_table
+    if pattern in table:
+        return table[pattern]._renamed({i: r for r, i in to_pattern.items()})
     field = instance.ring.field
     if a.is_q or b.is_q:
         # incomparability of Q_j with the minor means exactly j > last row
@@ -349,8 +392,8 @@ def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningR
             if less_eq(c_lab, d_lab):
                 candidates.append((c_lab, d_lab))
         candidates = sorted(set(candidates), key=lambda p: (p[0].sort_key, p[1].sort_key))
-        target = dict(expand_labels(instance, (a, b))._terms)
-        expansions = [dict(expand_labels(instance, pair)._terms) for pair in candidates]
+        target = _add_product({}, instance, (a, b), field.one)
+        expansions = [_add_product({}, instance, pair, field.one) for pair in candidates]
         monos = sorted({e for p in expansions + [target] for e in p})
         matrix = [[p.get(mo, field.zero) for p in expansions] for mo in monos]
         rhs = [target.get(mo, field.zero) for mo in monos]
@@ -361,7 +404,7 @@ def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningR
             (c, pair) for c, pair in zip(sol, candidates) if c != field.zero
         )
         rel = StraighteningRelation(key, right)
-    cache[key] = rel
+    table[pattern] = rel._renamed(to_pattern)
     return rel
 
 

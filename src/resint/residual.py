@@ -60,7 +60,9 @@ class ResidualInstance:
             else:
                 self.polynomials[lab] = minor(self.ring, lab.rows)
         self._poset: BPoset | None = None
-        self._straighten_cache: dict = {}
+        # by row pattern, for the instance's life: `poset.straighten`, `.verify`
+        self._straighten_table: dict = {}
+        self._verified: dict = {}
 
     @property
     def field(self):

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import pytest
 
+from resint.poset import StraighteningRelation
 from resint.residual import build_instance
 from resint.ring import GF
 
@@ -29,3 +30,17 @@ def inst22():
 @pytest.fixture(scope="session")
 def fp():
     return GF(32003)
+
+
+@pytest.fixture
+def reexpansions(monkeypatch) -> list:
+    """Every relation that `StraighteningRelation.verify` re-expands."""
+    seen = []
+    real = StraighteningRelation._reexpands
+
+    def counted(rel, instance):
+        seen.append(rel)
+        return real(rel, instance)
+
+    monkeypatch.setattr(StraighteningRelation, "_reexpands", counted)
+    return seen

@@ -1,4 +1,4 @@
-"""Independent cross-checks for four certificates, by direct computation.
+"""Independent cross-checks for five certificates, by direct computation.
 
 `colon_identity_by_elimination` computes (X y) : (y) as an intersection of
 single colons, each by eliminating a slack variable, and compares it with
@@ -9,7 +9,10 @@ axiom degree by degree: every standard monomial (multichain) up to the
 degree has a leading monomial no other one shares, read off its expanded
 product, and every other product straightens to standard monomials that
 re-expand to it.  `sagbi_by_subduction` checks the Sagbi property by the
-kernel-lift criterion instead of the two axioms.  All are bounded: the
+kernel-lift criterion instead of the two axioms.  `straighten_by_solve`
+solves each incomparable pair's straightening relation for that pair
+alone, with `Polynomial` products, where `poset.straighten` solves once
+per row pattern.  All are bounded: the
 eliminations grow fast with the instance, the axiom check proves nothing
 past its degree, and subduction expands every lifted binomial.
 
@@ -21,9 +24,10 @@ from __future__ import annotations
 
 import itertools
 
-from resint import groebner
+from resint import groebner, linalg
 from resint.groebner import IdealBasis
-from resint.poset import expand_labels, less_eq, straighten_product
+from resint.labels import M
+from resint.poset import StraighteningRelation, bordered_relation, less_eq, straighten_product
 from resint.ring import QQ, BlockOrder, Polynomial, PolynomialRing, q_entry, tvar, yvar
 from resint.sagbi import (
     MonomialAlgebraMap,
@@ -130,6 +134,46 @@ def elimination_kernel(instance, budget=None) -> tuple[Polynomial, ...]:
         if len(g) != 2 or mam_image(mam, g):
             raise AssertionError(f"kernel element {g} is not a binomial with image zero")
     return tuple(basis)
+
+
+def expand_labels(instance, labels) -> Polynomial:
+    """Product in the ambient ring of the polynomials behind the labels."""
+    polys = [instance.polynomials[l] for l in labels]
+    if not polys:
+        return instance.ring.one
+    result = polys[0]
+    for p in polys[1:]:
+        result = result * p
+    return result
+
+
+def straighten_by_solve(instance, a, b) -> StraighteningRelation:
+    """The relation of one incomparable pair, solved for that pair alone:
+    the bordered determinant for Q x minor, and for minor x minor the
+    coordinates of the expanded product in the standard monomials of its
+    shape, found by one linear solve over `Polynomial` products."""
+    key = tuple(sorted((a, b), key=lambda l: l.sort_key))
+    field = instance.ring.field
+    if key[0].is_q:
+        q, mnr = key
+        return StraighteningRelation.solve(bordered_relation(mnr.rows + (q.q_index,)), key, field)
+    content = sorted(a.rows + b.rows)
+    candidates = set()
+    for rows_c in itertools.combinations(sorted(set(content)), len(a.rows)):
+        rest = list(content)
+        for r in rows_c:
+            rest.remove(r)
+        if len(set(rest)) == len(rest) and less_eq(M(rows_c), M(rest)):
+            candidates.add((M(rows_c), M(rest)))
+    candidates = sorted(candidates, key=lambda p: (p[0].sort_key, p[1].sort_key))
+    target = dict(expand_labels(instance, key)._terms)
+    expansions = [dict(expand_labels(instance, pair)._terms) for pair in candidates]
+    monos = sorted({e for p in expansions + [target] for e in p})
+    matrix = [[p.get(mo, field.zero) for p in expansions] for mo in monos]
+    sol = linalg.solve_field(field, matrix, [target.get(mo, field.zero) for mo in monos])
+    if sol is None:
+        raise ValueError(f"no standard expansion found for {a.text}*{b.text}")
+    return StraighteningRelation(key, tuple((c, p) for c, p in zip(sol, candidates) if c != field.zero))
 
 
 def is_standard(labels) -> bool:

@@ -336,6 +336,66 @@ def test_sagbi_wall_budget_exit_2_with_counters(tmp_path, monkeypatch):
     assert report["checks"]["sagbi"]["stats"] == {"lattice_rows_checked": 10, "pairs_checked": 1}
 
 
+def test_each_run_reexpands_its_own_relations(tmp_path, reexpansions):
+    # the pattern tables live on the run's instance, so a second run in the
+    # same process re-expands as much as the first
+    counts = []
+    for _ in range(2):
+        report, code = cmd_verify(config(tmp_path, m=7, n=3, field_name="Q"), ["radical", "asl", "transbasis"])
+        assert code == 0
+        counts.append(len(reexpansions))
+        reexpansions.clear()
+    assert counts[0] == counts[1] > 0
+
+
+def _row_pattern(*labels):
+    """The labels with the rows they use renamed to 1..k, in order."""
+    rows = sorted({r for l in labels for r in ((l.q_index,) if l.is_q else l.rows)})
+    f = {r: i for i, r in enumerate(rows, start=1)}
+    return tuple(Q(f[l.q_index]) if l.is_q else M(f[r] for r in l.rows) for l in labels)
+
+
+def _later_pairs(pairs) -> set:
+    """The pairs that come after another pair of the same row pattern."""
+    seen = set()
+    later = set()
+    for a, b in pairs:
+        key = _row_pattern(a, b)
+        if key in seen:
+            later.add((a, b))
+        seen.add(key)
+    return later
+
+
+@pytest.mark.parametrize("checks", [["radical"], ["asl"], ["radical", "asl"]])
+def test_a_flipped_coefficient_on_a_later_pair_of_its_pattern_fails(tmp_path, monkeypatch, checks):
+    # the re-expansion memo is keyed by the whole relation: a pair whose
+    # pattern was verified before must still fail once its relation is wrong
+    from resint import poset, residual
+    from resint.poset import incomparable_pairs
+
+    inst = residual.build_instance(7, 3)
+    same_rank = [p for cls in inst.poset.rank_classes() for p in itertools.combinations(cls, 2)]
+    later = _later_pairs(same_rank) & _later_pairs(incomparable_pairs(inst.poset))
+    target = next(p for p in same_rank if p in later)
+    real = poset.straighten
+
+    def flipped(instance, a, b):
+        rel = real(instance, a, b)
+        if (a, b) != target:
+            return rel
+        (c, pair), *rest = rel.right
+        return poset.StraighteningRelation(rel.left, ((-c, pair), *rest))
+
+    monkeypatch.setattr(poset, "straighten", flipped)
+    monkeypatch.setattr(residual, "straighten", flipped)
+    report, code = cmd_verify(config(tmp_path, m=7, n=3, field_name="Q"), checks)
+    assert code == 1
+    assert all(report["checks"][c]["verdict"] is False for c in checks)
+    if "asl" in checks:
+        assert (report["checks"]["asl"]["asl1"], report["checks"]["asl"]["asl2"]) == (True, False)
+
+
 def test_a_flipped_straightening_coefficient_fails_asl_and_sagbi(tmp_path, monkeypatch):
     # Q3*[1,2] keeps its least labels but no longer re-expands; the
     # lattice, and with it the kernel, is untouched

@@ -13,7 +13,13 @@ from pathlib import Path
 import pytest
 
 import references
-from references import asl1_by_expansion, enumerate_standard_monomials, is_standard
+from references import (
+    asl1_by_expansion,
+    enumerate_standard_monomials,
+    expand_labels,
+    is_standard,
+    straighten_by_solve,
+)
 from resint import poset as poset_module
 from resint.groebner import Budget, BudgetExceeded
 from resint.labels import M, Q, canonical_labels
@@ -21,7 +27,6 @@ from resint.poset import (
     BPoset,
     StraighteningRelation,
     bordered_relation,
-    expand_labels,
     incomparable,
     incomparable_pairs,
     is_wonderful,
@@ -360,6 +365,21 @@ def straighten_relation_texts() -> dict[str, list[str]]:
 def test_straighten_relations_match_golden():
     # golden written by json.dumps(straighten_relation_texts(), indent=1)
     assert straighten_relation_texts() == json.loads(GOLDEN_RELATIONS.read_text())
+
+
+@pytest.mark.parametrize("m,n", [(4, 2), (5, 3), (7, 3), (6, 4), (8, 3)])
+def test_the_pattern_table_gives_each_pair_its_own_relation(m, n):
+    inst = build_instance(m, n)
+    for a, b in incomparable_pairs(inst.poset):
+        assert straighten(inst, a, b) == straighten_by_solve(inst, a, b)
+
+
+def test_asl2_reexpands_one_relation_per_row_pattern(reexpansions):
+    # (8,3) has 490 incomparable pairs in 11 row patterns
+    inst = build_instance(8, 3)
+    assert verify_asl2(inst)
+    assert len(incomparable_pairs(inst.poset)) == 490
+    assert len(reexpansions) == 11
 
 
 #: an incomparable product of (4,2) whose straightening has two terms

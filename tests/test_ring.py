@@ -402,7 +402,7 @@ def test_rational_coefficients_stay_ints(inst42):
     # every certificate polynomial has integer coefficients; a Fraction here
     # means some layer stopped keeping integral values as ints
     from resint.labels import M, Q
-    from resint.poset import expand_labels
+    from references import expand_labels
     from resint.transcendence import DContext
 
     context = DContext(inst42)
