@@ -4,7 +4,12 @@ wonderful-poset cover condition.
 
 Functions that expand labels into actual polynomials take the residual
 instance (which owns the ring and the label -> polynomial map) as their
-first argument.
+first argument.  They expand on a big cell: the n rows of one minor of X
+set to the identity matrix (`_on_cell`), where that minor is 1 and a minor
+sharing k rows with it is a minor of size n - k.  A quadratic identity
+holds in K[X, y] exactly when it holds on the cell (the proof is in
+`StraighteningRelation._reexpands`), so each straightening is solved and
+each identity verified there.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded
 from .labels import GeneratorLabel, M, Q, canonical_labels
-from .ring import NotIncomparable
+from .ring import NotIncomparable, xvar
 
 
 class StraighteningBudgetExceeded(BudgetExceeded):
@@ -80,22 +85,26 @@ class BPoset:
 
     # -- covers and rank ----------------------------------------------------
 
+    def _order_sets(self) -> tuple[list[int], list[int]]:
+        """Down- and up-sets as bitsets by element index: bit i of down[j],
+        and bit j of up[i], is set exactly when element i <= element j."""
+        size = len(self.elements)
+        down = [sum(1 << i for i in range(size) if self._leq[i][j]) for j in range(size)]
+        up = [sum(1 << j for j in range(size) if self._leq[i][j]) for i in range(size)]
+        return down, up
+
     def _cover_pairs(self) -> list[tuple[int, int]]:
+        """(i, j) with j covering i, i ascending, then j: the interval
+        up(i) & down(j) is exactly {i, j}, so i < j with nothing strictly
+        between.  (When i is not below j the interval is empty.)"""
         if self._covers is None:
-            size = len(self.elements)
-            leq = self._leq
-            covers = []
-            for i in range(size):
-                for j in range(size):
-                    if i == j or not leq[i][j]:
-                        continue
-                    if any(
-                        k != i and k != j and leq[i][k] and leq[k][j]
-                        for k in range(size)
-                    ):
-                        continue
-                    covers.append((i, j))
-            self._covers = covers
+            down, up = self._order_sets()
+            self._covers = [
+                (i, j)
+                for i, above in enumerate(up)
+                for j, below in enumerate(down)
+                if i != j and above & below == 1 << i | 1 << j
+            ]
         return self._covers
 
     def _lattice_tables(self) -> tuple[list[list], list[list]]:
@@ -106,9 +115,7 @@ class BPoset:
         down-set is that whole intersection; joins are read off the
         up-sets alike, from the first common element."""
         if self._lattice is None:
-            size = len(self.elements)
-            down = [sum(1 << i for i in range(size) if self._leq[i][j]) for j in range(size)]
-            up = [sum(1 << j for j in range(size) if self._leq[i][j]) for i in range(size)]
+            down, up = self._order_sets()
 
             def table(sets, pick):
                 return [
@@ -228,13 +235,37 @@ def _sorted_labels(labels: Iterable[GeneratorLabel]) -> tuple[GeneratorLabel, ..
     return tuple(sorted(labels, key=lambda l: l.sort_key))
 
 
-def _add_product(acc: dict, instance, pair, coeff) -> dict:
-    """Add coeff times the product of the two polynomials behind `pair` to
-    `acc` (exponents -> coefficient) by the field's mul and add, and return
-    it.  No Polynomial is built and nothing is sorted; cancelled terms stay
-    as zeros."""
+def _on_cell(instance, label: GeneratorLabel, cell: Sequence[int]) -> list[tuple]:
+    """The terms of `label`'s polynomial on the big cell of the sorted
+    n-row set `cell`, where those rows of X form the identity matrix.
+
+    A filter over the instance's terms: a term that uses x[cell[k]][j] with
+    j != k+1 is dropped, and x[cell[k]][k+1] is set to 1 (its exponent to
+    0).  y is untouched, and exponent tuples keep the ring's length."""
+    index = instance.ring.index
+    ones, zeros = [], []
+    for k, r in enumerate(cell, start=1):
+        for j in range(1, instance.n + 1):
+            (ones if j == k else zeros).append(index[xvar(r, j)])
+    terms = []
+    for e, c in instance.polynomials[label]._terms:
+        if any(e[p] for p in zeros):
+            continue
+        e = list(e)
+        for p in ones:
+            e[p] = 0
+        terms.append((tuple(e), c))
+    return terms
+
+
+def _add_product(acc: dict, instance, pair, coeff, cell: Sequence[int]) -> dict:
+    """Add coeff times the product of the two polynomials behind `pair`,
+    each restricted to the big cell of `cell` (`_on_cell`), to `acc`
+    (exponents -> coefficient) by the field's mul and add, and return it.
+    No Polynomial is built and nothing is sorted; cancelled terms stay as
+    zeros."""
     mul, add = instance.ring.field.mul, instance.ring.field.add
-    f, g = (instance.polynomials[l]._terms for l in pair)
+    f, g = (_on_cell(instance, l, cell) for l in pair)
     for e1, c1 in f:
         c1 = mul(c1, coeff)
         for e2, c2 in g:
@@ -311,7 +342,8 @@ class StraighteningRelation:
         return True
 
     def verify(self, instance) -> bool:
-        """Re-expand both sides independently of `straighten` and compare.
+        """Re-expand both sides independently of `straighten` and compare,
+        on the big cell of the first minor in `left` (`_reexpands`).
 
         The verdict is memoized on the instance under the whole relation
         with its rows renamed to 1..k in order.  An order-preserving
@@ -325,11 +357,27 @@ class StraighteningRelation:
         return instance._verified[key]
 
     def _reexpands(self, instance) -> bool:
-        """left - sum of coeff * pair, summed into one dict, is zero."""
+        """left - sum of coeff * pair is zero on the big cell of the first
+        minor in `left`: with those n rows R0 of X set to the identity.
+
+        That proves it zero in F[X, y] over every field F.  Under X -> Xg,
+        y -> g^-1 y for g in GL_n, a minor scales by det g and each Q_i =
+        (X y)_i is invariant.  A pair with q Q-labels therefore has y-degree
+        q and weight 2 - q, so the difference f splits by y-degree into
+        semi-invariants f_q, f_q(Xg, g^-1 y) = det(g)^(2-q) f_q(X, y).  The
+        cell leaves y alone, so f vanishes on the cell exactly when each f_q
+        does.  Take g = X_R0^-1 and d = det X_R0: in F[X, y][1/d],
+        f_q(X, y) = d^(2-q) f_q(X X_R0^-1, X_R0 y).  The rows R0 of
+        X X_R0^-1 are the identity, so the right side is the cell
+        polynomial of f_q, evaluated at the other rows of X X_R0^-1 and at
+        X_R0 y; that polynomial is 0.  F[X, y] is a domain, so f_q = 0.
+        Integer coefficients carry the identity to Z[X, y].  The
+        full-space re-expansion is kept as a cross-check in the tests."""
         field = instance.ring.field
-        diff = _add_product({}, instance, self.left, field.one)
+        cell = next(l.rows for l in self.left if not l.is_q)
+        diff = _add_product({}, instance, self.left, field.one, cell)
         for coeff, pair in self.right:
-            _add_product(diff, instance, pair, field.neg(coeff))
+            _add_product(diff, instance, pair, field.neg(coeff), cell)
         return all(c == field.zero for c in diff.values())
 
     def _renamed(self, f: dict[int, int]) -> "StraighteningRelation":
@@ -353,8 +401,14 @@ def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningR
 
     The Q-times-minor case solves the vanishing bordered determinant for
     the product; the minor-times-minor case solves for the coordinates of
-    the expanded product in the basis of standard monomials of that shape
-    (unique once the standard monomials are known independent).
+    the product in the standard monomials of that shape (unique once the
+    standard monomials are known independent).  That solve runs on the big
+    cell of the pair's first minor, where its rows of X are the identity
+    (`_on_cell`): a sum of minor x minor products that vanishes there is
+    zero (`StraighteningRelation._reexpands`), so the cell keeps the
+    candidates independent and the solution is the one in all of K[X].
+    The first minor is 1 there, and a minor sharing k of its rows is a
+    minor of size n - k, so the system is much smaller than in K[X].
 
     Relations are tabled on the instance by row pattern: the pair with its
     k distinct rows (a Q index counts as a row) renamed to 1..k in order.
@@ -392,8 +446,9 @@ def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningR
             if less_eq(c_lab, d_lab):
                 candidates.append((c_lab, d_lab))
         candidates = sorted(set(candidates), key=lambda p: (p[0].sort_key, p[1].sort_key))
-        target = _add_product({}, instance, (a, b), field.one)
-        expansions = [_add_product({}, instance, pair, field.one) for pair in candidates]
+        cell = key[0].rows
+        target = _add_product({}, instance, key, field.one, cell)
+        expansions = [_add_product({}, instance, pair, field.one, cell) for pair in candidates]
         monos = sorted({e for p in expansions + [target] for e in p})
         matrix = [[p.get(mo, field.zero) for p in expansions] for mo in monos]
         rhs = [target.get(mo, field.zero) for mo in monos]

@@ -2,8 +2,8 @@
 
 Everything downstream (Groebner engine, poset straightening, Sagbi
 subduction, transcendence certificates) is built on the types here:
-variables, monomial orders, polynomials, and the maximal minors (by
-cofactor expansion) of the generic matrix of indeterminates.  A monomial
+variables, monomial orders, polynomials, and the maximal minors (as sums
+over permutations) of the generic matrix of indeterminates.  A monomial
 is its exponent tuple over the ring's variable sequence; `monomial_text`
 prints one.
 
@@ -16,6 +16,7 @@ All values are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
+import itertools
 import operator
 from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
@@ -744,13 +745,23 @@ def _check_rows(ring: PolynomialRing, rows: Sequence[int]) -> tuple[int, ...]:
 def minor(ring: PolynomialRing, rows: Sequence[int]) -> Polynomial:
     """The maximal minor of X on the given strictly increasing rows.
 
-    Entries are distinct variables, so no cancellation can occur and the
-    cofactor expansion produces the n! signed terms directly.
+    Entries are distinct variables, so no cancellation can occur: the
+    minor is the sum over the permutations p of 1..n of
+    sign(p) * x[rows[0]][p(1)] * ... * x[rows[n-1]][p(n)], whose n! terms
+    have distinct monomials.  The sign is (-1) to the number of inversions.
     """
     rows = _check_rows(ring, rows)
-    n = ring.n
-    matrix = [[ring.var(xvar(r, j)) for j in range(1, n + 1)] for r in rows]
-    return det_laplace(ring, matrix)
+    field = ring.field
+    signs = (field.one, field.neg(field.one))
+    positions = [[ring.index[xvar(r, j)] for j in range(1, ring.n + 1)] for r in rows]
+    terms = {}
+    for perm in itertools.permutations(range(ring.n)):
+        exps = list(ring._zero_exps)
+        for row, j in zip(positions, perm):
+            exps[row[j]] = 1
+        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
+        terms[tuple(exps)] = signs[inversions % 2]
+    return ring._from_dict(terms)
 
 
 def det_laplace(ring: PolynomialRing, matrix: list[list[Polynomial]]) -> Polynomial:

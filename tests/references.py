@@ -12,7 +12,11 @@ re-expand to it.  `sagbi_by_subduction` checks the Sagbi property by the
 kernel-lift criterion instead of the two axioms.  `straighten_by_solve`
 solves each incomparable pair's straightening relation for that pair
 alone, with `Polynomial` products, where `poset.straighten` solves once
-per row pattern.  All are bounded: the
+per row pattern.  `reexpands_in_full` re-expands a quadratic identity
+in all of K[X, y], where `StraighteningRelation.verify` re-expands it on
+the big cell of one minor.  `cover_pairs_by_triples` finds the covers of a
+poset by testing every triple, where `BPoset` intersects bitsets.  All
+are bounded: the
 eliminations grow fast with the instance, the axiom check proves nothing
 past its degree, and subduction expands every lifted binomial.
 
@@ -174,6 +178,29 @@ def straighten_by_solve(instance, a, b) -> StraighteningRelation:
     if sol is None:
         raise ValueError(f"no standard expansion found for {a.text}*{b.text}")
     return StraighteningRelation(key, tuple((c, p) for c, p in zip(sol, candidates) if c != field.zero))
+
+
+def reexpands_in_full(rel: StraighteningRelation, instance) -> bool:
+    """left - sum of coeff * pair, with `Polynomial` products, is zero."""
+    diff = expand_labels(instance, rel.left)
+    for coeff, pair in rel.right:
+        diff = diff - expand_labels(instance, pair) * coeff
+    return not diff
+
+
+def cover_pairs_by_triples(poset) -> list[tuple[int, int]]:
+    """(i, j) by element index with i < j in the poset and no k strictly
+    between them, i ascending, then j."""
+    size = len(poset.elements)
+    leq = poset._leq
+    return [
+        (i, j)
+        for i in range(size)
+        for j in range(size)
+        if i != j
+        and leq[i][j]
+        and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(size))
+    ]
 
 
 def is_standard(labels) -> bool:

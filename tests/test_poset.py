@@ -15,9 +15,11 @@ import pytest
 import references
 from references import (
     asl1_by_expansion,
+    cover_pairs_by_triples,
     enumerate_standard_monomials,
     expand_labels,
     is_standard,
+    reexpands_in_full,
     straighten_by_solve,
 )
 from resint import poset as poset_module
@@ -39,6 +41,7 @@ from resint.poset import (
 )
 from resint.residual import build_instance
 from resint.ring import GF, QQ, NotIncomparable
+from resint.transcendence import DContext
 
 GOLDEN_RELATIONS = Path(__file__).parent / "golden" / "straighten_relations.json"
 
@@ -115,6 +118,12 @@ def test_hasse_32_brute_force_cover_oracle(inst32):
             continue
         expected.add((a, b))
     assert set(poset.hasse_edges()) == expected
+
+
+@pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (9, 5), (12, 4)])
+def test_bitset_covers_match_the_triple_test(m, n):
+    poset = BPoset(m, n)
+    assert poset._cover_pairs() == cover_pairs_by_triples(poset)
 
 
 def test_hasse_transitive_reduction_closes_to_full_order(inst42):
@@ -380,6 +389,61 @@ def test_asl2_reexpands_one_relation_per_row_pattern(reexpansions):
     assert verify_asl2(inst)
     assert len(incomparable_pairs(inst.poset)) == 490
     assert len(reexpansions) == 11
+
+
+def cell_test_relations(kind, m, n):
+    """The instance and its relations: one straightening relation per row
+    pattern (in pattern rows), or every identity of the D-table."""
+    inst = build_instance(m, n)
+    if kind == "patterns":
+        for a, b in incomparable_pairs(inst.poset):
+            straighten(inst, a, b)
+        return inst, list(inst._straighten_table.values())
+    context = DContext(inst)
+    for label in inst.labels:
+        context.fraction(label)
+    return inst, list(context.identities.values())
+
+
+CELL_TEST_SETS = [
+    ("patterns", 4, 2),
+    ("patterns", 6, 3),
+    ("patterns", 7, 3),
+    ("patterns", 8, 4),
+    ("d_table", 6, 4),
+    ("d_table", 8, 3),
+]
+
+
+@pytest.mark.parametrize("kind,m,n", CELL_TEST_SETS)
+def test_the_cell_reexpansion_agrees_with_the_full_one(kind, m, n):
+    inst, relations = cell_test_relations(kind, m, n)
+    assert relations
+    for rel in relations:
+        assert rel._reexpands(inst)
+        assert reexpands_in_full(rel, inst)
+
+
+def tampered_relations(rel, field):
+    """A flipped first coefficient, a dropped right-hand term and, for a
+    minor x minor relation, an extra Q x minor term."""
+    (coeff, pair), *rest = rel.right
+    yield StraighteningRelation(rel.left, ((field.neg(coeff), pair), *rest))
+    yield StraighteningRelation(rel.left, tuple(rest))
+    if not any(l.is_q for l in rel.left):
+        yield StraighteningRelation(rel.left, (*rel.right, (field.one, (Q(1), rel.left[1]))))
+
+
+@pytest.mark.parametrize("kind,m,n", CELL_TEST_SETS)
+def test_a_tampered_relation_fails_on_the_cell_and_in_full(kind, m, n):
+    inst, relations = cell_test_relations(kind, m, n)
+    extra_terms = 0
+    for rel in relations:
+        for bad in tampered_relations(rel, inst.field):
+            extra_terms += len(bad.right) > len(rel.right)
+            assert not bad._reexpands(inst)
+            assert not reexpands_in_full(bad, inst)
+    assert extra_terms
 
 
 #: an incomparable product of (4,2) whose straightening has two terms

@@ -23,6 +23,7 @@ from resint.ring import (
     NotIncomparable,
     ZeroPolynomial,
     ambient_ring,
+    det_laplace,
     minor,
     poly_text,
     q_entry,
@@ -211,6 +212,14 @@ def test_minor_rows_1_4():
 def test_minor_against_leibniz_oracle(m, n, rows):
     R = ambient_ring(m, n)
     assert minor(R, rows) == leibniz_minor(R, rows)
+
+
+@pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (6, 5)])
+def test_minor_equals_the_cofactor_expansion(m, n):
+    R = ambient_ring(m, n)
+    for rows in itertools.combinations(range(1, m + 1), n):
+        matrix = [[R.var(xvar(r, j)) for j in range(1, n + 1)] for r in rows]
+        assert minor(R, rows)._terms == det_laplace(R, matrix)._terms
 
 
 def test_minor_bad_rows():
