@@ -6,8 +6,9 @@ quadratic exchange relations among maximal minors, and the rational
 rewriting of every generator over D.  Each generator outside D is tabled
 from one quadratic identity whose other terms were tabled before it, so
 checking each identity once proves every fraction by induction on the
-build order; one fraction is also re-substituted in full, as a check of
-the fraction arithmetic.  Everything here runs over Q.
+build order; one fraction is also re-substituted, on the big cell of the
+main minor behind a D-degree guard (`verify_rewrite`), as a check of the
+fraction arithmetic.  Everything here runs over Q.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 from . import linalg
 from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded
 from .labels import GeneratorLabel, M, Q
-from .poset import Identity, StraighteningRelation, bordered_relation
+from .poset import Identity, StraighteningRelation, _on_cell, bordered_relation
 from .ring import (
     QQ,
     IncompatibleField,
@@ -245,11 +246,6 @@ class DContext:
         for lab in self.D:
             self._table[lab] = DFraction(self.dring.var(self.dvars[self.position[lab]]), zero_den)
 
-    def assignment(self) -> dict[VariableId, Polynomial]:
-        return {
-            v: self.instance.polynomials[self.legend[v]] for v in self.dvars
-        }
-
     def fraction(self, label: GeneratorLabel) -> DFraction:
         if label not in self._table:
             self._build(label)
@@ -279,13 +275,56 @@ class DContext:
         self._table[label] = acc.divided_by_var(self.position[pivot])
 
 
+def _d_degrees_match(context: DContext, label: GeneratorLabel, frac: DFraction) -> bool:
+    """Every term of frac.num has the (number of minors, number of Qs) of
+    label * frac.den, read off the D exponent vectors."""
+
+    def degrees(exps):
+        minors = sum(e for e, lab in zip(exps, context.D) if not lab.is_q)
+        return minors, sum(exps) - minors
+
+    minors, qs = degrees(frac.den)
+    target = (minors + (not label.is_q), qs + label.is_q)
+    return all(degrees(e) == target for e, _ in frac.num._terms)
+
+
 def verify_rewrite(context: DContext, label: GeneratorLabel, frac: DFraction) -> bool:
-    """Cleared-denominator identity: poly(label) * subst(den) == subst(num)."""
+    """Cleared-denominator identity poly(label) * den == num, with the D
+    polynomials substituted, checked on the big cell of the main minor:
+    rows R0 = 1..n of X set to the identity (`poset._on_cell`).  There
+    [1..n] is 1, each M_{i,j} is +-x[i][j] and Q_1 is y_1, so the
+    substitution is small.
+
+    A D-degree guard runs first: every term of num must have the numbers
+    of minors and of Qs that label * den has, read off the exponent
+    vectors.  Then the cell verdict is exact.  Under X -> Xg, y -> g^-1 y
+    for g in GL_n, a minor scales by det g and each Q_i = (X y)_i is
+    invariant, so with a minors in every term the difference
+    f = poly(label) * den - num is a semi-invariant of the one weight a:
+    f(Xg, g^-1 y) = det(g)^a f(X, y).  Take g = X_R0^-1 and d = det X_R0:
+    in Q[X, y][1/d], f(X, y) = d^a f(X X_R0^-1, X_R0 y), and the rows R0
+    of X X_R0^-1 are the identity, so the right side is f's cell
+    polynomial evaluated at the other rows of X X_R0^-1 and at X_R0 y.  If
+    that polynomial is 0, so is f, since Q[X, y] is a domain; the converse
+    is restriction.  Nothing here uses the field, so the cell verdict is
+    exact over every field.  (The same argument, split by y-degree, is in
+    `StraighteningRelation._reexpands`.)  Without the guard the cell
+    misses a numerator such as num + den * ([1..n] - 1), which vanishes
+    there.  The full-space substitution is kept as a cross-check in the
+    tests."""
+    if not _d_degrees_match(context, label, frac):
+        return False
     instance = context.instance
-    assignment = context.assignment()
-    num = frac.num.substitute(assignment, instance.ring)
-    den = frac.den_poly().substitute(assignment, instance.ring)
-    return instance.polynomials[label] * den == num
+    ring = instance.ring
+    cell = tuple(range(1, instance.n + 1))
+
+    def on_cell(lab: GeneratorLabel) -> Polynomial:
+        return ring._from_dict(dict(_on_cell(instance, lab, cell)))
+
+    assignment = {v: on_cell(context.legend[v]) for v in context.dvars}
+    num = frac.num.substitute(assignment, ring)
+    den = frac.den_poly().substitute(assignment, ring)
+    return on_cell(label) * den == num
 
 
 def spot_check_label(context: DContext) -> GeneratorLabel | None:
@@ -365,9 +404,10 @@ def verify_transcendence_basis(
     degree-2 check), every fraction equals its generator by induction on
     the build order, provided the `DFraction` arithmetic is right.  That
     arithmetic is checked by substituting D into one fraction
-    (`verify_rewrite`, on `spot_check_label`).  The instance must be over
-    Q.  The wall-clock budget is read before each label and before the
-    spot-check."""
+    (`verify_rewrite`, on `spot_check_label`), on the big cell of the main
+    minor after a D-degree guard, which decides the identity in all of
+    Q[X, y].  The instance must be over Q.  The wall-clock budget is read
+    before each label and before the spot-check."""
     context = DContext(instance)
     deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
     m, n = instance.m, instance.n

@@ -1,24 +1,30 @@
-"""Independent cross-checks for five certificates, by direct computation.
+"""Independent cross-checks for the certificates, by direct computation.
 
 `colon_identity_by_elimination` computes (X y) : (y) as an intersection of
 single colons, each by eliminating a slack variable, and compares it with
 the generator ideal by mutual normal forms.  `elimination_kernel` computes
 the toric kernel by a block-order elimination in the ambient ring plus the
-presentation ring, with no use of the generator lattice.  `asl1_by_expansion` checks the first straightening-law
-axiom degree by degree: every standard monomial (multichain) up to the
-degree has a leading monomial no other one shares, read off its expanded
-product, and every other product straightens to standard monomials that
-re-expand to it.  `sagbi_by_subduction` checks the Sagbi property by the
+presentation ring, with no use of the generator lattice.
+`asl1_by_expansion` checks the first straightening-law axiom degree by
+degree: every standard monomial (multichain) up to the degree has a
+leading monomial no other one shares, read off its expanded product, and
+every other product straightens to standard monomials that re-expand to
+it.  `sagbi_by_subduction` checks the Sagbi property by the
 kernel-lift criterion instead of the two axioms.  `straighten_by_solve`
 solves each incomparable pair's straightening relation for that pair
 alone, with `Polynomial` products, where `poset.straighten` solves once
 per row pattern.  `reexpands_in_full` re-expands a quadratic identity
 in all of K[X, y], where `StraighteningRelation.verify` re-expands it on
-the big cell of one minor.  `cover_pairs_by_triples` finds the covers of a
-poset by testing every triple, where `BPoset` intersects bitsets.  All
-are bounded: the
-eliminations grow fast with the instance, the axiom check proves nothing
-past its degree, and subduction expands every lifted binomial.
+the big cell of one minor.  `rewrite_in_full` substitutes the D
+polynomials into a fraction over D in all of K[X, y], where
+`transcendence.verify_rewrite` substitutes on the big cell of the main
+minor.  `cover_pairs_by_triples` finds the covers of a poset by testing
+every triple, where `BPoset` intersects bitsets, and
+`distributive_by_triples` tests the distributive law on every triple,
+where `verify_asl1` tests Birkhoff's criterion on every pair.  All are
+bounded: the eliminations grow fast with the instance, the axiom check
+proves nothing past its degree, and subduction expands every lifted
+binomial.
 
 `groebner.buchberger` is called through its module, so that
 `groebner_runs.py` records the eliminations' runs.
@@ -188,19 +194,45 @@ def reexpands_in_full(rel: StraighteningRelation, instance) -> bool:
     return not diff
 
 
+def rewrite_in_full(context, label, frac) -> bool:
+    """Cleared-denominator identity poly(label) * den == num, with the D
+    polynomials substituted into the fraction in all of K[X, y]."""
+    instance = context.instance
+    assignment = {v: instance.polynomials[context.legend[v]] for v in context.dvars}
+    num = frac.num.substitute(assignment, instance.ring)
+    den = frac.den_poly().substitute(assignment, instance.ring)
+    return instance.polynomials[label] * den == num
+
+
 def cover_pairs_by_triples(poset) -> list[tuple[int, int]]:
     """(i, j) by element index with i < j in the poset and no k strictly
     between them, i ascending, then j."""
     size = len(poset.elements)
-    leq = poset._leq
+
+    def leq(i, j):
+        return poset._down[j] >> i & 1
+
     return [
         (i, j)
         for i in range(size)
         for j in range(size)
         if i != j
-        and leq[i][j]
-        and not any(k != i and k != j and leq[i][k] and leq[k][j] for k in range(size))
+        and leq(i, j)
+        and not any(k != i and k != j and leq(i, k) and leq(k, j) for k in range(size))
     ]
+
+
+def distributive_by_triples(poset) -> bool:
+    """Every pair has a meet and a join, and a^(b v c) = (a^b) v (a^c) for
+    every triple, read off the meet and join tables."""
+    meet, join = poset._lattice_tables()
+    if any(None in row for row in meet + join):
+        return False
+    return all(
+        [meet_a[x] for x in join_b] == [join_ab[y] for y in meet_a]
+        for meet_a in meet
+        for join_b, join_ab in zip(join, (join[k] for k in meet_a))
+    )
 
 
 def is_standard(labels) -> bool:

@@ -10,6 +10,7 @@ from pathlib import Path
 
 import pytest
 
+from references import rewrite_in_full
 from resint import transcendence as transcendence_module
 from resint.groebner import Budget, BudgetExceeded
 from resint.labels import M, Q
@@ -242,8 +243,6 @@ def test_rewrite_refuses_a_prime_field():
 
 
 def test_rewrite_denominators_only_main_minor_and_q1():
-    # every fraction re-substituted in full: the cross-check of the
-    # certificate, which re-substitutes only its spot-check label
     for m, n in ((4, 2), (5, 3), (6, 3)):
         inst = build_instance(m, n)
         ctx = DContext(inst)
@@ -254,6 +253,45 @@ def test_rewrite_denominators_only_main_minor_and_q1():
             for i, e in enumerate(frac.den):
                 if e:
                     assert i in allowed
+
+
+@pytest.mark.parametrize("m,n", [(4, 2), (5, 3), (6, 3), (6, 4), (8, 3)])
+def test_rewrite_on_the_cell_matches_the_full_substitution(m, n):
+    # every fraction, where the certificate substitutes only its spot-check
+    # label's
+    inst = build_instance(m, n)
+    ctx = DContext(inst)
+    for lab in inst.labels:
+        frac = ctx.fraction(lab)
+        assert verify_rewrite(ctx, lab, frac) is rewrite_in_full(ctx, lab, frac) is True
+
+
+@pytest.mark.parametrize("m,n", [(4, 2), (5, 3), (6, 4)])
+def test_a_flipped_numerator_coefficient_fails_on_the_cell_and_in_full(m, n):
+    inst = build_instance(m, n)
+    ctx = DContext(inst)
+    for lab in inst.labels:
+        frac = ctx.fraction(lab)
+        (e, c), *_ = frac.num._terms
+        flipped = DFraction(ctx.dring._from_dict({**dict(frac.num._terms), e: -c}), frac.den)
+        assert not verify_rewrite(ctx, lab, flipped)
+        assert not rewrite_in_full(ctx, lab, flipped)
+
+
+def test_the_d_degree_guard_rejects_what_the_cell_misses(monkeypatch):
+    # den * ([1..n] - 1) is zero on the cell, where [1..n] is 1, but not in
+    # K[X, y]; its den term has one minor fewer than label * den
+    inst = build_instance(5, 3)
+    ctx = DContext(inst)
+    label = spot_check_label(ctx)
+    frac = ctx.fraction(label)
+    main = ctx.dring.var(ctx.dvars[ctx.position[M([1, 2, 3])]])
+    wrong = DFraction(frac.num + frac.den_poly() * (main - ctx.dring.one), frac.den)
+    assert not rewrite_in_full(ctx, label, wrong)
+    assert not verify_rewrite(ctx, label, wrong)
+    # with the guard switched off, the cell substitution alone accepts it
+    monkeypatch.setattr(transcendence_module, "_d_degrees_match", lambda *args: True)
+    assert verify_rewrite(ctx, label, wrong)
 
 
 def d_table() -> dict[str, dict[str, list]]:
