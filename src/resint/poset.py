@@ -156,11 +156,8 @@ class BPoset:
 
     def hasse_edges(self) -> list[tuple[GeneratorLabel, GeneratorLabel]]:
         """All cover pairs (a, b): a < b with nothing strictly between."""
-        pairs = [
-            (self.elements[i], self.elements[j]) for i, j in self._cover_pairs()
-        ]
-        pairs.sort(key=lambda ab: (ab[0].sort_key, ab[1].sort_key))
-        return pairs
+        # in (a, b) order by `sort_key`: canonical index order is that order
+        return [(self.elements[i], self.elements[j]) for i, j in self._cover_pairs()]
 
     def _rank_vector(self) -> list[int]:
         # longest path over the Hasse DAG; canonical order is a linear
@@ -365,10 +362,8 @@ class StraighteningRelation:
         on the big cell of the first minor in `left` (`_reexpands`).
 
         The verdict is memoized on the instance under the whole relation
-        with its rows renamed to 1..k in order.  An order-preserving
-        injection f of rows gives the injective ring map x_ij -> x_f(i)j
-        fixing y; it sends [R] to [f(R)] with no sign change and Q_i to
-        Q_f(i), so a relation holds exactly when its renamed key does.  A
+        with its rows renamed to 1..k in order, which holds exactly when
+        the relation does (the renaming argument in `straighten`).  A
         relation that differs in any term is a new key and is re-expanded."""
         key = self._renamed(_to_pattern(self.left + tuple(l for _, p in self.right for l in p)))
         if key not in instance._verified:
@@ -418,6 +413,16 @@ class StraighteningRelation:
 def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningRelation:
     """Standard-monomial expansion of an incomparable product.
 
+    Relations are tabled on the instance by row pattern: the pair with its
+    k distinct rows (a Q index counts as a row) renamed to 1..k in order.
+    A miss solves the pattern pair; every call returns the tabled relation
+    renamed to the caller's rows.  An order-preserving injection f of rows
+    gives the injective ring map x_ij -> x_f(i)j fixing y; it sends [R] to
+    [f(R)] with no sign change and Q_i to Q_f(i), and preserves `less_eq`
+    and `sort_key`.  So the pattern pair is an incomparable own-pattern
+    pair of the same instance, and (a, b)'s relation is its relation
+    renamed: it has least labels, or is an identity, exactly when that has.
+
     The Q-times-minor case solves the vanishing bordered determinant for
     the product; the minor-times-minor case solves for the coordinates of
     the product in the standard monomials of that shape (unique once the
@@ -428,58 +433,45 @@ def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningR
     candidates independent and the solution is the one in all of K[X].
     The first minor is 1 there, and a minor sharing k of its rows is a
     minor of size n - k, so the system is much smaller than in K[X].
-
-    Relations are tabled on the instance by row pattern: the pair with its
-    k distinct rows (a Q index counts as a row) renamed to 1..k in order.
-    A miss solves for (a, b) and stores the relation in pattern rows; a hit
-    returns the stored one renamed back.  An order-preserving injection f of
-    rows gives the injective ring map x_ij -> x_f(i)j fixing y; it sends
-    [R] to [f(R)] with no sign change and Q_i to Q_f(i), and preserves
-    `less_eq` and `sort_key`, so the renamed relation is the pair's own.
     """
     if not incomparable(a, b):
         raise NotIncomparable(f"{a.text} and {b.text} are comparable")
-    key = _sorted_labels((a, b))
-    to_pattern = _to_pattern(key)
-    pattern = tuple(_rename(l, to_pattern) for l in key)
+    to_pattern = _to_pattern((a, b))
+    pattern = _sorted_labels(_rename(l, to_pattern) for l in (a, b))
     table = instance._straighten_table
-    if pattern in table:
-        return table[pattern]._renamed({i: r for r, i in to_pattern.items()})
-    field = instance.ring.field
-    if a.is_q or b.is_q:
-        # incomparability of Q_j with the minor means exactly j > last row
-        q, mnr = key
-        rel = StraighteningRelation.solve(bordered_relation(mnr.rows + (q.q_index,)), key, field)
-    else:
-        content = sorted(a.rows + b.rows)
-        degree = len(a.rows)
-        candidates = []
-        for rows_c in itertools.combinations(sorted(set(content)), degree):
-            rest = list(content)
-            for r in rows_c:
-                rest.remove(r)
-            rows_d = tuple(rest)
-            if any(rows_d[i] >= rows_d[i + 1] for i in range(len(rows_d) - 1)):
-                continue
-            c_lab, d_lab = M(rows_c), M(rows_d)
-            if less_eq(c_lab, d_lab):
-                candidates.append((c_lab, d_lab))
-        candidates = sorted(set(candidates), key=lambda p: (p[0].sort_key, p[1].sort_key))
-        cell = key[0].rows
-        target = _add_product({}, instance, key, field.one, cell)
-        expansions = [_add_product({}, instance, pair, field.one, cell) for pair in candidates]
-        monos = sorted({e for p in expansions + [target] for e in p})
-        matrix = [[p.get(mo, field.zero) for p in expansions] for mo in monos]
-        rhs = [target.get(mo, field.zero) for mo in monos]
-        sol = linalg.solve_field(field, matrix, rhs)
-        if sol is None:
-            raise ValueError(f"no standard expansion found for {a.text}*{b.text}")
-        right = tuple(
-            (c, pair) for c, pair in zip(sol, candidates) if c != field.zero
-        )
-        rel = StraighteningRelation(key, right)
-    table[pattern] = rel._renamed(to_pattern)
-    return rel
+    if pattern not in table:
+        field = instance.ring.field
+        first, second = pattern
+        if first.is_q:
+            # incomparability of Q_j with the minor means exactly j > last row
+            terms = bordered_relation(second.rows + (first.q_index,))
+            table[pattern] = StraighteningRelation.solve(terms, pattern, field)
+        else:
+            content = sorted(first.rows + second.rows)
+            candidates = []
+            # rows_c comes distinct and in order, so the candidates are sorted
+            for rows_c in itertools.combinations(sorted(set(content)), len(first.rows)):
+                rest = list(content)
+                for r in rows_c:
+                    rest.remove(r)
+                rows_d = tuple(rest)
+                if any(rows_d[i] >= rows_d[i + 1] for i in range(len(rows_d) - 1)):
+                    continue
+                c_lab, d_lab = M(rows_c), M(rows_d)
+                if less_eq(c_lab, d_lab):
+                    candidates.append((c_lab, d_lab))
+            cell = first.rows
+            target = _add_product({}, instance, pattern, field.one, cell)
+            expansions = [_add_product({}, instance, pair, field.one, cell) for pair in candidates]
+            monos = sorted({e for p in expansions + [target] for e in p})
+            matrix = [[p.get(mo, field.zero) for p in expansions] for mo in monos]
+            rhs = [target.get(mo, field.zero) for mo in monos]
+            sol = linalg.solve_field(field, matrix, rhs)
+            if sol is None:
+                raise ValueError(f"no standard expansion found for {a.text}*{b.text}")
+            right = tuple((c, pair) for c, pair in zip(sol, candidates) if c != field.zero)
+            table[pattern] = StraighteningRelation(pattern, right)
+    return table[pattern]._renamed({i: r for r, i in to_pattern.items()})
 
 
 #: rewrite steps one straighten_product call may take
@@ -589,20 +581,27 @@ def verify_asl1(instance, budget: Budget | None = None) -> bool:
 
 
 def incomparable_pairs(poset: BPoset) -> list[tuple[GeneratorLabel, GeneratorLabel]]:
-    return [
-        (a, b)
-        for a, b in itertools.combinations(poset.elements, 2)
-        if incomparable(a, b)
-    ]
+    """The incomparable pairs (E[i], E[j]), i < j, in `combinations` order.
+    Canonical order is a linear extension, so E[j] is never below E[i],
+    and the pair is incomparable exactly when bit i of down[j] is clear."""
+    E, down = poset.elements, poset._down
+    return [(E[i], E[j]) for i, j in itertools.combinations(range(len(E)), 2) if not down[j] >> i & 1]
 
 
 def verify_asl2(instance, budget: Budget | None = None) -> bool:
-    """Straighten every incomparable pair; certify identity and least labels.
-    The wall-clock budget is read before each pair."""
+    """Every incomparable pair's straightening relation has least labels
+    and is an identity.  Only pairs that are their own row pattern (rows
+    1..k) are straightened: every other pair's relation is its pattern
+    pair's renamed, and that pair is in the list (`straighten`).  The
+    wall-clock budget is read before each pair; `pairs_checked` counts
+    every pair passed."""
     deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
     for checked, (a, b) in enumerate(incomparable_pairs(instance.poset)):
         if time.monotonic() > deadline:
             raise BudgetExceeded("wall-clock budget exhausted", {"pairs_checked": checked})
+        rows = _to_pattern((a, b))
+        if max(rows) != len(rows):
+            continue
         rel = straighten(instance, a, b)
         if not rel.min_label_condition():
             return False

@@ -339,33 +339,6 @@ class TauOrder(MonomialOrder):
         return [(1,) * nvars] + [_unit_row(nvars, i, -1) for i in self.sequence]
 
 
-class BlockOrder(MonomialOrder):
-    """Block order: earlier blocks compared first, grevlex inside a block.
-
-    Realizes elimination orders: putting the variables to eliminate in the
-    front block makes the block-free part of a Groebner basis a basis of
-    the elimination ideal.
-    """
-
-    kind = "block"
-
-    def __init__(self, blocks: Sequence[Sequence[int]]):
-        self.blocks = tuple(tuple(b) for b in blocks)
-
-    def key(self, exps):
-        return tuple(
-            (sum(exps[i] for i in blk), tuple(-exps[i] for i in blk))
-            for blk in self.blocks
-        )
-
-    def weight_rows(self, nvars):
-        rows = []
-        for blk in self.blocks:
-            rows.append(tuple(int(i in blk) for i in range(nvars)))
-            rows.extend(_unit_row(nvars, i, -1) for i in blk)
-        return rows
-
-
 # ---------------------------------------------------------------------------
 # monomials and polynomials
 
@@ -488,33 +461,6 @@ class Polynomial:
             base = base * base if k > 1 else base
             k >>= 1
         return result
-
-    def exact_div(self, g: "Polynomial") -> "Polynomial":
-        """Exact quotient self/g; raises ValueError if g does not divide."""
-        if not g:
-            raise ZeroDivisionError("division by the zero polynomial")
-        self._check(g)
-        field = self.ring.field
-        rem = dict(self._terms)
-        quo: dict = {}
-        key = self.ring.order.key
-        ge, gc = g._terms[0]
-        while rem:
-            e = max(rem, key=key)
-            c = rem[e]
-            qe = tuple(a - b for a, b in zip(e, ge))
-            if any(x < 0 for x in qe):
-                raise ValueError("not exactly divisible")
-            qc = field.div(c, gc)
-            quo[qe] = qc
-            for te, tc in g._terms:
-                me = tuple(a + b for a, b in zip(qe, te))
-                s = field.sub(rem.get(me, field.zero), field.mul(qc, tc))
-                if s == field.zero:
-                    rem.pop(me, None)
-                else:
-                    rem[me] = s
-        return self.ring._from_dict(quo, sort=True)
 
     def monic(self) -> "Polynomial":
         if not self._terms:

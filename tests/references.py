@@ -21,10 +21,11 @@ polynomials into a fraction over D in all of K[X, y], where
 minor.  `cover_pairs_by_triples` finds the covers of a poset by testing
 every triple, where `BPoset` intersects bitsets, and
 `distributive_by_triples` tests the distributive law on every triple,
-where `verify_asl1` tests Birkhoff's criterion on every pair.  All are
-bounded: the eliminations grow fast with the instance, the axiom check
-proves nothing past its degree, and subduction expands every lifted
-binomial.
+where `verify_asl1` tests Birkhoff's criterion on every pair.
+`BlockOrder` and `exact_div` are the order and the division the
+eliminations use.  All are bounded: the eliminations grow fast with the
+instance, the axiom check proves nothing past its degree, and subduction
+expands every lifted binomial.
 
 `groebner.buchberger` is called through its module, so that
 `groebner_runs.py` records the eliminations' runs.
@@ -38,7 +39,7 @@ from resint import groebner, linalg
 from resint.groebner import IdealBasis
 from resint.labels import M
 from resint.poset import StraighteningRelation, bordered_relation, less_eq, straighten_product
-from resint.ring import QQ, BlockOrder, Polynomial, PolynomialRing, q_entry, tvar, yvar
+from resint.ring import QQ, MonomialOrder, Polynomial, PolynomialRing, _unit_row, q_entry, tvar, yvar
 from resint.sagbi import (
     MonomialAlgebraMap,
     SubductionFailure,
@@ -47,6 +48,61 @@ from resint.sagbi import (
     subduce,
     tau_sequence,
 )
+
+
+class BlockOrder(MonomialOrder):
+    """Block order: earlier blocks compared first, grevlex inside a block.
+
+    Realizes elimination orders: putting the variables to eliminate in the
+    front block makes the block-free part of a Groebner basis a basis of
+    the elimination ideal.
+    """
+
+    kind = "block"
+
+    def __init__(self, blocks):
+        self.blocks = tuple(tuple(b) for b in blocks)
+
+    def key(self, exps):
+        return tuple(
+            (sum(exps[i] for i in blk), tuple(-exps[i] for i in blk))
+            for blk in self.blocks
+        )
+
+    def weight_rows(self, nvars):
+        rows = []
+        for blk in self.blocks:
+            rows.append(tuple(int(i in blk) for i in range(nvars)))
+            rows.extend(_unit_row(nvars, i, -1) for i in blk)
+        return rows
+
+
+def exact_div(f: Polynomial, g: Polynomial) -> Polynomial:
+    """Exact quotient f/g; raises ValueError if g does not divide."""
+    if not g:
+        raise ZeroDivisionError("division by the zero polynomial")
+    f._check(g)
+    field = f.ring.field
+    rem = dict(f._terms)
+    quo: dict = {}
+    key = f.ring.order.key
+    ge, gc = g._terms[0]
+    while rem:
+        e = max(rem, key=key)
+        c = rem[e]
+        qe = tuple(a - b for a, b in zip(e, ge))
+        if any(x < 0 for x in qe):
+            raise ValueError("not exactly divisible")
+        qc = field.div(c, gc)
+        quo[qe] = qc
+        for te, tc in g._terms:
+            me = tuple(a + b for a, b in zip(qe, te))
+            s = field.sub(rem.get(me, field.zero), field.mul(qc, tc))
+            if s == field.zero:
+                rem.pop(me, None)
+            else:
+                rem[me] = s
+    return f.ring._from_dict(quo, sort=True)
 
 
 def ideal_equal(I: IdealBasis, J: IdealBasis, budget=None) -> bool:
@@ -89,7 +145,7 @@ def colon_by_elimination(I: IdealBasis, divisors, budget=None) -> IdealBasis:
     partial = None
     for g in IdealBasis(I.ring, divisors).generators:
         inter = intersect_by_elimination(I, IdealBasis(I.ring, [g]), budget=budget)
-        quo = IdealBasis(I.ring, [h.exact_div(g) for h in inter.generators])
+        quo = IdealBasis(I.ring, [exact_div(h, g) for h in inter.generators])
         partial = quo if partial is None else intersect_by_elimination(partial, quo, budget=budget)
     return partial
 

@@ -19,7 +19,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from groebner_runs import collect_runs
-from references import colon_by_elimination, ideal_equal, intersect_by_elimination
+from references import BlockOrder, colon_by_elimination, ideal_equal, intersect_by_elimination
 from resint import groebner
 from resint.groebner import (
     EXPONENT_LIMIT,
@@ -39,7 +39,6 @@ from resint.residual import build_instance
 from resint.ring import (
     GF,
     QQ,
-    BlockOrder,
     GrevLex,
     Lex,
     PolynomialRing,

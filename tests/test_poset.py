@@ -138,6 +138,19 @@ def test_bitset_covers_match_the_triple_test(m, n):
     assert poset._cover_pairs() == cover_pairs_by_triples(poset)
 
 
+@pytest.mark.parametrize("m,n", [(2, 2), (4, 2), (5, 3), (9, 5), (6, 6)])
+def test_hasse_edges_come_in_sort_key_order(m, n):
+    edges = BPoset(m, n).hasse_edges()
+    assert edges == sorted(edges, key=lambda ab: (ab[0].sort_key, ab[1].sort_key))
+
+
+@pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (9, 5)])
+def test_incomparable_pairs_match_the_less_eq_filter(m, n):
+    poset = BPoset(m, n)
+    pairs = itertools.combinations(poset.elements, 2)
+    assert incomparable_pairs(poset) == [(a, b) for a, b in pairs if incomparable(a, b)]
+
+
 def test_hasse_transitive_reduction_closes_to_full_order(inst42):
     poset = inst42.poset
     reach = {e: {e} for e in poset.elements}
@@ -405,6 +418,42 @@ def test_the_pattern_table_gives_each_pair_its_own_relation(m, n):
     inst = build_instance(m, n)
     for a, b in incomparable_pairs(inst.poset):
         assert straighten(inst, a, b) == straighten_by_solve(inst, a, b)
+
+
+def _pair_rows(pair) -> list[int]:
+    return sorted({r for l in pair for r in ((l.q_index,) if l.is_q else l.rows)})
+
+
+def _is_own_pattern(pair) -> bool:
+    rows = _pair_rows(pair)
+    return rows == list(range(1, len(rows) + 1))
+
+
+@pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (7, 3), (8, 4)])
+def test_each_pattern_pair_is_an_incomparable_own_pattern_pair(m, n):
+    # what verify_asl2 rests on: renaming a pair's rows to 1..k in order
+    # gives an incomparable pair of the same instance whose rows are 1..k
+    pairs = incomparable_pairs(BPoset(m, n))
+    own = set(filter(_is_own_pattern, pairs))
+    for pair in pairs:
+        f = {r: i for i, r in enumerate(_pair_rows(pair), start=1)}
+        renamed = [Q(f[l.q_index]) if l.is_q else M(f[r] for r in l.rows) for l in pair]
+        assert tuple(sorted(renamed, key=lambda l: l.sort_key)) in own
+
+
+@pytest.mark.parametrize("m,n,patterns", [(7, 3, 11), (8, 3, 11), (9, 4, 72)])
+def test_asl2_straightens_one_pair_per_row_pattern(monkeypatch, m, n, patterns):
+    calls = []
+    real = poset_module.straighten
+
+    def counted(instance, a, b):
+        calls.append((a, b))
+        return real(instance, a, b)
+
+    monkeypatch.setattr(poset_module, "straighten", counted)
+    assert verify_asl2(build_instance(m, n))
+    assert len(calls) == len(set(calls)) == patterns
+    assert all(map(_is_own_pattern, calls))
 
 
 def test_asl2_reexpands_one_relation_per_row_pattern(reexpansions):
