@@ -55,7 +55,42 @@ def incomparable(a: GeneratorLabel, b: GeneratorLabel) -> bool:
 
 
 class BPoset:
-    """The finite poset of generator labels for one (m, n)."""
+    """The finite poset of generator labels for one (m, n): the chain
+    Q_1 < ... < Q_m glued below the maximal minors, which are ordered
+    componentwise on their row sets (`less_eq`).
+
+    The order is held as down- and up-set bitsets by element index.  The
+    grading is read off the row coordinates (Bruns and Vetter, *Determinantal
+    Rings*, LNM 1327, 1988, for the minors):
+
+        rank(Q_i) = i,    rank([r_1..r_n]) = n + 1 + sum_k (r_k - k),
+
+    and the covers are local (a <. b: b covers a):
+
+        Q_j <. Q_{j+1}             for j < m,
+        Q_j <. [1..n-1, j]         for n <= j <= m,
+        [R] <. [R + e_k]           when R + e_k is strictly increasing and <= m.
+
+    Proof that these are all the covers.  A minor is never below a Q, so
+    every cover of a minor is a minor.  Above Q_j lie the Q_i with i > j,
+    each at or above Q_{j+1}, and the minors [S] with s_n >= j.  For j < n
+    every such minor has s_n >= n > j, so it lies above Q_{j+1}, and Q_{j+1}
+    is the one cover.  For j >= n, a minor [S] with s_n > j lies above
+    Q_{j+1}, and one with s_n = j lies above [1..n-1, j] (as s_k >= k);
+    these two are incomparable, so they are the covers.  Between minors [R] < [S], let k
+    be the largest index with r_k < s_k.  Then r_l = s_l for l > k, so
+    r_k + 1 <= s_k < s_{k+1} = r_{k+1} and s_k <= m: R + e_k is a minor
+    with R < R + e_k <= S.  So [S] covers [R] only when S = R + e_k, and
+    each R + e_k does cover [R], as the coordinate sum rises by one.
+
+    Each cover raises the rank by exactly 1 (Q_j <. [1..n-1, j]: n + 1 +
+    j - n = j + 1), and Q_1, of rank 1, is the unique minimal element.  So
+    every saturated chain from Q_1 to e has rank(e) elements, every chain
+    ending at e refines to one, and rank(e) is the number of elements in
+    the longest chain ending at e.  Every minor has r_k <= m-n+k, so the
+    top [m-n+1..m] is the unique maximal element, and its rank n(m-n+1)+1
+    is the rank of the poset.
+    """
 
     def __init__(self, m: int, n: int):
         self.m = m
@@ -63,8 +98,6 @@ class BPoset:
         self.elements: tuple[GeneratorLabel, ...] = tuple(canonical_labels(m, n))
         self._pos = {e: i for i, e in enumerate(self.elements)}
         self._down, self._up = self._order_sets()
-        self._ranks: list[int] | None = None
-        self._covers: list[tuple[int, int]] | None = None
         self._lattice: tuple[list[list], list[list]] | None = None
 
     def __len__(self):
@@ -113,18 +146,27 @@ class BPoset:
         return down, up
 
     def _cover_pairs(self) -> list[tuple[int, int]]:
-        """(i, j) with j covering i, i ascending, then j: the interval
-        up(i) & down(j) is exactly {i, j}, so i < j with nothing strictly
-        between.  (When i is not below j the interval is empty.)"""
-        if self._covers is None:
-            down, up = self._down, self._up
-            self._covers = [
-                (i, j)
-                for i, above in enumerate(up)
-                for j, below in enumerate(down)
-                if i != j and above & below == 1 << i | 1 << j
-            ]
-        return self._covers
+        """(i, j) with j covering i, i ascending, then j: the closed-form
+        covers of the class docstring.  For Q_j, Q_{j+1} comes before the
+        minor; for a minor, the last coordinate is bumped first, as
+        lexicographic order is index order."""
+        m, n, pos = self.m, self.n, self._pos
+        pairs = []
+        for i, e in enumerate(self.elements):
+            if e.is_q:
+                j = e.q_index
+                up = [Q(j + 1)] if j < m else []
+                if j >= n:
+                    up.append(M((*range(1, n), j)))
+            else:
+                rows, bound = e.rows, e.rows[1:] + (m + 1,)
+                up = [
+                    M(rows[:k] + (rows[k] + 1,) + rows[k + 1:])
+                    for k in reversed(range(n))
+                    if rows[k] + 1 < bound[k]
+                ]
+            pairs.extend((i, pos[u]) for u in up)
+        return pairs
 
     def _lattice_tables(self) -> tuple[list[list], list[list]]:
         """Meet and join tables by element index, None where none exists.
@@ -159,27 +201,16 @@ class BPoset:
         # in (a, b) order by `sort_key`: canonical index order is that order
         return [(self.elements[i], self.elements[j]) for i, j in self._cover_pairs()]
 
-    def _rank_vector(self) -> list[int]:
-        # longest path over the Hasse DAG; canonical order is a linear
-        # extension, so a single forward sweep suffices
-        if self._ranks is None:
-            size = len(self.elements)
-            preds: list[list[int]] = [[] for _ in range(size)]
-            for i, j in self._cover_pairs():
-                preds[j].append(i)
-            ranks = [1] * size
-            for j in range(size):
-                if preds[j]:
-                    ranks[j] = 1 + max(ranks[i] for i in preds[j])
-            self._ranks = ranks
-        return self._ranks
-
     def rank(self, e: GeneratorLabel) -> int:
-        """Number of elements in the longest chain ending at e."""
-        return self._rank_vector()[self._pos[e]]
+        """Number of elements in the longest chain ending at e, in closed
+        form (class docstring)."""
+        if e.is_q:
+            return e.q_index
+        return self.n + 1 + sum(r - k for k, r in enumerate(e.rows, start=1))
 
     def poset_rank(self) -> int:
-        return max(self._rank_vector())
+        """n(m-n+1)+1, the rank of the top minor [m-n+1..m]."""
+        return self.n * (self.m - self.n + 1) + 1
 
     def rank_classes(self) -> list[list[GeneratorLabel]]:
         """Elements grouped by rank, ranks ascending; classes partition B."""

@@ -103,12 +103,17 @@ def hsop(instance: ResidualInstance) -> list[Polynomial]:
     """
     if instance.n == 1:
         return [instance.ring.var(xvar(i, 1)) for i in range(1, instance.m + 1)]
+    # one sort per class: adding the polynomials one by one re-sorts the
+    # growing sum for every generator
+    ring = instance.ring
+    add = ring.field.add
     sums = []
     for cls in instance.poset.rank_classes():
-        acc = instance.ring.zero
+        acc: dict = {}
         for lab in cls:
-            acc = acc + instance.polynomials[lab]
-        sums.append(acc)
+            for e, c in instance.polynomials[lab]._terms:
+                acc[e] = add(acc[e], c) if e in acc else c
+        sums.append(ring._from_dict(acc))
     return sums
 
 

@@ -19,7 +19,7 @@ the big cell of one minor.  `rewrite_in_full` substitutes the D
 polynomials into a fraction over D in all of K[X, y], where
 `transcendence.verify_rewrite` substitutes on the big cell of the main
 minor.  `cover_pairs_by_triples` finds the covers of a poset by testing
-every triple, where `BPoset` intersects bitsets, and
+every triple, where `BPoset` lists them in closed form, and
 `distributive_by_triples` tests the distributive law on every triple,
 where `verify_asl1` tests Birkhoff's criterion on every pair.
 `BlockOrder` and `exact_div` are the order and the division the

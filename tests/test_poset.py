@@ -132,7 +132,7 @@ def test_threshold_order_sets_match_less_eq(m, n):
             assert (poset._down[j] >> i & 1, poset._up[i] >> j & 1) == (less_eq(a, b),) * 2
 
 
-@pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (9, 5), (12, 4)])
+@pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (9, 5), (12, 4), (8, 1), (5, 5), (6, 5)])
 def test_bitset_covers_match_the_triple_test(m, n):
     poset = BPoset(m, n)
     assert poset._cover_pairs() == cover_pairs_by_triples(poset)
@@ -202,6 +202,13 @@ def test_rank_two_routes_agree(m):
         memo = {}
         for e in poset.elements:
             assert poset.rank(e) == recursive_rank(poset, e, memo)
+
+
+@pytest.mark.parametrize("m,n", [(6, 1), (5, 5), (9, 5), (12, 4)])
+def test_closed_rank_is_the_longest_chain(m, n):
+    poset = BPoset(m, n)
+    memo = {}
+    assert all(poset.rank(e) == recursive_rank(poset, e, memo) for e in poset.elements)
 
 
 @pytest.mark.parametrize("m", range(2, 9))
@@ -377,12 +384,14 @@ def test_lattice_tables_match_brute_force(m, n):
 def test_asl1_needs_a_distributive_lattice(monkeypatch, size, pairs, lattice):
     # every leading monomial is 0 and the rank check always passes, so only
     # the lattice conditions decide; the pentagon and the diamond are the
-    # lattices that are not distributive
+    # lattices that are not distributive.  The closed-form covers read
+    # labels, so the injected order's covers come from the triple test
     poset = BPoset(2, 2)
     poset.elements = tuple(range(size))
     leq = [[i == j or (i, j) in pairs for j in range(size)] for i in range(size)]
     poset._down = [sum(leq[i][j] << i for i in range(size)) for j in range(size)]
     poset._up = [sum(leq[i][j] << j for j in range(size)) for i in range(size)]
+    monkeypatch.setattr(poset, "_cover_pairs", lambda: cover_pairs_by_triples(poset))
     zero = types.SimpleNamespace(leading_monomial=lambda: (0,))
     inst = types.SimpleNamespace(poset=poset, polynomials=dict.fromkeys(poset.elements, zero))
     monkeypatch.setattr(poset_module.linalg, "rank", lambda rows: poset.poset_rank())
