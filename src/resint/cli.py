@@ -138,15 +138,19 @@ def cmd_generate(config: RunConfig) -> list[Path]:
     out.mkdir(parents=True, exist_ok=True)
     instance = build_instance(config.m, config.n, field=config.field)
     written = []
+    # each generator is rendered once, for both files that print it
+    lines = {
+        lab: f"{lab.text} = {poly_text(instance.polynomials[lab])}\n"
+        for lab in instance.labels
+    }
 
     gen_path = out / "generators.poly"
-    gen_path.write_text(
-        "".join(
-            f"{lab.text} = {poly_text(instance.polynomials[lab])}\n"
-            for lab in instance.labels
-        )
-    )
+    gen_path.write_text("".join(lines.values()))
     written.append(gen_path)
+    if config.n >= 2:
+        d_text = "".join(lines[lab] for lab in build_D(config.m, config.n))
+    # the lines are the size of generators.poly; free them before hsop's peak
+    del lines
 
     hsop_path = out / "hsop.poly"
     hsop_path.write_text("".join(poly_text(w) + "\n" for w in hsop(instance)))
@@ -158,12 +162,7 @@ def cmd_generate(config: RunConfig) -> list[Path]:
 
     if config.n >= 2:
         d_path = out / "transcendence_basis.poly"
-        d_path.write_text(
-            "".join(
-                f"{lab.text} = {poly_text(instance.polynomials[lab])}\n"
-                for lab in build_D(config.m, config.n)
-            )
-        )
+        d_path.write_text(d_text)
         written.append(d_path)
     return written
 

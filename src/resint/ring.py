@@ -16,6 +16,7 @@ All values are immutable after construction; operations are pure.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import operator
 from fractions import Fraction
@@ -351,12 +352,16 @@ def _display_key(v: VariableId) -> tuple:
 
 
 def monomial_text(ring: "PolynomialRing", exps: tuple[int, ...]) -> str:
-    """Render exponents with x[i][j] factors first, then y, t, Y."""
-    pairs = sorted(
-        ((v, e) for v, e in zip(ring.vars, exps) if e),
-        key=lambda ve: _display_key(ve[0]),
-    )
-    parts = [v.text if e == 1 else f"{v.text}^{e}" for v, e in pairs]
+    """Render exponents with x[i][j] factors first, then y, t, Y.
+
+    Walks the ring's display table: its variable positions in display
+    order and their texts, both built once per ring."""
+    texts = ring.var_texts
+    parts = []
+    for i in ring.display_order:
+        e = exps[i]
+        if e:
+            parts.append(texts[i] if e == 1 else f"{texts[i]}^{e}")
     return "*".join(parts) if parts else "1"
 
 
@@ -583,6 +588,11 @@ class PolynomialRing:
         if len(set(self.vars)) != len(self.vars):
             raise ValueError("duplicate variables in ring")
         self.index = {v: i for i, v in enumerate(self.vars)}
+        # the display table of `monomial_text`
+        self.var_texts = tuple(v.text for v in self.vars)
+        self.display_order = tuple(
+            sorted(range(len(self.vars)), key=lambda i: _display_key(self.vars[i]))
+        )
         self.order = order if order is not None else Lex()
         self._zero_exps = (0,) * len(self.vars)
         self.zero = Polynomial(self, ())
@@ -694,20 +704,29 @@ def minor(ring: PolynomialRing, rows: Sequence[int]) -> Polynomial:
     Entries are distinct variables, so no cancellation can occur: the
     minor is the sum over the permutations p of 1..n of
     sign(p) * x[rows[0]][p(1)] * ... * x[rows[n-1]][p(n)], whose n! terms
-    have distinct monomials.  The sign is (-1) to the number of inversions.
+    have distinct monomials.  The sign is (-1) to the number of inversions,
+    read from the permutation table of n.
     """
     rows = _check_rows(ring, rows)
     field = ring.field
     signs = (field.one, field.neg(field.one))
     positions = [[ring.index[xvar(r, j)] for j in range(1, ring.n + 1)] for r in rows]
     terms = {}
-    for perm in itertools.permutations(range(ring.n)):
+    for perm, parity in _signed_permutations(ring.n):
         exps = list(ring._zero_exps)
         for row, j in zip(positions, perm):
             exps[row[j]] = 1
-        inversions = sum(a > b for a, b in itertools.combinations(perm, 2))
-        terms[tuple(exps)] = signs[inversions % 2]
+        terms[tuple(exps)] = signs[parity]
     return ring._from_dict(terms)
+
+
+@functools.cache
+def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """Every permutation of 0..n-1 with the parity of its inversion count."""
+    return tuple(
+        (perm, sum(a > b for a, b in itertools.combinations(perm, 2)) % 2)
+        for perm in itertools.permutations(range(n))
+    )
 
 
 def det_laplace(ring: PolynomialRing, matrix: list[list[Polynomial]]) -> Polynomial:

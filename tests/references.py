@@ -22,6 +22,8 @@ minor.  `cover_pairs_by_triples` finds the covers of a poset by testing
 every triple, where `BPoset` lists them in closed form, and
 `distributive_by_triples` tests the distributive law on every triple,
 where `verify_asl1` tests Birkhoff's criterion on every pair.
+`monomial_text_by_sort` renders a monomial by sorting its variables per
+term, where `ring.monomial_text` walks the ring's display table.
 `BlockOrder` and `exact_div` are the order and the division the
 eliminations use.  All are bounded: the eliminations grow fast with the
 instance, the axiom check proves nothing past its degree, and subduction
@@ -39,7 +41,17 @@ from resint import groebner, linalg
 from resint.groebner import IdealBasis
 from resint.labels import M
 from resint.poset import StraighteningRelation, bordered_relation, less_eq, straighten_product
-from resint.ring import QQ, MonomialOrder, Polynomial, PolynomialRing, _unit_row, q_entry, tvar, yvar
+from resint.ring import (
+    QQ,
+    MonomialOrder,
+    Polynomial,
+    PolynomialRing,
+    _display_key,
+    _unit_row,
+    q_entry,
+    tvar,
+    yvar,
+)
 from resint.sagbi import (
     MonomialAlgebraMap,
     SubductionFailure,
@@ -276,6 +288,16 @@ def cover_pairs_by_triples(poset) -> list[tuple[int, int]]:
         and leq(i, j)
         and not any(k != i and k != j and leq(i, k) and leq(k, j) for k in range(size))
     ]
+
+
+def monomial_text_by_sort(ring: PolynomialRing, exps: tuple[int, ...]) -> str:
+    """Render exponents with x[i][j] factors first, then y, t, Y."""
+    pairs = sorted(
+        ((v, e) for v, e in zip(ring.vars, exps) if e),
+        key=lambda ve: _display_key(ve[0]),
+    )
+    parts = [v.text if e == 1 else f"{v.text}^{e}" for v, e in pairs]
+    return "*".join(parts) if parts else "1"
 
 
 def distributive_by_triples(poset) -> bool:

@@ -10,6 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from references import monomial_text_by_sort
+from resint import ring as ring_module
+from resint.groebner import _extended_ring
 from resint.labels import M, Q
 from resint.poset import StraighteningRelation, bordered_relation, straighten
 from resint.residual import build_instance
@@ -25,11 +28,15 @@ from resint.ring import (
     ambient_ring,
     det_laplace,
     minor,
+    monomial_text,
     poly_text,
+    pvar,
     q_entry,
     xvar,
     yvar,
 )
+from resint.sagbi import toric_kernel
+from resint.transcendence import DContext
 
 
 def leibniz_minor(ring, rows):
@@ -214,7 +221,7 @@ def test_minor_against_leibniz_oracle(m, n, rows):
     assert minor(R, rows) == leibniz_minor(R, rows)
 
 
-@pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (6, 5)])
+@pytest.mark.parametrize("m,n", [(3, 1), (4, 2), (6, 3), (8, 4), (6, 5), (7, 5)])
 def test_minor_equals_the_cofactor_expansion(m, n):
     R = ambient_ring(m, n)
     for rows in itertools.combinations(range(1, m + 1), n):
@@ -460,6 +467,83 @@ def test_serialization_prime_field_residues():
 def test_serialization_zero():
     R = ambient_ring(2, 2)
     assert poly_text(R.zero) == "0"
+
+
+def _rendered_by_sort(f, monkeypatch) -> str:
+    """`poly_text` with each monomial rendered by the per-term sort."""
+    with monkeypatch.context() as patch:
+        patch.setattr(ring_module, "monomial_text", monomial_text_by_sort)
+        return poly_text(f)
+
+
+def _assert_renders_as_by_sort(polys, monkeypatch):
+    for f in polys:
+        for e, _ in f._terms:
+            assert monomial_text(f.ring, e) == monomial_text_by_sort(f.ring, e)
+        assert poly_text(f) == _rendered_by_sort(f, monkeypatch)
+
+
+def _signed_and_squared(R, m, n):
+    """Q_1**2, a negative coefficient and a Fraction coefficient."""
+    main = minor(R, tuple(range(1, n + 1)))
+    return q_entry(R, 1) ** 2 - main * 3 + q_entry(R, m) * R.const(Fraction(2, 3))
+
+
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+@pytest.mark.parametrize("m,n", [(4, 2), (6, 5), (11, 3)])
+def test_poly_text_matches_the_per_term_sort_on_ambient_rings(m, n, field, monkeypatch):
+    R = ambient_ring(m, n, field=field)
+    polys = [minor(R, rows) for rows in itertools.combinations(range(1, m + 1), n)]
+    polys += [q_entry(R, i) for i in range(1, m + 1)]
+    polys.append(_signed_and_squared(R, m, n))
+    _assert_renders_as_by_sort(polys, monkeypatch)
+    if m == 11:
+        # rows compare as ints: 10 and 11 display after 9
+        assert "x[9][1]*x[10][2]*x[11][3]" in poly_text(minor(R, (9, 10, 11)))
+    if field == QQ:
+        text = poly_text(_signed_and_squared(R, m, n))
+        assert " - 3*x[1][1]*" in text and f"2/3*x[{m}][1]*y[1]" in text
+        assert "^2" in text
+
+
+def test_poly_text_matches_the_per_term_sort_on_the_presentation_ring(monkeypatch):
+    kernel = toric_kernel(build_instance(5, 2), hibi=True)
+    pring = kernel.mam.pring
+    assert pvar(15) in pring.index
+    top = pring.var(pvar(15))
+    polys = list(kernel.generators) + [pring.var(pvar(2)) * top**2 - top * pring.const(Fraction(1, 2))]
+    _assert_renders_as_by_sort(polys, monkeypatch)
+    assert poly_text(pring.var(pvar(2)) * top) == "Y[2]*Y[15]"
+
+
+def test_poly_text_matches_the_per_term_sort_on_the_d_ring(monkeypatch):
+    instance = build_instance(5, 3)
+    context = DContext(instance)
+    dring = context.dring
+    fractions = [context.fraction(lab) for lab in instance.labels]
+    product = dring.one
+    for v in context.dvars:
+        product = product * dring.var(v)
+    polys = [frac.num for frac in fractions] + [frac.den_poly() for frac in fractions]
+    polys.append(product * dring.var(context.dvars[1]) - dring.const(Fraction(-5, 7)))
+    _assert_renders_as_by_sort(polys, monkeypatch)
+    assert poly_text(product).startswith("Y[1]*Y[2]*Y[3]*")
+    assert poly_text(product).endswith("*Y[9]*Y[10]")
+
+
+def test_poly_text_matches_the_per_term_sort_on_slack_rings(monkeypatch):
+    R = ambient_ring(4, 2)
+    ext, t = _extended_ring(R, GrevLex())
+    ext2, t1 = _extended_ring(ext, GrevLex())
+    assert (t.text, t1.text) == ("t", "t1")
+    q1 = q_entry(R, 1).convert(ext2)
+    polys = [
+        ext2.one - ext2.var(t1) * minor(R, (1, 2)).convert(ext2),
+        ext2.var(t) ** 2 * ext2.var(t1) * q1 * 5 - ext2.var(t) * ext2.const(Fraction(3, 4)),
+        ext.one - ext.var(t) * q_entry(R, 3).convert(ext),
+    ]
+    _assert_renders_as_by_sort(polys, monkeypatch)
+    assert "x[1][1]*y[1]*t^2*t1" in poly_text(polys[1])
 
 
 def test_exact_division_roundtrip():
