@@ -24,7 +24,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded
 from .labels import GeneratorLabel, M, Q, canonical_labels
-from .ring import NotIncomparable, xvar
+from .ring import NotIncomparable, xvar, yvar
 
 
 class StraighteningBudgetExceeded(BudgetExceeded):
@@ -59,9 +59,29 @@ class BPoset:
     Q_1 < ... < Q_m glued below the maximal minors, which are ordered
     componentwise on their row sets (`less_eq`).
 
+    The poset is read off one map into Z^{n+1}, the row coordinates
+    (`coords`):
+
+        Q_i -> (0, 1-n, ..., -1, i),    [r_1..r_n] -> (1, r_1, ..., r_n).
+
+    `less_eq` is the componentwise order on the image.  Two Q's share
+    every entry but the last, and two minors the first, so there it is the
+    clause itself.  Q_j <= [R] componentwise exactly when j <= r_n, as 0 < 1
+    and the fixed entries 1-n..-1 are below every row; and a minor is never
+    below a Q, as 1 > 0.  At n = 1 there are no fixed entries, and the
+    image is the 2 x m grid {0, 1} x {1..m}.
+
+    The image is closed under componentwise min and max.  The min, and
+    the max, of two strictly increasing row sets is strictly increasing;
+    Q_i ^ [R] = Q_min(i, r_n), as each fixed entry is below r_k; and
+    Q_i v [R] = [r_1..r_{n-1}, max(i, r_n)], increasing as
+    max(i, r_n) >= r_n.  So the poset is a lattice whose meet and join are
+    the componentwise min and max (`meet`, `join`); as a sublattice of
+    Z^{n+1} it is distributive.
+
     The order is held as down- and up-set bitsets by element index.  The
-    grading is read off the row coordinates (Bruns and Vetter, *Determinantal
-    Rings*, LNM 1327, 1988, for the minors):
+    grading is read off the row coordinates too (Bruns and Vetter,
+    *Determinantal Rings*, LNM 1327, 1988, for the minors):
 
         rank(Q_i) = i,    rank([r_1..r_n]) = n + 1 + sum_k (r_k - k),
 
@@ -98,7 +118,6 @@ class BPoset:
         self.elements: tuple[GeneratorLabel, ...] = tuple(canonical_labels(m, n))
         self._pos = {e: i for i, e in enumerate(self.elements)}
         self._down, self._up = self._order_sets()
-        self._lattice: tuple[list[list], list[list]] | None = None
 
     def __len__(self):
         return len(self.elements)
@@ -114,36 +133,38 @@ class BPoset:
 
     # -- covers and rank ----------------------------------------------------
 
+    def coords(self, e: GeneratorLabel) -> tuple[int, ...]:
+        """The row coordinates of e in Z^{n+1} (class docstring)."""
+        if e.is_q:
+            return (0, *range(1 - self.n, 0), e.q_index)
+        return (1, *e.rows)
+
+    def _label(self, c: Sequence[int]) -> GeneratorLabel:
+        """The element whose row coordinates are c."""
+        return M(c[1:]) if c[0] else Q(c[-1])
+
     def _order_sets(self) -> tuple[list[int], list[int]]:
         """Down- and up-sets as bitsets by element index: bit i of down[j],
         and bit j of up[i], is set exactly when element i <= element j
         (`less_eq`).
 
-        Built from per-coordinate thresholds, with no pair compared: below
-        the minor [r_1..r_n] lie the minors whose k-th row is <= r_k for
-        every k (an AND over k) and the Q_i with i <= r_n; below Q_j lie the
-        Q_i with i <= j.  Above the minor lie the minors whose k-th row is
-        >= r_k for every k; above Q_i, the Q_j with j >= i and the minors
-        whose last row is >= i."""
-        m, n = self.m, self.n
-        # Q_i is element i - 1; minor bits are set from element m on
-        q_upto = [(1 << i) - 1 for i in range(m + 1)]
-        at = [[0] * (m + 2) for _ in range(n)]
-        for idx, e in enumerate(self.elements[m:], start=m):
-            for k, r in enumerate(e.rows):
-                at[k][r] |= 1 << idx
+        Built from per-coordinate thresholds of `coords`, with no pair
+        compared: below c lie the elements whose k-th coordinate is <= c_k
+        for every k (an AND over k of one prefix OR per coordinate), and
+        above c those whose k-th coordinate is >= c_k for every k."""
+        low = 1 - self.n  # the least coordinate: 1 - n <= 0 <= c_0
+        coords = [self.coords(e) for e in self.elements]
+        at = [[0] * (self.m + 1 - low) for _ in range(self.n + 1)]
+        for idx, c in enumerate(coords):
+            for k, v in enumerate(c):
+                at[k][v - low] |= 1 << idx
         below = [list(itertools.accumulate(row, operator.or_)) for row in at]
         above = [list(itertools.accumulate(reversed(row), operator.or_))[::-1] for row in at]
-        down, up = [], []
-        for e in self.elements:
-            if e.is_q:
-                down.append(q_upto[e.q_index])
-                up.append(q_upto[m] & ~q_upto[e.q_index - 1] | above[n - 1][e.q_index])
-            else:
-                lower = (b[r] for b, r in zip(below, e.rows))
-                down.append(functools.reduce(operator.and_, lower) | q_upto[e.rows[-1]])
-                up.append(functools.reduce(operator.and_, (a[r] for a, r in zip(above, e.rows))))
-        return down, up
+
+        def every(sets, c):
+            return functools.reduce(operator.and_, (t[v - low] for t, v in zip(sets, c)))
+
+        return [every(below, c) for c in coords], [every(above, c) for c in coords]
 
     def _cover_pairs(self) -> list[tuple[int, int]]:
         """(i, j) with j covering i, i ascending, then j: the closed-form
@@ -168,33 +189,13 @@ class BPoset:
             pairs.extend((i, pos[u]) for u in up)
         return pairs
 
-    def _lattice_tables(self) -> tuple[list[list], list[list]]:
-        """Meet and join tables by element index, None where none exists.
-
-        Canonical order is a linear extension, so a meet can only be the
-        last element common to both down-sets, and it is one when its own
-        down-set is that whole intersection; joins are read off the
-        up-sets alike, from the first common element."""
-        if self._lattice is None:
-            down, up = self._down, self._up
-
-            def table(sets, pick):
-                return [
-                    [pick(c) if c and sets[pick(c)] == c else None for c in (s & t for t in sets)]
-                    for s in sets
-                ]
-
-            self._lattice = (
-                table(down, lambda c: c.bit_length() - 1),
-                table(up, lambda c: (c & -c).bit_length() - 1),
-            )
-        return self._lattice
-
     def meet(self, a: GeneratorLabel, b: GeneratorLabel) -> GeneratorLabel:
-        return self.elements[self._lattice_tables()[0][self._pos[a]][self._pos[b]]]
+        """The componentwise min of the row coordinates (class docstring)."""
+        return self._label(tuple(map(min, self.coords(a), self.coords(b))))
 
     def join(self, a: GeneratorLabel, b: GeneratorLabel) -> GeneratorLabel:
-        return self.elements[self._lattice_tables()[1][self._pos[a]][self._pos[b]]]
+        """The componentwise max of the row coordinates (class docstring)."""
+        return self._label(tuple(map(max, self.coords(a), self.coords(b))))
 
     def hasse_edges(self) -> list[tuple[GeneratorLabel, GeneratorLabel]]:
         """All cover pairs (a, b): a < b with nothing strictly between."""
@@ -234,10 +235,9 @@ def witness_chain(m: int, n: int) -> list[GeneratorLabel]:
     """An explicit maximum chain: Q1<..<Qn<[1..n]<... of length n(m-n+1)+1.
 
     After the Q prefix, the minor coordinates are walked up one unit at a
-    time, last coordinate first, until [m-n+1..m] is reached.
+    time, last coordinate first, until [m-n+1..m] is reached.  Each step is
+    a cover (`BPoset`).  At n = 1 the chain is Q1 < [1] < ... < [m].
     """
-    if n < 2:
-        raise ValueError("the chain pattern needs n >= 2")
     chain = [Q(i) for i in range(1, n + 1)]
     rows = list(range(1, n + 1))
     chain.append(M(rows))
@@ -550,65 +550,63 @@ def straighten_product(
 def verify_asl1(instance, budget: Budget | None = None) -> bool:
     """Distinct leading monomials of the standard monomials, in every degree.
 
-    Three finite conditions on the generator poset L make the certificate:
+    The generator poset L is a distributive lattice: its row coordinates
+    embed it in Z^{n+1} with an image closed under componentwise min and
+    max (`BPoset`), so L is a sublattice of Z^{n+1}, hence distributive,
+    and a ^ b and a v b are the componentwise min and max.  Two finite
+    conditions then make the certificate, with c = coords(e):
 
-    (i)   L is a distributive lattice: every pair has a meet and a join,
-          and phi(a v b) = phi(a) | phi(b) for every pair, where phi(a) is
-          the set of join-irreducibles below a (Birkhoff's criterion);
-    (ii)  lm(a) + lm(b) = lm(a^b) + lm(a v b) for every pair;
-    (iii) the leading exponent vectors have rank `poset_rank`.
+    (i)  the leading monomial of each element e is its closed form,
+         x[c_1][1] * ... * x[c_n][n] when c_0 = 1 (a minor), and
+         x[c_n][n] * y_n when c_0 = 0 (a Q);
+    (ii) the leading monomials of `witness_chain`, a maximal chain of L,
+         have rank `poset_rank`.
+
+    Why they suffice.  By (i), lm(e) is a sum of one term per coordinate:
+    y_n when c_0 = 0, and x[c_k][k] for each k >= 1 with c_k >= 1 (the
+    fixed entries of a Q are negative and add nothing).  In each
+    coordinate {min(a_k, b_k), max(a_k, b_k)} = {a_k, b_k}, so the number
+    of y_n factors of a and b together equals that of a ^ b and a v b (the
+    zeros in coordinate 0), and so on for each x factor:
+
+        lm(a) + lm(b) = lm(a ^ b) + lm(a v b)    for every pair.
 
     By Hibi ("Distributive lattices, affine semigroup rings and algebras
     with straightening laws", 1987), K[u]/(u_a u_b - u_{a^b} u_{a v b}) is
     a domain of dimension `poset_rank` whose multichains form a K-basis.
-    By (ii) it maps onto the monomial algebra of the leading monomials,
-    which by (iii) has the same dimension, so the map is an isomorphism:
-    distinct standard monomials have distinct leading monomials in every
-    degree, and the toric kernel is generated by those binomials.
-    Spanning in every degree follows from the relations `verify_asl2`
-    verifies and their least-label condition (De Concini, Eisenbud and
-    Procesi, *Hodge Algebras*, 1982), so it is not recomputed here.
+    By the identity above, u_a -> x^lm(a) maps it onto the monomial
+    algebra of the leading monomials.  That algebra's dimension is the
+    rank of its exponent vectors: at least `poset_rank` by (ii), and at
+    most `poset_rank` as a quotient of the Hibi ring.  The kernel is a
+    prime of the Hibi ring, and a nonzero one would lower the dimension.
+    So the map is an isomorphism: distinct standard monomials have
+    distinct leading monomials in every degree, and the toric kernel is
+    generated by those binomials.  Spanning in every degree follows from
+    the relations `verify_asl2` verifies and their least-label condition
+    (De Concini, Eisenbud and Procesi, *Hodge Algebras*, 1982), so it is
+    not recomputed here.
 
-    Why the pair test of (i) decides distributivity.  In a finite lattice
-    the join-irreducibles J are the elements with exactly one lower cover
-    (the bottom has none), and every a is the join of phi(a) = down(a) & J,
-    by induction on down(a).  So a <= b exactly when phi(a) <= phi(b), and
-    phi is injective.  phi(a ^ b) = phi(a) & phi(b) always holds, and
-    phi(a v b) contains phi(a) | phi(b) always.  If L is distributive, a
-    j in J below a v b is j = (j ^ a) v (j ^ b), so j = j ^ a or j = j ^ b
-    and j lies in phi(a) | phi(b): the test passes.  If the test passes,
-    phi is an injective lattice map into the subsets of J, so L is a
-    sublattice of a distributive lattice, hence distributive.
-
-    No polynomial is expanded.  The wall-clock budget is read before each
-    row of the pair test; `lattice_rows_checked` counts the rows done.
+    No polynomial is expanded and no pair is visited.  The wall-clock
+    budget is read before each element's lead check;
+    `lattice_rows_checked` counts the elements done.
     """
-    poset = instance.poset
+    poset, n, index = instance.poset, instance.poset.n, instance.ring.index
     deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
-    meet, join = poset._lattice_tables()
-    if any(None in row for row in meet + join):
-        return False
-    lower_covers = [0] * len(poset.elements)
-    for _, j in poset._cover_pairs():
-        lower_covers[j] += 1
-    irreducible = sum(1 << j for j, count in enumerate(lower_covers) if count == 1)
-    phi = [d & irreducible for d in poset._down]
-    for a, join_a in enumerate(join):
+    for done, e in enumerate(poset.elements):
         if time.monotonic() > deadline:
-            raise BudgetExceeded("wall-clock budget exhausted", {"lattice_rows_checked": a})
-        if any(phi[ab] != phi[a] | phi[b] for b, ab in enumerate(join_a)):
+            raise BudgetExceeded("wall-clock budget exhausted", {"lattice_rows_checked": done})
+        c = poset.coords(e)
+        if c[0]:
+            factors = [xvar(r, k) for k, r in enumerate(c[1:], start=1)]
+        else:
+            factors = [xvar(c[n], n), yvar(n)]
+        lead = [0] * len(index)
+        for v in factors:
+            lead[index[v]] += 1
+        if instance.polynomials[e].leading_monomial() != tuple(lead):
             return False
-    lms = [instance.polynomials[e].leading_monomial() for e in poset.elements]
-
-    def summed(i, j):
-        return tuple(map(operator.add, lms[i], lms[j]))
-
-    # a comparable pair passes when its table entries are right, so every
-    # pair is checked, which also checks those entries
-    for i, j in itertools.combinations(range(len(lms)), 2):
-        if summed(i, j) != summed(meet[i][j], join[i][j]):
-            return False
-    return linalg.rank(lms) == poset.poset_rank()
+    chain = [instance.polynomials[e].leading_monomial() for e in witness_chain(poset.m, n)]
+    return linalg.rank(chain) == poset.poset_rank()
 
 
 def incomparable_pairs(poset: BPoset) -> list[tuple[GeneratorLabel, GeneratorLabel]]:

@@ -19,9 +19,14 @@ the big cell of one minor.  `rewrite_in_full` substitutes the D
 polynomials into a fraction over D in all of K[X, y], where
 `transcendence.verify_rewrite` substitutes on the big cell of the main
 minor.  `cover_pairs_by_triples` finds the covers of a poset by testing
-every triple, where `BPoset` lists them in closed form, and
-`distributive_by_triples` tests the distributive law on every triple,
-where `verify_asl1` tests Birkhoff's criterion on every pair.
+every triple, where `BPoset` lists them in closed form.
+`lattice_tables` reads every meet and join off the order bitsets, where
+`BPoset.meet` and `BPoset.join` take the componentwise min and max of the
+row coordinates.  `distributive_by_pairs` tests Birkhoff's criterion on
+every pair of those tables, and `distributive_by_triples` the
+distributive law on every triple, where `verify_asl1` proves the lattice
+distributive from the row coordinates.  Both also decide posets that are
+not the generator poset.
 `monomial_text_by_sort` renders a monomial by sorting its variables per
 term, where `ring.monomial_text` walks the ring's display table.
 `BlockOrder` and `exact_div` are the order and the division the
@@ -300,10 +305,59 @@ def monomial_text_by_sort(ring: PolynomialRing, exps: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def lattice_tables(poset) -> tuple[list[list], list[list]]:
+    """Meet and join tables by element index, None where none exists, read
+    off the down- and up-set bitsets alone.
+
+    Canonical order is a linear extension, so a meet can only be the
+    last element common to both down-sets, and it is one when its own
+    down-set is that whole intersection; joins are read off the up-sets
+    alike, from the first common element."""
+
+    def table(sets, pick):
+        return [
+            [pick(c) if c and sets[pick(c)] == c else None for c in (s & t for t in sets)]
+            for s in sets
+        ]
+
+    return (
+        table(poset._down, lambda c: c.bit_length() - 1),
+        table(poset._up, lambda c: (c & -c).bit_length() - 1),
+    )
+
+
+def distributive_by_pairs(poset) -> bool:
+    """Every pair has a meet and a join, and phi(a v b) = phi(a) | phi(b)
+    for every pair, where phi(a) is the set of join-irreducibles below a
+    (Birkhoff's criterion), read off the meet and join tables.
+
+    Why the pair test decides distributivity.  In a finite lattice the
+    join-irreducibles J are the elements with exactly one lower cover (the
+    bottom has none), and every a is the join of phi(a) = down(a) & J, by
+    induction on down(a).  So a <= b exactly when phi(a) <= phi(b), and
+    phi is injective.  phi(a ^ b) = phi(a) & phi(b) always holds, and
+    phi(a v b) contains phi(a) | phi(b) always.  If L is distributive, a
+    j in J below a v b is j = (j ^ a) v (j ^ b), so j = j ^ a or j = j ^ b
+    and j lies in phi(a) | phi(b): the test passes.  If the test passes,
+    phi is an injective lattice map into the subsets of J, so L is a
+    sublattice of a distributive lattice, hence distributive."""
+    meet, join = lattice_tables(poset)
+    if any(None in row for row in meet + join):
+        return False
+    lower_covers = [0] * len(poset.elements)
+    for _, j in poset._cover_pairs():
+        lower_covers[j] += 1
+    irreducible = sum(1 << j for j, count in enumerate(lower_covers) if count == 1)
+    phi = [d & irreducible for d in poset._down]
+    return all(
+        phi[ab] == phi[a] | phi[b] for a, join_a in enumerate(join) for b, ab in enumerate(join_a)
+    )
+
+
 def distributive_by_triples(poset) -> bool:
     """Every pair has a meet and a join, and a^(b v c) = (a^b) v (a^c) for
     every triple, read off the meet and join tables."""
-    meet, join = poset._lattice_tables()
+    meet, join = lattice_tables(poset)
     if any(None in row for row in meet + join):
         return False
     return all(

@@ -264,20 +264,20 @@ def test_a_budget_hit_is_attempted_once_per_run(tmp_path, monkeypatch):
     assert report["checks"]["transbasis"]["stats"] == report["checks"]["dims"]["stats"]
 
 
-def _wrong_join(monkeypatch):
-    # Q3 v [1,2] is [1,3] at (4,2); the table says [1,4]
-    from resint.poset import BPoset
+def _swapped_minors(monkeypatch):
+    # [1,2] and [3,4] trade polynomials at (4,2), so neither lead is its
+    # closed form x[r_1][1]*x[r_2][2]
+    from resint import cli
 
-    real = BPoset._lattice_tables
+    real = cli.build_instance
 
-    def wrong(self):
-        meet, join = real(self)
-        join = [list(row) for row in join]
-        index = self.elements.index
-        join[index(Q(3))][index(M([1, 2]))] = index(M([1, 4]))
-        return meet, join
+    def built(*args, **kwargs):
+        inst = real(*args, **kwargs)
+        polys = inst.polynomials
+        polys[M([1, 2])], polys[M([3, 4])] = polys[M([3, 4])], polys[M([1, 2])]
+        return inst
 
-    monkeypatch.setattr(BPoset, "_lattice_tables", wrong)
+    monkeypatch.setattr(cli, "build_instance", built)
 
 
 def _shared_leading_monomial(monkeypatch):
@@ -303,8 +303,8 @@ def _rank_one_short(monkeypatch):
 
 @pytest.mark.parametrize(
     "mutate",
-    [_wrong_join, _shared_leading_monomial, _rank_one_short],
-    ids=["wrong join", "shared leading monomial", "rank one short"],
+    [_swapped_minors, _shared_leading_monomial, _rank_one_short],
+    ids=["swapped minors", "shared leading monomial", "rank one short"],
 )
 def test_a_refuted_lattice_certificate_fails_asl_sagbi_squarefree(tmp_path, monkeypatch, mutate):
     mutate(monkeypatch)

@@ -16,10 +16,12 @@ import references
 from references import (
     asl1_by_expansion,
     cover_pairs_by_triples,
+    distributive_by_pairs,
     distributive_by_triples,
     enumerate_standard_monomials,
     expand_labels,
     is_standard,
+    lattice_tables,
     reexpands_in_full,
     straighten_by_solve,
 )
@@ -121,10 +123,10 @@ def test_hasse_32_brute_force_cover_oracle(inst32):
     assert set(poset.hasse_edges()) == expected
 
 
-@pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (9, 5), (12, 4)])
+@pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (9, 5), (12, 4), (8, 1), (5, 5), (1, 1)])
 def test_threshold_order_sets_match_less_eq(m, n):
-    # the down- and up-set bitsets, built from row thresholds, against
-    # less_eq on every ordered pair
+    # the down- and up-set bitsets, built from per-coordinate thresholds
+    # of the row coordinates, against less_eq on every ordered pair
     poset = BPoset(m, n)
     E = poset.elements
     for j, b in enumerate(E):
@@ -246,9 +248,9 @@ def test_witness_chain_33():
     assert len(chain) == 3 * (3 - 3 + 1) + 1
 
 
-@pytest.mark.parametrize("m", range(2, 8))
+@pytest.mark.parametrize("m", range(1, 8))
 def test_witness_chain_is_a_maximum_chain(m):
-    for n in range(2, m + 1):
+    for n in range(1, m + 1):
         chain = witness_chain(m, n)
         assert len(chain) == n * (m - n + 1) + 1
         for a, b in zip(chain, chain[1:]):
@@ -371,6 +373,19 @@ def test_lattice_tables_match_brute_force(m, n):
         assert poset.meet(a, b) in lower and poset.join(a, b) in upper
 
 
+@pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (9, 5), (12, 4), (8, 1), (5, 5), (1, 1)])
+def test_closed_meet_and_join_match_the_reference_tables(m, n):
+    # the componentwise min and max of the row coordinates against the
+    # tables read off the order bitsets, on every ordered pair
+    poset = BPoset(m, n)
+    E, pos = poset.elements, poset._pos
+    closed = (
+        [[pos[poset.meet(a, b)] for b in E] for a in E],
+        [[pos[poset.join(a, b)] for b in E] for a in E],
+    )
+    assert closed == lattice_tables(poset)
+
+
 @pytest.mark.parametrize(
     "size, pairs, lattice",
     [
@@ -382,9 +397,9 @@ def test_lattice_tables_match_brute_force(m, n):
     ids=["square", "pentagon", "diamond", "no meet"],
 )
 def test_asl1_needs_a_distributive_lattice(monkeypatch, size, pairs, lattice):
-    # every leading monomial is 0 and the rank check always passes, so only
-    # the lattice conditions decide; the pentagon and the diamond are the
-    # lattices that are not distributive.  The closed-form covers read
+    # both reference tests of the lattice that verify_asl1 proves
+    # distributive, on injected orders: the pentagon and the diamond are
+    # the lattices that are not distributive.  The closed-form covers read
     # labels, so the injected order's covers come from the triple test
     poset = BPoset(2, 2)
     poset.elements = tuple(range(size))
@@ -392,18 +407,16 @@ def test_asl1_needs_a_distributive_lattice(monkeypatch, size, pairs, lattice):
     poset._down = [sum(leq[i][j] << i for i in range(size)) for j in range(size)]
     poset._up = [sum(leq[i][j] << j for j in range(size)) for i in range(size)]
     monkeypatch.setattr(poset, "_cover_pairs", lambda: cover_pairs_by_triples(poset))
-    zero = types.SimpleNamespace(leading_monomial=lambda: (0,))
-    inst = types.SimpleNamespace(poset=poset, polynomials=dict.fromkeys(poset.elements, zero))
-    monkeypatch.setattr(poset_module.linalg, "rank", lambda rows: poset.poset_rank())
-    assert verify_asl1(inst) is lattice
+    assert distributive_by_pairs(poset) is lattice
     assert distributive_by_triples(poset) is lattice
 
 
-@pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (9, 4)])
+@pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (9, 4), (8, 1), (5, 5)])
 def test_pair_criterion_matches_the_triple_test(m, n):
-    # Birkhoff's pair criterion in verify_asl1 against the distributive law
-    # on every triple; both hold, and verify_asl1 passes
+    # Birkhoff's pair criterion against the distributive law on every
+    # triple; both hold, and verify_asl1 passes
     inst = build_instance(m, n)
+    assert distributive_by_pairs(inst.poset)
     assert distributive_by_triples(inst.poset)
     assert verify_asl1(inst)
 
