@@ -10,10 +10,11 @@ order, on one instance per field; results that several checks use (the
 straightening relations, the lattice certificate of the first
 straightening-law axiom, the verdict of the second, the toric kernel, the
 transcendence certificate) are computed once per run.  `sagbi` and
-`squarefree` follow from the two axioms, so only colon runs Buchberger.
-`_Run` is the one place that picks a check's field: only colon runs over
-the configured field; radical is certified by integer identities over Z,
-and the structural checks run over Q.  Each algebraic check records in
+`squarefree` follow from the two axioms, and colon proves a closed family
+a Groebner basis, so no check runs Buchberger.  `_Run` is the one place
+that picks a check's field: only colon runs over the configured field;
+radical is certified by integer identities over Z, and the structural
+checks run over Q.  Each algebraic check records in
 `holds_over` where its verdict holds.
 
 Exit codes for `verify`: 0 all checks true, 1 some check false, 2 resource

@@ -203,7 +203,8 @@ class _Packing:
     def unpack(self, m: int) -> tuple[int, ...]:
         return tuple(m.to_bytes(self.nvars, "little"))
 
-    def pack(self, exps: tuple[int, ...], trace: RunTrace | None = None) -> int:
+    @staticmethod
+    def pack(exps: tuple[int, ...], trace: RunTrace | None = None) -> int:
         if exps and max(exps) >= EXPONENT_LIMIT:
             raise _overflow(trace)
         return int.from_bytes(bytes(exps), "little")
@@ -350,6 +351,48 @@ def _reduce_terms(terms: list, reducers: _Reducers, field, trace=None, deadline=
     return _reduce(f, heap, reducers, field, trace, deadline)
 
 
+def _s_remainder(
+    pk: _Packing,
+    reducers: _Reducers,
+    i: int,
+    j: int,
+    lcm: int,
+    field,
+    trace: RunTrace | None = None,
+    deadline: float | None = None,
+) -> list:
+    """Full normal form of the S-polynomial of reducers i and j, whose
+    leads have the given lcm, modulo all the reducers."""
+    # S-polynomial of the two monic entries, without the cancelled lcm
+    lead_i, lead_key_i, top_i, tail_i = reducers.entries[i]
+    lead_j, lead_key_j, top_j, tail_j = reducers.entries[j]
+    si, sj = lcm - lead_i, lcm - lead_j
+    if (top_i + si) & pk.guard or (top_j + sj) & pk.guard:
+        raise _overflow(trace)
+    lcm_key = pk.key(lcm)
+    ki, kj = lcm_key - lead_key_i, lcm_key - lead_key_j
+    s: dict = {}
+    heap = []
+    for k, m, c in tail_i:
+        m += si
+        s[m] = c
+        heap.append((-k - ki, m))
+    for k, m, c in tail_j:
+        m += sj
+        old = s.get(m)
+        if old is None:
+            s[m] = field.sub(field.zero, c)
+            heap.append((-k - kj, m))
+        else:
+            new = field.sub(old, c)
+            if new == field.zero:
+                del s[m]
+            else:
+                s[m] = new
+    heapq.heapify(heap)
+    return _reduce(s, heap, reducers, field, trace, deadline)
+
+
 def normal_form(f: Polynomial, G: GroebnerBasis) -> Polynomial:
     """Remainder of f on division by G; zero iff f lies in the ideal."""
     if f.ring.vars != G.ring.vars or f.ring.field != G.ring.field:
@@ -463,34 +506,7 @@ def buchberger(
         # (the intersection never holds i or j themselves)
         if any(not (lcm - leads[k]) & guard for k in done_i & done_j):
             continue
-        # S-polynomial of the two monic elements, without the cancelled lcm
-        _, lead_key_i, top_i, tail_i = reducers.entries[i]
-        _, lead_key_j, top_j, tail_j = reducers.entries[j]
-        si, sj = lcm - li, lcm - lj
-        if (top_i + si) & guard or (top_j + sj) & guard:
-            raise _overflow(trace)
-        lcm_key = pk.key(lcm)
-        ki, kj = lcm_key - lead_key_i, lcm_key - lead_key_j
-        s: dict = {}
-        heap = []
-        for k, m, c in tail_i:
-            m += si
-            s[m] = c
-            heap.append((-k - ki, m))
-        for k, m, c in tail_j:
-            m += sj
-            old = s.get(m)
-            if old is None:
-                s[m] = field.sub(field.zero, c)
-                heap.append((-k - kj, m))
-            else:
-                new = field.sub(old, c)
-                if new == field.zero:
-                    del s[m]
-                else:
-                    s[m] = new
-        heapq.heapify(heap)
-        rem = _reduce(s, heap, reducers, field, trace, deadline)
+        rem = _s_remainder(pk, reducers, i, j, lcm, field, trace, deadline)
         if not rem:
             continue
         h = _monic(rem, field)

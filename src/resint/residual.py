@@ -10,7 +10,21 @@ import time
 from dataclasses import dataclass
 from typing import Mapping
 
-from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded, IdealBasis, buchberger
+from .groebner import (
+    DEFAULT_BUDGET,
+    EXPONENT_LIMIT,
+    FIELD_BITS,
+    Budget,
+    BudgetExceeded,
+    IdealBasis,
+    RunTrace,
+    _input_hash,
+    _lcm,
+    _monic,
+    _Packing,
+    _Reducers,
+    _s_remainder,
+)
 from .labels import GeneratorLabel, M, Q, canonical_labels
 from .poset import BPoset, straighten
 from .ring import (
@@ -21,7 +35,6 @@ from .ring import (
     PolynomialRing,
     VariableId,
     ambient_ring,
-    det_laplace,
     minor,
     q_entry,
     xvar,
@@ -63,6 +76,8 @@ class ResidualInstance:
         # by row pattern, for the instance's life: `poset.straighten`, `.verify`
         self._straighten_table: dict = {}
         self._verified: dict = {}
+        # packed minors of X by (rows, columns), for `verify_colon_identity`
+        self._minors: dict = {}
 
     @property
     def field(self):
@@ -203,50 +218,207 @@ def verify_ara_witness(instance: ResidualInstance, budget: Budget | None = None)
     return HsopCertificate(instance.m, instance.n, relations, verdict)
 
 
+def _packed(f: Polynomial) -> dict:
+    return {_Packing.pack(e): c for e, c in f._terms}
+
+
+def _add_product(acc: dict, f: dict, g: dict, negate: bool, field) -> None:
+    """acc += (-1)^negate * f * g, on packed dicts {monomial: coefficient}."""
+    zero, add, mul = field.zero, field.add, field.mul
+    for a, ca in f.items():
+        if negate:
+            ca = field.neg(ca)
+        for b, cb in g.items():
+            e, c = a + b, mul(ca, cb)
+            old = acc.get(e)
+            if old is None:
+                acc[e] = c
+            elif (c := add(old, c)) == zero:
+                del acc[e]
+            else:
+                acc[e] = c
+
+
+def _packed_minor(instance: ResidualInstance, rows: tuple, cols: tuple) -> dict:
+    """det(X on rows, cols) as a packed dict, memoised on the instance.
+    Its terms have distinct monomials, so none cancel."""
+    d = instance._minors.get((rows, cols))
+    if d is None:
+        d = {} if rows else {0: instance.field.one}
+        index, neg = instance.ring.index, instance.field.neg
+        for t, c in enumerate(cols):
+            x = 1 << FIELD_BITS * index[xvar(rows[0], c)]
+            for e, coef in _packed_minor(instance, rows[1:], cols[:t] + cols[t + 1 :]).items():
+                d[e + x] = neg(coef) if t % 2 else coef
+        instance._minors[rows, cols] = d
+    return d
+
+
+def _pattern(a: int, b: int) -> tuple[int, int]:
+    """The own pattern of two row sets given as bitmasks: both renamed
+    into 1..u, u the size of their union, in order, as a sorted pair."""
+    union, bit, pa, pb = a | b, 1, 0, 0
+    while union:
+        low = union & -union
+        pa |= bit if a & low else 0
+        pb |= bit if b & low else 0
+        union ^= low
+        bit <<= 1
+    return (pa, pb) if pa < pb else (pb, pa)
+
+
+def colon_family(instance: ResidualInstance) -> dict[tuple[int, ...], dict]:
+    """The family g_K, 1 <= |K| <= n, of J = I_n(X) + (X y), by row set K,
+    each as a packed dict {monomial: coefficient}.
+
+    For k = |K| < n, g_K = det[Q_K | X on rows K, columns n-k+2..n],
+    expanded along its first column: the sum over the t-th row r of K of
+    (-1)^t * Q_r * det(X on K - r, columns n-k+2..n), an explicit
+    (X y)-combination.  So g_{r} = Q_r.  For k = n, g_K = [K]; at n = 1
+    the family is the m minors [r].  Q_r and [K] are those of
+    `instance.polynomials`.
+    """
+    m, n, field = instance.m, instance.n, instance.field
+    qs = {r: _packed(instance.polynomials[Q(r)]) for r in range(1, m + 1)}
+    family = {}
+    for k in range(1, n + 1):
+        cols = tuple(range(n - k + 2, n + 1))
+        for K in itertools.combinations(range(1, m + 1), k):
+            if k == n:
+                family[K] = _packed(instance.polynomials[M(K)])
+                continue
+            g: dict = {}
+            for t, r in enumerate(K):
+                _add_product(g, qs[r], _packed_minor(instance, K[:t] + K[t + 1 :], cols), t % 2, field)
+            family[K] = g
+    return family
+
+
 def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = None) -> bool:
     """Certify (X y) : (y) = J, where J = I_n(X) + (X y) is the generator ideal.
 
-    Two facts make the proof:
+    Let G be `colon_family`, in the ambient grevlex order.  Four parts make
+    the proof:
 
-    - J : y1 = J.  J is homogeneous, and y1 is the smallest variable of the
-      ambient grevlex order (first in `ambient_variables`, and the key is
-      (degree, -exponents)), so by Bayer-Stillman in(J : y1) = in(J) : y1.
-      A monomial ideal is its own colon by y1 exactly when no minimal
-      generator contains y1, and the leading monomials of the reduced
-      grevlex basis of J are the minimal generators of in(J).
-    - J is in (X y) : (y).  For each n-row set R and each column j,
-      Cramer's rule gives y_j * [R] = det of X_R with column j replaced by
-      the column (Q_r) for r in R; that determinant is linear in the Q_r, so
-      it lies in (X y).  Each identity is checked as polynomials.
+    - Membership.  Each g_K is Q_r, a minor [K], or an explicit
+      (X y)-combination, so G lies in J; it holds every Q_r (n >= 2) and
+      every minor, so it generates J.  At n = 1, G is the minors [r], and
+      Q_r = y1 * [r] is a Cramer identity below.
+    - Buchberger's criterion, at own-pattern pairs.  g_K uses only the
+      rows K, and its lead uses every row of K (checked).  An
+      order-preserving row renaming f is an injective ring map that sends
+      g_K to g_f(K) and keeps the grevlex order on its image, since the
+      variables are ordered by row, then column.  A lead of g_C divides a
+      monomial only when every row of C occurs in it, so reducing an
+      S-pair with row union U divides only by g_C with C in U and stays in
+      the rows U: it is the renamed reduction of the pair's pattern, the
+      pair renamed into the rows 1..|U|.  Call a pair lifted when its
+      S-polynomial reduces to zero or its leads are coprime (Buchberger's
+      product criterion).  If the S-syzygies of lifted pairs span every
+      S-syzygy of the leads, G is a Groebner basis (the lifting theorem;
+      Cox-Little-O'Shea, ch. 2 sec. 9).  The S-syzygy of (A, B) is a sum
+      of monomial multiples of those of (A, C) and (C, B) when the lead of
+      g_C divides the lcm of A and B (Buchberger's chain criterion).  So
+      the own-pattern pairs, those whose row union is 1..u, are taken by
+      ascending lcm, and each must have coprime leads, chain through some
+      g_C to two patterns taken before it, or reduce to zero.  Renaming
+      sends every pair to its pattern and keeps reductions and chains, so
+      then every S-syzygy is in the span, and G is a Groebner basis of J.
+    - Leads.  No lead contains y1.  Then J : y1 = J: if y1 * f is in J and
+      h is the normal form of f, then y1 * h is in J, and no lead divides a
+      monomial of y1 * h, since none contains y1; so y1 * h is reduced,
+      hence zero.  J is homogeneous, so this is Bayer-Stillman's
+      in(J : y1) = in(J) : y1.
+    - Cramer.  For each n-row set R and column j, Cramer's rule gives
+      y_j * [R] = sum over the t-th row r of R of (-1)^(t+j) * Q_r *
+      det(X on R - r, columns other than j), an (X y)-combination: so J is
+      in (X y) : (y).
 
-    Then (X y) : (y) is in (X y) : y1, which is in J : y1 = J.  A false
-    verdict means the certificate failed, not that the identity does.
+    Then (X y) : (y) is in (X y) : y1, which is in J : y1 = J.  Every
+    identity is compared on packed monomials.  A false verdict means the
+    certificate failed, not that the identity does.
 
-    The basis run spends the pair, term and wall budgets as any Buchberger
-    run does; the Cramer loop reads the clock once per row set.  A budget
-    hit carries the basis run's trace and the number of row sets checked.
+    The S-pair phase counts own-pattern pairs against the pair budget,
+    tracks the largest intermediate polynomial against the term budget and
+    reads the clock once per pair; the Cramer loop reads it once per row
+    set.  A budget hit carries those counts and the row sets checked.
     """
-    deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
-    try:
-        G = buchberger(instance.ideal(), order=GrevLex(), budget=budget)
-    except BudgetExceeded as exc:
-        raise BudgetExceeded(str(exc), {**exc.stats, "row_sets_checked": 0}) from None
-    y1 = instance.ring.index[yvar(1)]
-    verdict = all(g.leading_monomial()[y1] == 0 for g in G.elements)
-    ring, n = instance.ring, instance.n
-    ys = [ring.var(yvar(j)) for j in range(1, n + 1)]
-    for checked, rows in enumerate(itertools.combinations(range(1, instance.m + 1), n)):
+    budget = budget or DEFAULT_BUDGET
+    start = time.monotonic()
+    deadline = start + budget.wall_seconds
+    ring, field, m, n = instance.ring, instance.field, instance.m, instance.n
+    pk = _Packing(ring.with_order(GrevLex()))
+    trace = RunTrace("", "grevlex")
+
+    def exhausted(message: str, checked: int) -> BudgetExceeded:
+        trace.input_hash = _input_hash(instance.generators(), GrevLex())
+        trace.wall_seconds = time.monotonic() - start
+        return BudgetExceeded(message, {**trace.as_dict(), "row_sets_checked": checked})
+
+    # monic, with terms in descending grevlex; the shortest divide first
+    family = []
+    for K, g in colon_family(instance).items():
+        if g:
+            terms = sorted(((pk.key(e), e, c) for e, c in g.items()), reverse=True)
+            family.append((K, _monic(terms, field)))
+    family.sort(key=lambda entry: (len(entry[1]), entry[1][0][0]))
+    reducers = _Reducers(pk.guard, pk.nvars, [terms for _, terms in family])
+    leads = reducers.leads
+
+    y1 = EXPONENT_LIMIT - 1 << FIELD_BITS * ring.index[yvar(1)]
+    row = (1 << FIELD_BITS * n) - 1
+    x_shift = {r: FIELD_BITS * ring.index[xvar(r, 1)] for r in range(1, m + 1)}
+    for lead, (K, _) in zip(leads, family):
+        if lead & y1 or not all(lead >> x_shift[r] & row for r in K):
+            return False
+
+    # own-pattern pairs, whose row union is 1..u with u <= 2n, by ascending lcm
+    guard = pk.guard
+    masks = [sum(1 << r - 1 for r in K) for K, _ in family]
+    own = [(c, leads[c]) for c, (K, _) in enumerate(family) if K[-1] <= 2 * n]
+    pairs = []
+    for b, (j, lead_j) in enumerate(own):
+        for i, lead_i in own[:b]:
+            union = masks[i] | masks[j]
+            if not union & (union + 1):
+                lcm = _lcm(lead_i, lead_j, guard)
+                pairs.append((pk.key(lcm), i, j, lcm))
+    pairs.sort()
+    lifted = set()  # patterns whose S-syzygy is a sum of lifted ones
+    for _, i, j, lcm in pairs:
+        if trace.pairs >= budget.max_pairs or trace.max_terms >= budget.max_terms:
+            raise exhausted("pair/term budget exhausted", 0)
         if time.monotonic() > deadline:
-            raise BudgetExceeded(
-                "wall-clock budget exhausted", {**G.trace.as_dict(), "row_sets_checked": checked}
-            )
-        qs = [instance.polynomials[Q(r)] for r in rows]
-        x = [[ring.var(xvar(r, k)) for k in range(1, n + 1)] for r in rows]
-        for j in range(n):
-            replaced = [row[:j] + [q] + row[j + 1 :] for row, q in zip(x, qs)]
-            ok = ys[j] * instance.polynomials[M(rows)] == det_laplace(ring, replaced)
-            verdict = verdict and ok
-    return verdict
+            raise exhausted("wall-clock budget exhausted", 0)
+        trace.pairs += 1
+        a, b = masks[i], masks[j]
+        chained = lcm == leads[i] + leads[j] or any(
+            not (lcm - lead) & guard
+            and c != i
+            and c != j
+            and _pattern(a, masks[c]) in lifted
+            and _pattern(masks[c], b) in lifted
+            for c, lead in own
+        )
+        if not chained and _s_remainder(pk, reducers, i, j, lcm, field, trace):
+            return False
+        lifted.add(_pattern(a, b))
+
+    ys = [1 << FIELD_BITS * ring.index[yvar(j)] for j in range(1, n + 1)]
+    columns = tuple(range(1, n + 1))
+    qs = {r: _packed(instance.polynomials[Q(r)]) for r in range(1, m + 1)}
+    for checked, rows in enumerate(itertools.combinations(range(1, m + 1), n)):
+        if time.monotonic() > deadline:
+            raise exhausted("wall-clock budget exhausted", checked)
+        det = _packed(instance.polynomials[M(rows)])
+        for j, y in enumerate(ys):
+            cramer: dict = {}
+            for t, r in enumerate(rows):
+                sub = _packed_minor(instance, rows[:t] + rows[t + 1 :], columns[:j] + columns[j + 1 :])
+                _add_product(cramer, qs[r], sub, (t + j) % 2, field)
+            if cramer != {e + y: c for e, c in det.items()}:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------

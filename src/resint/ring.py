@@ -727,22 +727,3 @@ def _signed_permutations(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
         (perm, sum(a > b for a, b in itertools.combinations(perm, 2)) % 2)
         for perm in itertools.permutations(range(n))
     )
-
-
-def det_laplace(ring: PolynomialRing, matrix: list[list[Polynomial]]) -> Polynomial:
-    """Cofactor expansion along the first row of a square matrix."""
-    size = len(matrix)
-    if size == 0:
-        return ring.one
-    if size == 1:
-        return matrix[0][0]
-    acc = ring.zero
-    for k in range(size):
-        entry = matrix[0][k]
-        if not entry:
-            continue
-        sub = [[row[j] for j in range(size) if j != k] for row in matrix[1:]]
-        cof = det_laplace(ring, sub)
-        term = entry * cof
-        acc = acc + term if k % 2 == 0 else acc - term
-    return acc

@@ -29,6 +29,8 @@ distributive from the row coordinates.  Both also decide posets that are
 not the generator poset.
 `monomial_text_by_sort` renders a monomial by sorting its variables per
 term, where `ring.monomial_text` walks the ring's display table.
+`det_laplace` expands a determinant of polynomials by cofactors, where
+`ring.minor` sums signed permutations.
 `BlockOrder` and `exact_div` are the order and the division the
 eliminations use.  All are bounded: the eliminations grow fast with the
 instance, the axiom check proves nothing past its degree, and subduction
@@ -293,6 +295,25 @@ def cover_pairs_by_triples(poset) -> list[tuple[int, int]]:
         and leq(i, j)
         and not any(k != i and k != j and leq(i, k) and leq(k, j) for k in range(size))
     ]
+
+
+def det_laplace(ring: PolynomialRing, matrix: list[list[Polynomial]]) -> Polynomial:
+    """Cofactor expansion along the first row of a square matrix."""
+    size = len(matrix)
+    if size == 0:
+        return ring.one
+    if size == 1:
+        return matrix[0][0]
+    acc = ring.zero
+    for k in range(size):
+        entry = matrix[0][k]
+        if not entry:
+            continue
+        sub = [[row[j] for j in range(size) if j != k] for row in matrix[1:]]
+        cof = det_laplace(ring, sub)
+        term = entry * cof
+        acc = acc + term if k % 2 == 0 else acc - term
+    return acc
 
 
 def monomial_text_by_sort(ring: PolynomialRing, exps: tuple[int, ...]) -> str:

@@ -125,6 +125,8 @@ def test_verify_computes_shared_results_once(tmp_path, monkeypatch):
     calls = _count_calls(monkeypatch, shared + ("buchberger",))
     _, code = cmd_verify(config(tmp_path / "all"), list(ALL_CHECKS))
     assert code == 0
+    # no check runs Buchberger, colon included
+    assert calls["buchberger"] == 0
     # one instance over Fp:32003 and one over Q; each axiom, the kernel
     # and the transcendence certificate once
     assert {name: calls[name] for name in shared} == {
@@ -134,12 +136,16 @@ def test_verify_computes_shared_results_once(tmp_path, monkeypatch):
         "toric_kernel": 1,
         "verify_transcendence_basis": 1,
     }
-    # only radical and colon may reach Buchberger
-    calls.update(dict.fromkeys(calls, 0))
+    # each check alone, over Q, reaches Buchberger neither
+    for check in ALL_CHECKS:
+        calls.update(dict.fromkeys(calls, 0))
+        _, code = cmd_verify(config(tmp_path / check, field_name="Q"), [check])
+        assert code == 0
+        assert calls["buchberger"] == 0
     structural = [c for c in ALL_CHECKS if c not in ("radical", "colon")]
+    calls.update(dict.fromkeys(calls, 0))
     _, code = cmd_verify(config(tmp_path / "structural", field_name="Q"), structural)
     assert code == 0
-    assert calls["buchberger"] == 0
     assert calls["verify_asl1"] == calls["verify_asl2"] == 1
 
 
@@ -528,7 +534,7 @@ def test_verify_single_column_instance(tmp_path):
 
 
 def test_trace_records_have_contract_fields(tmp_path):
-    # colon runs Buchberger, and its budget hit reports the run's trace
+    # a colon budget hit reports the trace of its S-pair phase
     report, _ = cmd_verify(config(tmp_path, m=3, n=2, budget=Budget(max_pairs=3)), ["colon"])
     trace = report["checks"]["colon"]["stats"]
     assert {"input_hash", "order", "pairs", "max_terms"} <= set(trace)

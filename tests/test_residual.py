@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from references import colon_identity_by_elimination
+from references import colon_identity_by_elimination, det_laplace
 from resint.groebner import Budget, BudgetExceeded, IdealBasis, buchberger, radical_membership
 from resint.labels import M, Q
 from resint.poset import StraighteningRelation
@@ -19,6 +19,7 @@ from resint.residual import (
     BadAssignment,
     BadShape,
     build_instance,
+    colon_family,
     expected_witness_count,
     hsop,
     identity_assignment,
@@ -27,7 +28,7 @@ from resint.residual import (
     verify_ara_witness,
     verify_colon_identity,
 )
-from resint.ring import GF, GrevLex, IncompatibleField, det_laplace, xvar, yvar
+from resint.ring import GF, QQ, GrevLex, IncompatibleField, xvar, yvar
 
 FP = GF(32003)
 
@@ -260,40 +261,112 @@ def test_colon_identity_matches_elimination(m, n, p):
     assert verify_colon_identity(inst) is colon_identity_by_elimination(inst) is True
 
 
+def _family_polynomials(inst) -> set:
+    """`colon_family` as monic polynomials of the grevlex ring."""
+    ring = inst.ring.with_order(GrevLex())
+    nvars = len(ring.vars)
+    return {
+        ring._from_dict({tuple(e.to_bytes(nvars, "little")): c for e, c in g.items()}).monic()
+        for g in colon_family(inst).values()
+    }
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003, 0])
+@pytest.mark.parametrize("m,n", [(3, 1), (8, 1), (4, 2), (5, 3), (6, 3), (8, 4)])
+def test_colon_family_is_the_reduced_basis(m, n, p):
+    # Buchberger's reduced grevlex basis of J is the monic closed family
+    inst = build_instance(m, n, field=GF(p) if p else QQ)
+    G = buchberger(inst.ideal(), order=GrevLex())
+    assert set(G.elements) == _family_polynomials(inst)
+    assert len(G) == sum(math.comb(m, k) for k in range(1, n + 1))
+
+
 def test_colon_identity_rejects_a_wrong_cramer_identity(monkeypatch):
-    # Q1 = x11*y1 enters only the Cramer identities: the basis is still J's
+    # Q1 = x11*y1 enters only the Cramer identities: the family is still J's
+    from resint import residual
+
     inst = build_instance(4, 2, field=FP)
-    monkeypatch.setattr(inst, "ideal", lambda real=inst.ideal(): real)
+    monkeypatch.setattr(residual, "colon_family", lambda i, real=colon_family(inst): real)
     inst.polynomials[Q(1)] = inst.ring.var(xvar(1, 1)) * inst.ring.var(yvar(1))
     assert verify_colon_identity(inst) is False
 
 
-def test_colon_identity_rejects_y1_in_a_leading_monomial(monkeypatch):
-    # without [1,2], y1*[1,2] is in the ideal but [1,2] is not
-    inst = build_instance(4, 2, field=FP)
-    gens = [inst.polynomials[lab] for lab in inst.labels if lab != M([1, 2])]
-    monkeypatch.setattr(inst, "ideal", lambda: IdealBasis(inst.ring, gens))
-    G = buchberger(inst.ideal(), order=GrevLex())
-    y1 = inst.ring.index[yvar(1)]
-    assert any(g.leading_monomial()[y1] for g in G.elements)
+# The criterion reduces only the pairs whose row union is 1..u, so it proves
+# a Groebner basis only for a family closed under row renaming, as
+# `colon_family` is.  Each mutation below breaks the family at rows 1..k,
+# which are their own pattern.
+
+
+@pytest.mark.parametrize("m,n,rows", [(5, 3, (1, 2)), (8, 4, (1, 2)), (8, 4, (1, 2, 3))])
+def test_colon_criterion_rejects_a_family_without_one_g_K(monkeypatch, m, n, rows):
+    from resint import residual
+
+    def without(i):
+        family = colon_family(i)
+        del family[rows]
+        return family
+
+    monkeypatch.setattr(residual, "colon_family", without)
+    assert verify_colon_identity(build_instance(m, n, field=FP)) is False
+
+
+@pytest.mark.parametrize("m,n", [(5, 3), (8, 4)])
+def test_colon_criterion_rejects_one_flipped_sign(monkeypatch, m, n):
+    # g_{1,2} = Q1*x[2][n] - Q2*x[1][n]; flip the sign of its Q2 summand
+    from resint import residual
+    from resint.groebner import _Packing
+
+    inst = build_instance(m, n, field=FP)
+    ring, polys = inst.ring, inst.polynomials
+    q1x, q2x = polys[Q(1)] * ring.var(xvar(2, n)), polys[Q(2)] * ring.var(xvar(1, n))
+
+    def packed(f):
+        return {_Packing.pack(e): c for e, c in f._terms}
+
+    assert colon_family(inst)[1, 2] == packed(q1x - q2x)
+
+    def flipped(i):
+        family = colon_family(i)
+        family[1, 2] = packed(q1x + q2x)
+        return family
+
+    monkeypatch.setattr(residual, "colon_family", flipped)
     assert verify_colon_identity(inst) is False
 
 
+def test_colon_leads_reject_y1(monkeypatch):
+    # at n = 1 the family is the monomials x[r][1], a Groebner basis of any
+    # ideal they generate; with y1*x[1][1] in place of x[1][1] the criterion
+    # and the Cramer identities still pass, and only a lead shows y1
+    from resint import residual
+
+    def with_y1(i):
+        family = colon_family(i)
+        family[1,] = {e + 1: c for e, c in family[1,].items()}  # y1 is the lowest packed field
+        return family
+
+    monkeypatch.setattr(residual, "colon_family", with_y1)
+    assert verify_colon_identity(build_instance(3, 1, field=FP)) is False
+
+
 def test_colon_budget_hit_has_the_same_keys_in_either_part(monkeypatch):
-    # each clock read of the Cramer loop advances one second: at (4,2)
-    # two of the six row sets are checked; the pair budget stops the basis
+    # each clock read advances one second: the S-pair phase reads it once per
+    # own-pattern pair, 12 at (4,2), the Cramer loop once per row set, so two
+    # of the six row sets are checked; the pair budget stops the S-pair phase
     from resint import residual
 
     inst = build_instance(4, 2, field=FP)
-    with pytest.raises(BudgetExceeded) as in_basis:
+    with pytest.raises(BudgetExceeded) as in_pairs:
         verify_colon_identity(inst, budget=Budget(max_pairs=2))
     clock = types.SimpleNamespace(monotonic=itertools.count().__next__)
     monkeypatch.setattr(residual, "time", clock)
     with pytest.raises(BudgetExceeded) as in_cramer:
-        verify_colon_identity(inst, budget=Budget(wall_seconds=2))
-    assert in_basis.value.stats["row_sets_checked"] == 0
+        verify_colon_identity(inst, budget=Budget(wall_seconds=12 + 2))
+    assert in_pairs.value.stats["pairs"] == 2
+    assert in_pairs.value.stats["row_sets_checked"] == 0
+    assert in_cramer.value.stats["pairs"] == 12
     assert in_cramer.value.stats["row_sets_checked"] == 2
-    assert set(in_basis.value.stats) == set(in_cramer.value.stats) >= {
+    assert set(in_pairs.value.stats) == set(in_cramer.value.stats) >= {
         "input_hash", "order", "pairs", "max_terms", "row_sets_checked",
     }
 

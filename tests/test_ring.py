@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import monomial_text_by_sort
+from references import det_laplace, monomial_text_by_sort
 from resint import ring as ring_module
 from resint.groebner import _extended_ring
 from resint.labels import M, Q
@@ -26,7 +26,6 @@ from resint.ring import (
     NotIncomparable,
     ZeroPolynomial,
     ambient_ring,
-    det_laplace,
     minor,
     monomial_text,
     poly_text,
