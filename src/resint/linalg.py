@@ -1,41 +1,56 @@
 """Small exact linear algebra over the coefficient fields of `ring`: one
-Gaussian elimination, used for ranks and for solving linear systems."""
+Gaussian elimination, used for ranks and for solving linear systems.
+
+Rows are sparse, dicts from column to nonzero entry: the systems the
+certificates solve are mostly zeros, so a pivot touches only the rows
+that hold its column, and each of those only at the pivot row's nonzeros."""
 
 from __future__ import annotations
 
 from .ring import QQ
 
 
-def _row_reduce(field, a: list[list], cols: int) -> list[int]:
-    """Reduce the rows of `a` in place over `field`, looking for pivots in
-    the first `cols` columns only; returns the pivot columns.  Pivot rows
-    come first, each scaled to a leading 1 and cleared above and below."""
-    zero = field.zero
-    rows = len(a)
+def _row_reduce(field, rows: list[dict], cols: int) -> list[int]:
+    """Reduce the sparse rows in place over `field`, looking for pivots in
+    the first `cols` columns only; returns the pivot columns, ascending.
+    Pivot rows come first, each scaled to a leading 1 and cleared above and
+    below."""
+    zero, sub, mul = field.zero, field.sub, field.mul
     pivots: list[int] = []
     r = 0
     for c in range(cols):
-        if r == rows:
+        if r == len(rows):
             break
-        pivot = next((i for i in range(r, rows) if a[i][c] != zero), None)
+        pivot = next((i for i in range(r, len(rows)) if c in rows[i]), None)
         if pivot is None:
             continue
-        a[r], a[pivot] = a[pivot], a[r]
-        inv = field.inv(a[r][c])
-        a[r] = [field.mul(x, inv) for x in a[r]]
-        for i in range(rows):
-            if i != r and a[i][c] != zero:
-                f = a[i][c]
-                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = field.inv(rows[r][c])
+        rows[r] = prow = {j: mul(x, inv) for j, x in rows[r].items()}
+        for i, row in enumerate(rows):
+            if i != r and c in row:
+                f = row[c]
+                for j, y in prow.items():
+                    x = sub(row.get(j, zero), mul(f, y))
+                    if x == zero:
+                        del row[j]
+                    else:
+                        row[j] = x
         pivots.append(c)
         r += 1
     return pivots
 
 
+def _sparse(field, row) -> dict:
+    """Every entry coerced into `field`; the nonzeros by column."""
+    zero = field.zero
+    return {j: x for j, x in enumerate(map(field.coerce, row)) if x != zero}
+
+
 def rank(matrix: list[list]) -> int:
     """Rank over Q of a matrix of elements of Q."""
-    a = [[QQ.coerce(x) for x in row] for row in matrix]
-    return len(_row_reduce(QQ, a, len(a[0]) if a else 0))
+    rows = [_sparse(QQ, row) for row in matrix]
+    return len(_row_reduce(QQ, rows, len(matrix[0]) if matrix else 0))
 
 
 def solve_field(field, matrix: list[list], rhs: list) -> list | None:
@@ -43,12 +58,12 @@ def solve_field(field, matrix: list[list], rhs: list) -> list | None:
 
     Free variables (underdetermined systems) are set to zero.
     """
-    a = [[field.coerce(x) for x in row] + [field.coerce(b)] for row, b in zip(matrix, rhs)]
-    cols = len(matrix[0]) if a else 0
-    pivots = _row_reduce(field, a, cols)
-    if any(row[cols] != field.zero for row in a[len(pivots):]):
+    rows = [_sparse(field, [*row, b]) for row, b in zip(matrix, rhs)]
+    cols = len(matrix[0]) if rows else 0
+    pivots = _row_reduce(field, rows, cols)
+    if any(cols in row for row in rows[len(pivots):]):
         return None
     x = [field.zero] * cols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][cols]
+    for row, c in zip(rows, pivots):
+        x[c] = row.get(cols, field.zero)
     return x

@@ -5,11 +5,13 @@ wonderful-poset cover condition.
 Functions that expand labels into actual polynomials take the residual
 instance (which owns the ring and the label -> polynomial map) as their
 first argument.  They expand on a big cell: the n rows of one minor of X
-set to the identity matrix (`_on_cell`), where that minor is 1 and a minor
-sharing k rows with it is a minor of size n - k.  A quadratic identity
-holds in K[X, y] exactly when it holds on the cell (the proof is in
-`StraighteningRelation._reexpands`), so each straightening is solved and
-each identity verified there.
+set to the identity matrix, where that minor is 1 and a minor sharing k
+rows with it is +- a minor of size n - k.  `_on_cell` builds each
+generator's restriction in that closed form (Laplace expansion along the
+unit rows), with no term of the generator filtered, and memoises it on
+the instance.  A quadratic identity holds in K[X, y] exactly when it holds
+on the cell (the proof is in `StraighteningRelation._reexpands`), so each
+straightening is solved and each identity verified there.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded
 from .labels import GeneratorLabel, M, Q, canonical_labels
-from .ring import NotIncomparable, xvar, yvar
+from .ring import NotIncomparable, _signed_permutations, xvar, yvar
 
 
 class StraighteningBudgetExceeded(BudgetExceeded):
@@ -282,30 +284,62 @@ def _sorted_labels(labels: Iterable[GeneratorLabel]) -> tuple[GeneratorLabel, ..
     return tuple(sorted(labels, key=lambda l: l.sort_key))
 
 
-def _on_cell(instance, label: GeneratorLabel, cell: Sequence[int]) -> list[tuple]:
+def _on_cell(instance, label: GeneratorLabel, cell: tuple[int, ...]) -> list[tuple]:
     """The terms of `label`'s polynomial on the big cell of the sorted
-    n-row set `cell`, where those rows of X form the identity matrix.
+    n-row set `cell`, where row cell[k] of X is the unit vector e_{k+1}.
+    Exponent tuples keep the ring's length; callers only read the list,
+    which is memoised on the instance per (label, cell), and the minors of
+    X it is built from per (rows, columns).
 
-    A filter over the instance's terms: a term that uses x[cell[k]][j] with
-    j != k+1 is dropped, and x[cell[k]][k+1] is set to 1 (its exponent to
-    0).  y is untouched, and exponent tuples keep the ring's length."""
-    index = instance.ring.index
-    ones, zeros = [], []
-    for k, r in enumerate(cell, start=1):
-        for j in range(1, instance.n + 1):
-            (ones if j == k else zeros).append(index[xvar(r, j)])
-    terms = []
-    for e, c in instance.polynomials[label]._terms:
-        if any(e[p] for p in zeros):
-            continue
-        e = list(e)
-        for p in ones:
-            e[p] = 0
-        terms.append((tuple(e), c))
+    Q_r = sum_j x[r][j] y_j is y_{k+1} when r = cell[k], and itself
+    otherwise.  A minor [R] is expanded along its unit rows (Laplace).  Let
+    H = R & cell and F = R - cell, and let C be the columns that the unit
+    vectors of H miss, F and C in increasing order (|F| = |C|).  A term of
+    [R] survives the cell only if it sends each row of H to the column of
+    its unit vector, so it sends F onto C: its permutation is s followed by
+    a permutation t of F's positions, where the base permutation s sends
+    the rows of H to their unit columns and the i-th row of F to C[i].  Its
+    sign is sign(s) * sign(t), so [R] is sign(s) times the minor of X on
+    F x C, and the k-minor's terms come from `_signed_permutations(k)`.
+    sign(s) is the parity of the inversions of s."""
+    memo = instance._cells
+    if (label, cell) in memo:
+        return memo[label, cell]
+    ring = instance.ring
+    one, index, zero = ring.field.one, ring.index, ring._zero_exps
+    col = {r: k for k, r in enumerate(cell)}
+    if label.is_q:
+        r = label.q_index
+        if r not in col:
+            terms = list(instance.polynomials[label]._terms)
+        else:
+            e = list(zero)
+            e[index[yvar(col[r] + 1)]] = 1
+            terms = [(tuple(e), one)]
+    else:
+        hit = {col[r] for r in label.rows if r in col}
+        free_cols = tuple(j for j in range(instance.n) if j not in hit)
+        free_rows = tuple(r for r in label.rows if r not in col)
+        if (free_rows, free_cols) not in memo:
+            # det of X on F x C, shared by every (label, cell) that restricts to it
+            positions = [[index[xvar(r, j + 1)] for j in free_cols] for r in free_rows]
+            signs = (one, ring.field.neg(one))
+            det = memo[free_rows, free_cols] = []
+            for perm, p in _signed_permutations(len(free_rows)):
+                e = list(zero)
+                for row, j in zip(positions, perm):
+                    e[row[j]] = 1
+                det.append((tuple(e), signs[p]))
+        terms = memo[free_rows, free_cols]
+        free = iter(free_cols)
+        base = [col[r] if r in col else next(free) for r in label.rows]
+        if sum(a > b for a, b in itertools.combinations(base, 2)) % 2:
+            terms = [(e, ring.field.neg(c)) for e, c in terms]
+    memo[label, cell] = terms
     return terms
 
 
-def _add_product(acc: dict, instance, pair, coeff, cell: Sequence[int]) -> dict:
+def _add_product(acc: dict, instance, pair, coeff, cell: tuple[int, ...]) -> dict:
     """Add coeff times the product of the two polynomials behind `pair`,
     each restricted to the big cell of `cell` (`_on_cell`), to `acc`
     (exponents -> coefficient) by the field's mul and add, and return it.
@@ -609,23 +643,32 @@ def verify_asl1(instance, budget: Budget | None = None) -> bool:
     return linalg.rank(chain) == poset.poset_rank()
 
 
-def incomparable_pairs(poset: BPoset) -> list[tuple[GeneratorLabel, GeneratorLabel]]:
-    """The incomparable pairs (E[i], E[j]), i < j, in `combinations` order.
-    Canonical order is a linear extension, so E[j] is never below E[i],
-    and the pair is incomparable exactly when bit i of down[j] is clear."""
+def incomparable_pairs(
+    poset: BPoset, top: int | None = None
+) -> list[tuple[GeneratorLabel, GeneratorLabel]]:
+    """The incomparable pairs (E[i], E[j]), i < j, in `combinations` order;
+    with `top`, only among the elements whose last row coordinate is at
+    most `top`.  Canonical order is a linear extension, so E[j] is never
+    below E[i], and the pair is incomparable exactly when bit i of down[j]
+    is clear."""
     E, down = poset.elements, poset._down
-    return [(E[i], E[j]) for i, j in itertools.combinations(range(len(E)), 2) if not down[j] >> i & 1]
+    idx = [i for i, e in enumerate(E) if top is None or poset.coords(e)[-1] <= top]
+    return [(E[i], E[j]) for i, j in itertools.combinations(idx, 2) if not down[j] >> i & 1]
 
 
 def verify_asl2(instance, budget: Budget | None = None) -> bool:
     """Every incomparable pair's straightening relation has least labels
     and is an identity.  Only pairs that are their own row pattern (rows
     1..k) are straightened: every other pair's relation is its pattern
-    pair's renamed, and that pair is in the list (`straighten`).  The
-    wall-clock budget is read before each pair; `pairs_checked` counts
-    every pair passed."""
+    pair's renamed, and that pair is in the list (`straighten`).  Two
+    labels use at most 2n rows, so an own-pattern pair has k <= 2n, and
+    only the pairs among elements whose last row coordinate is at most 2n
+    are listed, in the order they have among all pairs.  The wall-clock
+    budget is read before each listed pair; `pairs_checked` counts every
+    listed pair passed."""
     deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
-    for checked, (a, b) in enumerate(incomparable_pairs(instance.poset)):
+    pairs = incomparable_pairs(instance.poset, 2 * instance.n)
+    for checked, (a, b) in enumerate(pairs):
         if time.monotonic() > deadline:
             raise BudgetExceeded("wall-clock budget exhausted", {"pairs_checked": checked})
         rows = _to_pattern((a, b))

@@ -76,6 +76,9 @@ class ResidualInstance:
         # by row pattern, for the instance's life: `poset.straighten`, `.verify`
         self._straighten_table: dict = {}
         self._verified: dict = {}
+        # generator terms on a big cell by (label, cell), and the minors of X
+        # they are built from by (rows, columns), for `poset._on_cell`
+        self._cells: dict = {}
         # packed minors of X by (rows, columns), for `verify_colon_identity`
         self._minors: dict = {}
 

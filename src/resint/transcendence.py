@@ -102,13 +102,30 @@ def closed_form(ring: PolynomialRing, n: int, label: GeneratorLabel) -> Polynomi
 
 
 def specialize_D(instance: ResidualInstance) -> dict[GeneratorLabel, Polynomial]:
-    """Substitute the special matrices into the D polynomials and certify
-    the closed forms by exact comparison."""
+    """Specialize the D polynomials to the special matrices and certify the
+    closed forms by exact comparison.
+
+    `special_assignment` sends each variable to 0, to 1 or to itself, so
+    the specialization is a term filter: a term that uses a zeroed
+    variable is dropped, and the exponents of the variables sent to 1
+    are set to 0 (only y_1's), with terms that then coincide summed."""
     m, n, ring = instance.m, instance.n, instance.ring
     assignment = special_assignment(m, n, ring)
+    zeroed = [i for i, v in enumerate(ring.vars) if not assignment[v]]
+    ones = [i for i, v in enumerate(ring.vars) if assignment[v] == ring.one]
+    add = ring.field.add
     out: dict[GeneratorLabel, Polynomial] = {}
     for label in build_D(m, n):
-        specialized = instance.polynomials[label].substitute(assignment, ring)
+        d: dict = {}
+        for e, c in instance.polynomials[label]._terms:
+            if any(e[i] for i in zeroed):
+                continue
+            e = list(e)
+            for i in ones:
+                e[i] = 0
+            e = tuple(e)
+            d[e] = add(d[e], c) if e in d else c
+        specialized = ring._from_dict(d)
         predicted = closed_form(ring, n, label)
         if specialized != predicted:
             raise StructureViolation(

@@ -15,7 +15,10 @@ solves each incomparable pair's straightening relation for that pair
 alone, with `Polynomial` products, where `poset.straighten` solves once
 per row pattern.  `reexpands_in_full` re-expands a quadratic identity
 in all of K[X, y], where `StraighteningRelation.verify` re-expands it on
-the big cell of one minor.  `rewrite_in_full` substitutes the D
+the big cell of one minor.  `on_cell_by_filter` restricts a generator to
+that cell by filtering its terms, where `poset._on_cell` builds the
+restriction in closed form.  `row_reduce_dense` eliminates on dense rows,
+where `linalg` eliminates on sparse ones.  `rewrite_in_full` substitutes the D
 polynomials into a fraction over D in all of K[X, y], where
 `transcendence.verify_rewrite` substitutes on the big cell of the main
 minor.  `cover_pairs_by_triples` finds the covers of a poset by testing
@@ -57,6 +60,7 @@ from resint.ring import (
     _unit_row,
     q_entry,
     tvar,
+    xvar,
     yvar,
 )
 from resint.sagbi import (
@@ -267,6 +271,55 @@ def reexpands_in_full(rel: StraighteningRelation, instance) -> bool:
     for coeff, pair in rel.right:
         diff = diff - expand_labels(instance, pair) * coeff
     return not diff
+
+
+def on_cell_by_filter(instance, label, cell) -> list[tuple]:
+    """The terms of `label`'s polynomial on the big cell of the sorted
+    n-row set `cell`, where those rows of X form the identity matrix.
+
+    A filter over the instance's terms: a term that uses x[cell[k]][j] with
+    j != k+1 is dropped, and x[cell[k]][k+1] is set to 1 (its exponent to
+    0).  y is untouched, and exponent tuples keep the ring's length."""
+    index = instance.ring.index
+    ones, zeros = [], []
+    for k, r in enumerate(cell, start=1):
+        for j in range(1, instance.n + 1):
+            (ones if j == k else zeros).append(index[xvar(r, j)])
+    terms = []
+    for e, c in instance.polynomials[label]._terms:
+        if any(e[p] for p in zeros):
+            continue
+        e = list(e)
+        for p in ones:
+            e[p] = 0
+        terms.append((tuple(e), c))
+    return terms
+
+
+def row_reduce_dense(field, a: list[list], cols: int) -> list[int]:
+    """Reduce the rows of `a` in place over `field`, looking for pivots in
+    the first `cols` columns only; returns the pivot columns.  Pivot rows
+    come first, each scaled to a leading 1 and cleared above and below."""
+    zero = field.zero
+    rows = len(a)
+    pivots: list[int] = []
+    r = 0
+    for c in range(cols):
+        if r == rows:
+            break
+        pivot = next((i for i in range(r, rows) if a[i][c] != zero), None)
+        if pivot is None:
+            continue
+        a[r], a[pivot] = a[pivot], a[r]
+        inv = field.inv(a[r][c])
+        a[r] = [field.mul(x, inv) for x in a[r]]
+        for i in range(rows):
+            if i != r and a[i][c] != zero:
+                f = a[i][c]
+                a[i] = [field.sub(x, field.mul(f, y)) for x, y in zip(a[i], a[r])]
+        pivots.append(c)
+        r += 1
+    return pivots
 
 
 def rewrite_in_full(context, label, frac) -> bool:

@@ -22,6 +22,7 @@ from references import (
     expand_labels,
     is_standard,
     lattice_tables,
+    on_cell_by_filter,
     reexpands_in_full,
     straighten_by_solve,
 )
@@ -31,6 +32,7 @@ from resint.labels import M, Q, canonical_labels
 from resint.poset import (
     BPoset,
     StraighteningRelation,
+    _on_cell,
     bordered_relation,
     incomparable,
     incomparable_pairs,
@@ -484,6 +486,31 @@ def test_asl2_reexpands_one_relation_per_row_pattern(reexpansions):
     assert verify_asl2(inst)
     assert len(incomparable_pairs(inst.poset)) == 490
     assert len(reexpansions) == 11
+
+
+@pytest.mark.parametrize(
+    "m,n,field", [(6, 2, QQ), (6, 3, QQ), (6, 3, GF(32003)), (8, 4, QQ), (7, 5, QQ), (5, 5, QQ), (4, 1, QQ)]
+)
+def test_the_closed_cell_restriction_matches_the_term_filter(m, n, field):
+    # every label on every big cell, m = n and n = 1 included
+    inst = build_instance(m, n, field)
+    for cell in itertools.combinations(range(1, m + 1), n):
+        for label in inst.labels:
+            terms = _on_cell(inst, label, cell)
+            assert sorted(terms) == sorted(on_cell_by_filter(inst, label, cell))
+            assert _on_cell(inst, label, cell) is terms
+
+
+@pytest.mark.parametrize("m,n", [(4, 2), (7, 3), (9, 3), (9, 4), (11, 5)])
+def test_asl2_lists_every_own_pattern_pair_in_order(m, n):
+    # an own-pattern pair uses rows 1..k with k <= 2n, so the pairs among
+    # elements with last row coordinate <= 2n hold all of them, in the
+    # order they have among all pairs
+    poset = BPoset(m, n)
+    listed = incomparable_pairs(poset, 2 * n)
+    every, kept = incomparable_pairs(poset), set(listed)
+    assert [p for p in every if p in kept] == listed
+    assert [p for p in every if _is_own_pattern(p)] == [p for p in listed if _is_own_pattern(p)]
 
 
 def cell_test_relations(kind, m, n):

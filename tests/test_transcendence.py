@@ -16,12 +16,13 @@ from resint.groebner import Budget, BudgetExceeded
 from resint.labels import M, Q
 from resint.poset import StraighteningRelation
 from resint.residual import build_instance
-from resint.ring import GF, QQ, IncompatibleField, ambient_ring, xvar, yvar
+from resint.ring import GF, QQ, IncompatibleField, Polynomial, ambient_ring, xvar, yvar
 from resint.sagbi import initial_generators, semigroup_dimension
 from resint.transcendence import (
     BadPluecker,
     DContext,
     DFraction,
+    StructureViolation,
     _prefix,
     build_D,
     closed_form,
@@ -109,8 +110,27 @@ def test_closed_form_sign():
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_closed_forms_match_substitution_everywhere(m):
+    # the term filter of specialize_D against Polynomial.substitute, and
+    # both against the closed forms (specialize_D raises on a mismatch)
     for n in range(2, m + 1):
-        specialize_D(build_instance(m, n))  # raises StructureViolation on any mismatch
+        inst = build_instance(m, n)
+        assignment = special_assignment(m, n, inst.ring)
+        specialized = specialize_D(inst)
+        assert list(specialized) == list(build_D(m, n))
+        for label, poly in specialized.items():
+            assert poly._terms == inst.polynomials[label].substitute(assignment, inst.ring)._terms
+
+
+def test_a_wrong_D_polynomial_fails_the_specialization(monkeypatch):
+    inst = build_instance(5, 3)
+    label = M([1, 2, 4])  # M_{4,3}: one of its terms survives the specialization
+    poly = inst.polynomials[label]
+    (survivor,) = closed_form(inst.ring, 3, label)._terms
+    terms = tuple((e, -c if e == survivor[0] else c) for e, c in poly._terms)
+    assert sum(a != b for a, b in zip(terms, poly._terms)) == 1
+    monkeypatch.setitem(inst.polynomials, label, Polynomial(inst.ring, terms))
+    with pytest.raises(StructureViolation):
+        specialize_D(inst)
 
 
 # ---------------------------------------------------------------------------
