@@ -6,8 +6,10 @@ quadratic exchange relations among maximal minors, and the rational
 rewriting of every generator over D.  Each generator outside D is tabled
 from one quadratic identity whose other terms were tabled before it, so
 checking each identity once proves every fraction by induction on the
-build order; one fraction is also re-substituted, on the big cell of the
-main minor behind a D-degree guard (`verify_rewrite`), as a check of the
+build order.  The certificate tables only the identities and the
+denominators; the numerators of one fraction and of the labels it is
+built from are built to re-substitute it, on the big cell of the main
+minor behind a D-degree guard (`verify_rewrite`), as a check of the
 fraction arithmetic.  Everything here runs over Q.
 """
 
@@ -242,11 +244,13 @@ class DFraction:
 
 
 class DContext:
-    """Rewriting context: the D-ring, positions, and the lookup table of
-    each generator's fraction over D, whose denominators are powers of the
-    main minor and of Q_1.  `identities` holds, in build order, the
-    quadratic identity each generator outside D was tabled from.  The
-    instance must be over Q."""
+    """Rewriting context: the D-ring, positions, and each generator's
+    fraction over D, whose denominators are powers of the main minor and of
+    Q_1.  `identities` holds, in build order, the quadratic identity each
+    generator outside D was tabled from.  Each denominator is tabled with
+    its identity; a numerator is built from the identities on demand, as
+    the certificate's verdicts read identities and one numerator only.
+    The instance must be over Q."""
 
     def __init__(self, instance: ResidualInstance):
         if instance.field != QQ:
@@ -260,12 +264,26 @@ class DContext:
         self._table: dict[GeneratorLabel, DFraction] = {}
         self.identities: dict[GeneratorLabel, StraighteningRelation] = {}
         zero_den = (0,) * len(self.dvars)
+        self._den = dict.fromkeys(self.D, zero_den)
         for lab in self.D:
             self._table[lab] = DFraction(self.dring.var(self.dvars[self.position[lab]]), zero_den)
 
+    def denominator(self, label: GeneratorLabel) -> tuple[int, ...]:
+        """fraction(label).den, tabled with label's identity."""
+        if label not in self._den:
+            self._build(label)
+        return self._den[label]
+
     def fraction(self, label: GeneratorLabel) -> DFraction:
         if label not in self._table:
-            self._build(label)
+            self.denominator(label)  # records the identity
+            identity = self.identities[label]
+            acc = None
+            for c, (p, q) in identity.right:
+                part = (self.fraction(p) * self.fraction(q)).scale(c)
+                acc = part if acc is None else acc + part
+            pivot = next(lab for lab in identity.left if lab != label)
+            self._table[label] = acc.divided_by_var(self.position[pivot])
         return self._table[label]
 
     def _build(self, label: GeneratorLabel):
@@ -273,7 +291,10 @@ class DContext:
         in D: the exchange relation against the main minor when the minor
         contains row 1 (one row above n fewer on every other term), the
         vanishing bordered determinant on rows (1, rows) against Q_1
-        otherwise.  Solve it for label * pivot and divide by the pivot."""
+        otherwise.  Solve it for label * pivot and record it with the
+        denominator of (sum c * frac(p) * frac(q)) / pivot: `DFraction`
+        never cancels, so that is the componentwise max over the pairs of
+        den(p) + den(q), times the pivot."""
         rows = label.rows
         if rows is None:
             raise KeyError(f"{label.text} should already be tabled")
@@ -284,12 +305,14 @@ class DContext:
             pivot = Q(1)
             terms = bordered_relation((1,) + rows)
         identity = StraighteningRelation.solve(terms, (label, pivot), QQ)
-        acc = None
-        for c, (p, q) in identity.right:
-            part = (self.fraction(p) * self.fraction(q)).scale(c)
-            acc = part if acc is None else acc + part
+        sums = [
+            [a + b for a, b in zip(self.denominator(p), self.denominator(q))]
+            for _, (p, q) in identity.right
+        ]
+        den = [max(column) for column in zip(*sums)]
+        den[self.position[pivot]] += 1
         self.identities[label] = identity
-        self._table[label] = acc.divided_by_var(self.position[pivot])
+        self._den[label] = tuple(den)
 
 
 def _d_degrees_match(context: DContext, label: GeneratorLabel, frac: DFraction) -> bool:
@@ -348,12 +371,12 @@ def spot_check_label(context: DContext) -> GeneratorLabel | None:
     """The one label whose fraction `verify_rewrite` re-substitutes: the
     first tabled label in canonical order whose denominator carries both
     the main minor and Q_1, else the first tabled label; None when every
-    label is in D (m = n)."""
+    label is in D (m = n).  It reads denominators only."""
     main = context.position[M(range(1, context.instance.n + 1))]
     q1 = context.position[Q(1)]
     built = [lab for lab in context.instance.labels if lab not in context.position]
-    both = [lab for lab in built if all(context.fraction(lab).den[k] for k in (main, q1))]
-    return (both or built or [None])[0]
+    both = (lab for lab in built if all(context.denominator(lab)[k] for k in (main, q1)))
+    return next(both, built[0] if built else None)
 
 
 def _prefix(frac: DFraction) -> list:
@@ -423,8 +446,11 @@ def verify_transcendence_basis(
     arithmetic is checked by substituting D into one fraction
     (`verify_rewrite`, on `spot_check_label`), on the big cell of the main
     minor after a D-degree guard, which decides the identity in all of
-    Q[X, y].  The instance must be over Q.  The wall-clock budget is read
-    before each label and before the spot-check."""
+    Q[X, y].  No other verdict reads a numerator, so the label loop tables
+    only identities and denominators (`DContext.denominator`), and
+    numerators are built for the spot-check label and the labels its
+    identity reaches.  The instance must be over Q.  The wall-clock budget
+    is read before each label and before the spot-check."""
     context = DContext(instance)
     deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
     m, n = instance.m, instance.n
@@ -433,7 +459,7 @@ def verify_transcendence_basis(
     for label in instance.labels:
         if time.monotonic() > deadline:
             raise BudgetExceeded("wall-clock budget exhausted", {"labels_checked": len(rewrites)})
-        context.fraction(label)  # tables the label and its identity
+        context.denominator(label)  # tables the label's identity
         ok = label in context.position or context.identities[label].verify(instance)
         rewrites.append({"label": label.text, "verified": ok})
     if time.monotonic() > deadline:

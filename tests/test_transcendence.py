@@ -314,6 +314,43 @@ def test_the_d_degree_guard_rejects_what_the_cell_misses(monkeypatch):
     assert verify_rewrite(ctx, label, wrong)
 
 
+@pytest.mark.parametrize("m,n", [(4, 2), (5, 3), (6, 3), (6, 4), (8, 3), (7, 5)])
+def test_tabled_denominators_match_the_built_fractions(m, n):
+    # the fractions come from a second context that builds the labels in
+    # reverse order, so neither result depends on the build order
+    inst = build_instance(m, n)
+    ctx, fresh = DContext(inst), DContext(inst)
+    dens = {lab: fresh.fraction(lab).den for lab in reversed(inst.labels)}
+    for lab in inst.labels:
+        assert ctx.denominator(lab) == dens[lab]
+
+
+@pytest.mark.parametrize("m,n", [(5, 3), (9, 3)])
+def test_the_certificate_builds_only_the_spot_labels_numerators(m, n, monkeypatch):
+    requested, contexts = set(), []
+    real = DContext.fraction
+
+    def fraction(self, label):
+        contexts.append(self)
+        requested.add(label)
+        return real(self, label)
+
+    monkeypatch.setattr(DContext, "fraction", fraction)
+    cert = verify_transcendence_basis(build_instance(m, n))
+    assert cert.verdict
+    (ctx,) = set(contexts)
+    spot = spot_check_label(ctx)
+    closure, stack = set(), [spot]
+    while stack:
+        lab = stack.pop()
+        if lab not in closure:
+            closure.add(lab)
+            if lab in ctx.identities:
+                stack.extend(l for _, pair in ctx.identities[lab].right for l in pair)
+    assert requested == closure
+    assert 2 <= len(closure - set(ctx.D)) <= 4 < len(ctx.identities)
+
+
 def d_table() -> dict[str, dict[str, list]]:
     """Every label's fraction over D, as a prefix tree, at four sizes."""
     out = {}
@@ -353,8 +390,9 @@ def test_certificate_json_roundtrip():
 
 
 def test_a_flipped_identity_coefficient_fails_its_label(monkeypatch):
-    # the recorded identity of [2,3] is broken after its fraction is
-    # tabled: the fractions stay right, so only the per-label check sees it
+    # the recorded identity of [2,3] is broken after it is solved: the
+    # per-label check sees it, and so does the spot-check, whose fraction
+    # is built from that recorded identity
     real = DContext._build
 
     def build(self, label):
@@ -367,7 +405,7 @@ def test_a_flipped_identity_coefficient_fails_its_label(monkeypatch):
     monkeypatch.setattr(DContext, "_build", build)
     cert = verify_transcendence_basis(build_instance(4, 2))
     assert [r["label"] for r in cert.rewrites if not r["verified"]] == ["[2,3]"]
-    assert cert.spot_check == {"label": "[2,3]", "verified": True}
+    assert cert.spot_check == {"label": "[2,3]", "verified": False}
     assert not cert.verdict
 
 
