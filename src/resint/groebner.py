@@ -156,7 +156,10 @@ def _input_hash(gens: Sequence[Polynomial], order: MonomialOrder) -> str:
 # overflows shows as a set guard bit, and the lcm is a SWAR max.  The order
 # key is linear: the order's weight rows are folded into one integer weight
 # per variable, so key(a + b) = key(a) + key(b).  Polynomials keep tuple
-# exponents; the engine packs on entry and unpacks what it returns.
+# exponents; the engine packs on entry and unpacks what it returns.  The
+# big-cell restrictions of `poset` and the colon certificate of `residual`
+# compute on packed dicts {monomial: coefficient} throughout, and read the
+# layout only through `_Packing`.
 
 FIELD_BITS = 8
 #: every exponent the engine sees, inputs and products alike, stays below this
@@ -208,6 +211,23 @@ class _Packing:
         if exps and max(exps) >= EXPONENT_LIMIT:
             raise _overflow(trace)
         return int.from_bytes(bytes(exps), "little")
+
+    @staticmethod
+    def pack_dict(f: Polynomial) -> dict:
+        """f's terms as a dict {packed monomial: coefficient}."""
+        return {_Packing.pack(e): c for e, c in f._terms}
+
+    @staticmethod
+    def var(index: int) -> int:
+        """The packed monomial of the variable at `index`."""
+        return 1 << FIELD_BITS * index
+
+    @staticmethod
+    def fields(index: int, count: int = 1) -> int:
+        """The bits of the `count` exponent fields from variable `index` on:
+        a packed monomial uses one of those variables exactly when its AND
+        with them is nonzero."""
+        return (1 << FIELD_BITS * count) - 1 << FIELD_BITS * index
 
     def pack_terms(self, f: Polynomial, trace: RunTrace | None = None) -> list:
         """f's terms as (key, packed monomial, coefficient), in f's order."""

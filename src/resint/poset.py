@@ -12,6 +12,11 @@ unit rows), with no term of the generator filtered, and memoises it on
 the instance.  A quadratic identity holds in K[X, y] exactly when it holds
 on the cell (the proof is in `StraighteningRelation._reexpands`), so each
 straightening is solved and each identity verified there.
+
+The cell polynomials are packed dicts {monomial: coefficient}, monomials
+packed by `groebner._Packing`.  Their minors come from `packed_minor`,
+one memoised table of the minors of X that the colon certificate of
+`residual` reads too, and `add_product` is the one product loop of both.
 """
 
 from __future__ import annotations
@@ -24,9 +29,9 @@ from dataclasses import dataclass
 from typing import Iterable, Sequence
 
 from . import linalg
-from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded
+from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded, _Packing
 from .labels import GeneratorLabel, M, Q, canonical_labels
-from .ring import NotIncomparable, _signed_permutations, xvar, yvar
+from .ring import NotIncomparable, xvar, yvar
 
 
 class StraighteningBudgetExceeded(BudgetExceeded):
@@ -81,7 +86,7 @@ class BPoset:
     the componentwise min and max (`meet`, `join`); as a sublattice of
     Z^{n+1} it is distributive.
 
-    The order is held as down- and up-set bitsets by element index.  The
+    The order is held as down-set bitsets by element index.  The
     grading is read off the row coordinates too (Bruns and Vetter,
     *Determinantal Rings*, LNM 1327, 1988, for the minors):
 
@@ -119,7 +124,7 @@ class BPoset:
         self.n = n
         self.elements: tuple[GeneratorLabel, ...] = tuple(canonical_labels(m, n))
         self._pos = {e: i for i, e in enumerate(self.elements)}
-        self._down, self._up = self._order_sets()
+        self._down = self._order_sets()
 
     def __len__(self):
         return len(self.elements)
@@ -145,15 +150,13 @@ class BPoset:
         """The element whose row coordinates are c."""
         return M(c[1:]) if c[0] else Q(c[-1])
 
-    def _order_sets(self) -> tuple[list[int], list[int]]:
-        """Down- and up-sets as bitsets by element index: bit i of down[j],
-        and bit j of up[i], is set exactly when element i <= element j
-        (`less_eq`).
+    def _order_sets(self) -> list[int]:
+        """Down-sets as bitsets by element index: bit i of down[j] is set
+        exactly when element i <= element j (`less_eq`).
 
         Built from per-coordinate thresholds of `coords`, with no pair
         compared: below c lie the elements whose k-th coordinate is <= c_k
-        for every k (an AND over k of one prefix OR per coordinate), and
-        above c those whose k-th coordinate is >= c_k for every k."""
+        for every k (an AND over k of one prefix OR per coordinate)."""
         low = 1 - self.n  # the least coordinate: 1 - n <= 0 <= c_0
         coords = [self.coords(e) for e in self.elements]
         at = [[0] * (self.m + 1 - low) for _ in range(self.n + 1)]
@@ -161,12 +164,9 @@ class BPoset:
             for k, v in enumerate(c):
                 at[k][v - low] |= 1 << idx
         below = [list(itertools.accumulate(row, operator.or_)) for row in at]
-        above = [list(itertools.accumulate(reversed(row), operator.or_))[::-1] for row in at]
-
-        def every(sets, c):
-            return functools.reduce(operator.and_, (t[v - low] for t, v in zip(sets, c)))
-
-        return [every(below, c) for c in coords], [every(above, c) for c in coords]
+        return [
+            functools.reduce(operator.and_, (t[v - low] for t, v in zip(below, c))) for c in coords
+        ]
 
     def _cover_pairs(self) -> list[tuple[int, int]]:
         """(i, j) with j covering i, i ascending, then j: the closed-form
@@ -257,14 +257,17 @@ def is_wonderful(poset: BPoset) -> bool:
     both minimal) and lie below some gamma (or +infinity), some beta <= gamma
     covers both (or both are maximal, when gamma is +infinity).
 
-    The covers of each element are computed once, from `elements`, `leq`
-    and `lt` alone."""
+    The covers are read off `_cover_pairs` (closed form, proved in
+    `BPoset`), and the minimal elements are those that cover nothing; the
+    elements above each one come from `lt`."""
     E = list(poset.elements)
     above = {a: [b for b in E if poset.lt(a, b)] for a in E}
-    covers = {
-        a: [b for b in up if not any(poset.lt(c, b) for c in up)] for a, up in above.items()
-    }
-    minimal = [b for b in E if not any(poset.lt(c, b) for c in E)]
+    covers: dict = {a: [] for a in E}
+    covered = set()
+    for i, j in poset._cover_pairs():
+        covers[E[i]].append(E[j])
+        covered.add(j)
+    minimal = [b for j, b in enumerate(E) if j not in covered]
     for cov in [minimal, *covers.values()]:
         for b1, b2 in itertools.combinations(cov, 2):
             common = [beta for beta in covers[b1] if beta in covers[b2]]
@@ -284,14 +287,47 @@ def _sorted_labels(labels: Iterable[GeneratorLabel]) -> tuple[GeneratorLabel, ..
     return tuple(sorted(labels, key=lambda l: l.sort_key))
 
 
-def _on_cell(instance, label: GeneratorLabel, cell: tuple[int, ...]) -> list[tuple]:
-    """The terms of `label`'s polynomial on the big cell of the sorted
-    n-row set `cell`, where row cell[k] of X is the unit vector e_{k+1}.
-    Exponent tuples keep the ring's length; callers only read the list,
-    which is memoised on the instance per (label, cell), and the minors of
-    X it is built from per (rows, columns).
+def packed_minor(instance, rows: tuple, cols: tuple) -> dict:
+    """det(X on rows, cols), columns counted from 1, as a packed dict
+    {monomial: coefficient}: Laplace expansion along the first row,
+    memoised on the instance per (rows, columns) with every minor it
+    expands into.  Its terms have distinct monomials, so none cancel."""
+    d = instance._minors.get((rows, cols))
+    if d is None:
+        field = instance.ring.field
+        d = {} if rows else {0: field.one}
+        for t, c in enumerate(cols):
+            x = _Packing.var(instance.ring.index[xvar(rows[0], c)])
+            for e, coef in packed_minor(instance, rows[1:], cols[:t] + cols[t + 1 :]).items():
+                d[e + x] = field.neg(coef) if t % 2 else coef
+        instance._minors[rows, cols] = d
+    return d
 
-    Q_r = sum_j x[r][j] y_j is y_{k+1} when r = cell[k], and itself
+
+def add_product(acc: dict, f: dict, g: dict, coeff, field) -> dict:
+    """acc += coeff * f * g on packed dicts {monomial: coefficient} by the
+    field's mul and add, dropping the terms that cancel; returns acc."""
+    zero, add, mul = field.zero, field.add, field.mul
+    for a, ca in f.items():
+        ca = mul(ca, coeff)
+        for b, cb in g.items():
+            e, c = a + b, mul(ca, cb)
+            old = acc.get(e)
+            if old is None:
+                acc[e] = c
+            elif (c := add(old, c)) == zero:
+                del acc[e]
+            else:
+                acc[e] = c
+    return acc
+
+
+def _on_cell(instance, label: GeneratorLabel, cell: tuple[int, ...]) -> dict:
+    """`label`'s polynomial on the big cell of the sorted n-row set `cell`,
+    where row cell[k-1] of X is the unit vector e_k, as a packed dict.
+    Callers only read it; it is memoised on the instance per (label, cell).
+
+    Q_r = sum_j x[r][j] y_j is y_k when r = cell[k-1], and itself
     otherwise.  A minor [R] is expanded along its unit rows (Laplace).  Let
     H = R & cell and F = R - cell, and let C be the columns that the unit
     vectors of H miss, F and C in increasing order (|F| = |C|).  A term of
@@ -300,60 +336,27 @@ def _on_cell(instance, label: GeneratorLabel, cell: tuple[int, ...]) -> list[tup
     a permutation t of F's positions, where the base permutation s sends
     the rows of H to their unit columns and the i-th row of F to C[i].  Its
     sign is sign(s) * sign(t), so [R] is sign(s) times the minor of X on
-    F x C, and the k-minor's terms come from `_signed_permutations(k)`.
-    sign(s) is the parity of the inversions of s."""
-    memo = instance._cells
-    if (label, cell) in memo:
-        return memo[label, cell]
-    ring = instance.ring
-    one, index, zero = ring.field.one, ring.index, ring._zero_exps
-    col = {r: k for k, r in enumerate(cell)}
-    if label.is_q:
-        r = label.q_index
-        if r not in col:
-            terms = list(instance.polynomials[label]._terms)
+    F x C (`packed_minor`).  sign(s) is the parity of the inversions of s."""
+    terms = instance._cells.get((label, cell))
+    if terms is None:
+        field = instance.ring.field
+        col = {r: k for k, r in enumerate(cell, start=1)}
+        if label.is_q:
+            r = label.q_index
+            if r in col:
+                terms = {_Packing.var(instance.ring.index[yvar(col[r])]): field.one}
+            else:
+                terms = _Packing.pack_dict(instance.polynomials[label])
         else:
-            e = list(zero)
-            e[index[yvar(col[r] + 1)]] = 1
-            terms = [(tuple(e), one)]
-    else:
-        hit = {col[r] for r in label.rows if r in col}
-        free_cols = tuple(j for j in range(instance.n) if j not in hit)
-        free_rows = tuple(r for r in label.rows if r not in col)
-        if (free_rows, free_cols) not in memo:
-            # det of X on F x C, shared by every (label, cell) that restricts to it
-            positions = [[index[xvar(r, j + 1)] for j in free_cols] for r in free_rows]
-            signs = (one, ring.field.neg(one))
-            det = memo[free_rows, free_cols] = []
-            for perm, p in _signed_permutations(len(free_rows)):
-                e = list(zero)
-                for row, j in zip(positions, perm):
-                    e[row[j]] = 1
-                det.append((tuple(e), signs[p]))
-        terms = memo[free_rows, free_cols]
-        free = iter(free_cols)
-        base = [col[r] if r in col else next(free) for r in label.rows]
-        if sum(a > b for a, b in itertools.combinations(base, 2)) % 2:
-            terms = [(e, ring.field.neg(c)) for e, c in terms]
-    memo[label, cell] = terms
+            hit = {col[r] for r in label.rows if r in col}
+            free_cols = tuple(j for j in range(1, instance.n + 1) if j not in hit)
+            terms = packed_minor(instance, tuple(r for r in label.rows if r not in col), free_cols)
+            free = iter(free_cols)
+            base = [col[r] if r in col else next(free) for r in label.rows]
+            if sum(a > b for a, b in itertools.combinations(base, 2)) % 2:
+                terms = {e: field.neg(c) for e, c in terms.items()}
+        instance._cells[label, cell] = terms
     return terms
-
-
-def _add_product(acc: dict, instance, pair, coeff, cell: tuple[int, ...]) -> dict:
-    """Add coeff times the product of the two polynomials behind `pair`,
-    each restricted to the big cell of `cell` (`_on_cell`), to `acc`
-    (exponents -> coefficient) by the field's mul and add, and return it.
-    No Polynomial is built and nothing is sorted; cancelled terms stay as
-    zeros."""
-    mul, add = instance.ring.field.mul, instance.ring.field.add
-    f, g = (_on_cell(instance, l, cell) for l in pair)
-    for e1, c1 in f:
-        c1 = mul(c1, coeff)
-        for e2, c2 in g:
-            e = tuple(map(operator.add, e1, e2))
-            prod = mul(c1, c2)
-            acc[e] = add(acc[e], prod) if e in acc else prod
-    return acc
 
 
 def _to_pattern(labels: Iterable[GeneratorLabel]) -> dict[int, int]:
@@ -454,9 +457,9 @@ class StraighteningRelation:
         full-space re-expansion is kept as a cross-check in the tests."""
         field = instance.ring.field
         cell = next(l.rows for l in self.left if not l.is_q)
-        diff = _add_product({}, instance, self.left, field.one, cell)
-        for coeff, pair in self.right:
-            _add_product(diff, instance, pair, field.neg(coeff), cell)
+        diff: dict = {}
+        for coeff, pair in ((field.one, self.left), *((field.neg(c), p) for c, p in self.right)):
+            add_product(diff, *(_on_cell(instance, l, cell) for l in pair), coeff, field)
         return all(c == field.zero for c in diff.values())
 
     def _renamed(self, f: dict[int, int]) -> "StraighteningRelation":
@@ -526,8 +529,10 @@ def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningR
                 if less_eq(c_lab, d_lab):
                     candidates.append((c_lab, d_lab))
             cell = first.rows
-            target = _add_product({}, instance, pattern, field.one, cell)
-            expansions = [_add_product({}, instance, pair, field.one, cell) for pair in candidates]
+            target, *expansions = (
+                add_product({}, *(_on_cell(instance, l, cell) for l in pair), field.one, field)
+                for pair in (pattern, *candidates)
+            )
             monos = sorted({e for p in expansions + [target] for e in p})
             matrix = [[p.get(mo, field.zero) for p in expansions] for mo in monos]
             rhs = [target.get(mo, field.zero) for mo in monos]

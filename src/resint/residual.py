@@ -1,6 +1,11 @@
 """The residual-intersection objects: the generator family, the witness
 ideal, rank-sum systems of parameters, specializations, and the end-to-end
 radical-equality and colon-identity certificates.
+
+The colon certificate computes on packed dicts {monomial: coefficient}
+(`groebner._Packing`); its minors of X come from `poset.packed_minor`,
+the table the big-cell restrictions read, and its products from
+`poset.add_product`.
 """
 
 from __future__ import annotations
@@ -12,8 +17,6 @@ from typing import Mapping
 
 from .groebner import (
     DEFAULT_BUDGET,
-    EXPONENT_LIMIT,
-    FIELD_BITS,
     Budget,
     BudgetExceeded,
     IdealBasis,
@@ -26,7 +29,7 @@ from .groebner import (
     _s_remainder,
 )
 from .labels import GeneratorLabel, M, Q, canonical_labels
-from .poset import BPoset, straighten
+from .poset import BPoset, add_product, packed_minor, straighten
 from .ring import (
     QQ,
     GrevLex,
@@ -76,10 +79,10 @@ class ResidualInstance:
         # by row pattern, for the instance's life: `poset.straighten`, `.verify`
         self._straighten_table: dict = {}
         self._verified: dict = {}
-        # generator terms on a big cell by (label, cell), and the minors of X
-        # they are built from by (rows, columns), for `poset._on_cell`
+        # packed generators on a big cell by (label, cell), for `poset._on_cell`
         self._cells: dict = {}
-        # packed minors of X by (rows, columns), for `verify_colon_identity`
+        # packed minors of X by (rows, columns), for `poset.packed_minor`: the
+        # cell restrictions and `colon_family` and its Cramer identities
         self._minors: dict = {}
 
     @property
@@ -221,42 +224,6 @@ def verify_ara_witness(instance: ResidualInstance, budget: Budget | None = None)
     return HsopCertificate(instance.m, instance.n, relations, verdict)
 
 
-def _packed(f: Polynomial) -> dict:
-    return {_Packing.pack(e): c for e, c in f._terms}
-
-
-def _add_product(acc: dict, f: dict, g: dict, negate: bool, field) -> None:
-    """acc += (-1)^negate * f * g, on packed dicts {monomial: coefficient}."""
-    zero, add, mul = field.zero, field.add, field.mul
-    for a, ca in f.items():
-        if negate:
-            ca = field.neg(ca)
-        for b, cb in g.items():
-            e, c = a + b, mul(ca, cb)
-            old = acc.get(e)
-            if old is None:
-                acc[e] = c
-            elif (c := add(old, c)) == zero:
-                del acc[e]
-            else:
-                acc[e] = c
-
-
-def _packed_minor(instance: ResidualInstance, rows: tuple, cols: tuple) -> dict:
-    """det(X on rows, cols) as a packed dict, memoised on the instance.
-    Its terms have distinct monomials, so none cancel."""
-    d = instance._minors.get((rows, cols))
-    if d is None:
-        d = {} if rows else {0: instance.field.one}
-        index, neg = instance.ring.index, instance.field.neg
-        for t, c in enumerate(cols):
-            x = 1 << FIELD_BITS * index[xvar(rows[0], c)]
-            for e, coef in _packed_minor(instance, rows[1:], cols[:t] + cols[t + 1 :]).items():
-                d[e + x] = neg(coef) if t % 2 else coef
-        instance._minors[rows, cols] = d
-    return d
-
-
 def _pattern(a: int, b: int) -> tuple[int, int]:
     """The own pattern of two row sets given as bitmasks: both renamed
     into 1..u, u the size of their union, in order, as a sorted pair."""
@@ -282,17 +249,18 @@ def colon_family(instance: ResidualInstance) -> dict[tuple[int, ...], dict]:
     `instance.polynomials`.
     """
     m, n, field = instance.m, instance.n, instance.field
-    qs = {r: _packed(instance.polynomials[Q(r)]) for r in range(1, m + 1)}
+    qs = {r: _Packing.pack_dict(instance.polynomials[Q(r)]) for r in range(1, m + 1)}
+    signs = (field.one, field.neg(field.one))
     family = {}
     for k in range(1, n + 1):
         cols = tuple(range(n - k + 2, n + 1))
         for K in itertools.combinations(range(1, m + 1), k):
             if k == n:
-                family[K] = _packed(instance.polynomials[M(K)])
+                family[K] = _Packing.pack_dict(instance.polynomials[M(K)])
                 continue
             g: dict = {}
             for t, r in enumerate(K):
-                _add_product(g, qs[r], _packed_minor(instance, K[:t] + K[t + 1 :], cols), t % 2, field)
+                add_product(g, qs[r], packed_minor(instance, K[:t] + K[t + 1 :], cols), signs[t % 2], field)
             family[K] = g
     return family
 
@@ -368,11 +336,10 @@ def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = No
     reducers = _Reducers(pk.guard, pk.nvars, [terms for _, terms in family])
     leads = reducers.leads
 
-    y1 = EXPONENT_LIMIT - 1 << FIELD_BITS * ring.index[yvar(1)]
-    row = (1 << FIELD_BITS * n) - 1
-    x_shift = {r: FIELD_BITS * ring.index[xvar(r, 1)] for r in range(1, m + 1)}
+    y1 = _Packing.fields(ring.index[yvar(1)])
+    row = {r: _Packing.fields(ring.index[xvar(r, 1)], n) for r in range(1, m + 1)}
     for lead, (K, _) in zip(leads, family):
-        if lead & y1 or not all(lead >> x_shift[r] & row for r in K):
+        if lead & y1 or not all(lead & row[r] for r in K):
             return False
 
     # own-pattern pairs, whose row union is 1..u with u <= 2n, by ascending lcm
@@ -407,18 +374,19 @@ def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = No
             return False
         lifted.add(_pattern(a, b))
 
-    ys = [1 << FIELD_BITS * ring.index[yvar(j)] for j in range(1, n + 1)]
+    ys = [_Packing.var(ring.index[yvar(j)]) for j in range(1, n + 1)]
     columns = tuple(range(1, n + 1))
-    qs = {r: _packed(instance.polynomials[Q(r)]) for r in range(1, m + 1)}
+    qs = {r: _Packing.pack_dict(instance.polynomials[Q(r)]) for r in range(1, m + 1)}
+    signs = (field.one, field.neg(field.one))
     for checked, rows in enumerate(itertools.combinations(range(1, m + 1), n)):
         if time.monotonic() > deadline:
             raise exhausted("wall-clock budget exhausted", checked)
-        det = _packed(instance.polynomials[M(rows)])
+        det = _Packing.pack_dict(instance.polynomials[M(rows)])
         for j, y in enumerate(ys):
             cramer: dict = {}
             for t, r in enumerate(rows):
-                sub = _packed_minor(instance, rows[:t] + rows[t + 1 :], columns[:j] + columns[j + 1 :])
-                _add_product(cramer, qs[r], sub, (t + j) % 2, field)
+                sub = packed_minor(instance, rows[:t] + rows[t + 1 :], columns[:j] + columns[j + 1 :])
+                add_product(cramer, qs[r], sub, signs[(t + j) % 2], field)
             if cramer != {e + y: c for e, c in det.items()}:
                 return False
     return True

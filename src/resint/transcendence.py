@@ -19,7 +19,7 @@ import time
 from dataclasses import dataclass
 
 from . import linalg
-from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded
+from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded, _Packing
 from .labels import GeneratorLabel, M, Q
 from .poset import Identity, StraighteningRelation, _on_cell, bordered_relation
 from .ring import (
@@ -331,7 +331,8 @@ def _d_degrees_match(context: DContext, label: GeneratorLabel, frac: DFraction) 
 def verify_rewrite(context: DContext, label: GeneratorLabel, frac: DFraction) -> bool:
     """Cleared-denominator identity poly(label) * den == num, with the D
     polynomials substituted, checked on the big cell of the main minor:
-    rows R0 = 1..n of X set to the identity (`poset._on_cell`).  There
+    rows R0 = 1..n of X set to the identity (`poset._on_cell`, whose packed
+    terms are unpacked into `Polynomial`s here).  There
     [1..n] is 1, each M_{i,j} is +-x[i][j] and Q_1 is y_1, so the
     substitution is small.
 
@@ -357,9 +358,10 @@ def verify_rewrite(context: DContext, label: GeneratorLabel, frac: DFraction) ->
     instance = context.instance
     ring = instance.ring
     cell = tuple(range(1, instance.n + 1))
+    unpack = _Packing(ring).unpack
 
     def on_cell(lab: GeneratorLabel) -> Polynomial:
-        return ring._from_dict(dict(_on_cell(instance, lab, cell)))
+        return ring._from_dict({unpack(e): c for e, c in _on_cell(instance, lab, cell).items()})
 
     assignment = {v: on_cell(context.legend[v]) for v in context.dvars}
     num = frac.num.substitute(assignment, ring)

@@ -17,13 +17,16 @@ per row pattern.  `reexpands_in_full` re-expands a quadratic identity
 in all of K[X, y], where `StraighteningRelation.verify` re-expands it on
 the big cell of one minor.  `on_cell_by_filter` restricts a generator to
 that cell by filtering its terms, where `poset._on_cell` builds the
-restriction in closed form.  `row_reduce_dense` eliminates on dense rows,
-where `linalg` eliminates on sparse ones.  `rewrite_in_full` substitutes the D
+restriction in closed form; both give packed dicts {monomial:
+coefficient}, with monomials packed by `groebner._Packing`.
+`row_reduce_dense` eliminates on dense rows, where `linalg` eliminates on
+sparse ones.  `rewrite_in_full` substitutes the D
 polynomials into a fraction over D in all of K[X, y], where
 `transcendence.verify_rewrite` substitutes on the big cell of the main
 minor.  `cover_pairs_by_triples` finds the covers of a poset by testing
 every triple, where `BPoset` lists them in closed form.
-`lattice_tables` reads every meet and join off the order bitsets, where
+`lattice_tables` reads every meet and join off the down-set bitsets and
+the up-sets `up_sets` transposes from them, where
 `BPoset.meet` and `BPoset.join` take the componentwise min and max of the
 row coordinates.  `distributive_by_pairs` tests Birkhoff's criterion on
 every pair of those tables, and `distributive_by_triples` the
@@ -33,7 +36,8 @@ not the generator poset.
 `monomial_text_by_sort` renders a monomial by sorting its variables per
 term, where `ring.monomial_text` walks the ring's display table.
 `det_laplace` expands a determinant of polynomials by cofactors, where
-`ring.minor` sums signed permutations.
+`ring.minor` sums signed permutations and `poset.packed_minor` expands
+packed dicts, memoised per (rows, columns).
 `BlockOrder` and `exact_div` are the order and the division the
 eliminations use.  All are bounded: the eliminations grow fast with the
 instance, the axiom check proves nothing past its degree, and subduction
@@ -48,7 +52,7 @@ from __future__ import annotations
 import itertools
 
 from resint import groebner, linalg
-from resint.groebner import IdealBasis
+from resint.groebner import IdealBasis, _Packing
 from resint.labels import M
 from resint.poset import StraighteningRelation, bordered_relation, less_eq, straighten_product
 from resint.ring import (
@@ -273,26 +277,27 @@ def reexpands_in_full(rel: StraighteningRelation, instance) -> bool:
     return not diff
 
 
-def on_cell_by_filter(instance, label, cell) -> list[tuple]:
-    """The terms of `label`'s polynomial on the big cell of the sorted
-    n-row set `cell`, where those rows of X form the identity matrix.
+def on_cell_by_filter(instance, label, cell) -> dict:
+    """`label`'s polynomial on the big cell of the sorted n-row set `cell`,
+    where those rows of X form the identity matrix, as a packed dict
+    {monomial: coefficient}.
 
     A filter over the instance's terms: a term that uses x[cell[k]][j] with
     j != k+1 is dropped, and x[cell[k]][k+1] is set to 1 (its exponent to
-    0).  y is untouched, and exponent tuples keep the ring's length."""
+    0).  y is untouched."""
     index = instance.ring.index
     ones, zeros = [], []
     for k, r in enumerate(cell, start=1):
         for j in range(1, instance.n + 1):
             (ones if j == k else zeros).append(index[xvar(r, j)])
-    terms = []
+    terms = {}
     for e, c in instance.polynomials[label]._terms:
         if any(e[p] for p in zeros):
             continue
         e = list(e)
         for p in ones:
             e[p] = 0
-        terms.append((tuple(e), c))
+        terms[_Packing.pack(tuple(e))] = c
     return terms
 
 
@@ -379,9 +384,19 @@ def monomial_text_by_sort(ring: PolynomialRing, exps: tuple[int, ...]) -> str:
     return "*".join(parts) if parts else "1"
 
 
+def up_sets(poset) -> list[int]:
+    """Up-sets as bitsets by element index, transposed from the down-sets:
+    bit j of up[i] is set exactly when bit i of down[j] is."""
+    up = [0] * len(poset._down)
+    for j, down in enumerate(poset._down):
+        for i in range(down.bit_length()):
+            up[i] |= (down >> i & 1) << j
+    return up
+
+
 def lattice_tables(poset) -> tuple[list[list], list[list]]:
     """Meet and join tables by element index, None where none exists, read
-    off the down- and up-set bitsets alone.
+    off the down-set bitsets and the up-sets transposed from them.
 
     Canonical order is a linear extension, so a meet can only be the
     last element common to both down-sets, and it is one when its own
@@ -396,7 +411,7 @@ def lattice_tables(poset) -> tuple[list[list], list[list]]:
 
     return (
         table(poset._down, lambda c: c.bit_length() - 1),
-        table(poset._up, lambda c: (c & -c).bit_length() - 1),
+        table(up_sets(poset), lambda c: (c & -c).bit_length() - 1),
     )
 
 

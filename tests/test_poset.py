@@ -16,6 +16,7 @@ import references
 from references import (
     asl1_by_expansion,
     cover_pairs_by_triples,
+    det_laplace,
     distributive_by_pairs,
     distributive_by_triples,
     enumerate_standard_monomials,
@@ -25,9 +26,10 @@ from references import (
     on_cell_by_filter,
     reexpands_in_full,
     straighten_by_solve,
+    up_sets,
 )
 from resint import poset as poset_module
-from resint.groebner import Budget, BudgetExceeded
+from resint.groebner import Budget, BudgetExceeded, _Packing
 from resint.labels import M, Q, canonical_labels
 from resint.poset import (
     BPoset,
@@ -38,6 +40,7 @@ from resint.poset import (
     incomparable_pairs,
     is_wonderful,
     less_eq,
+    packed_minor,
     straighten,
     straighten_product,
     verify_asl1,
@@ -45,7 +48,7 @@ from resint.poset import (
     witness_chain,
 )
 from resint.residual import build_instance
-from resint.ring import GF, QQ, NotIncomparable
+from resint.ring import GF, QQ, NotIncomparable, xvar
 from resint.transcendence import DContext
 
 GOLDEN_RELATIONS = Path(__file__).parent / "golden" / "straighten_relations.json"
@@ -127,13 +130,14 @@ def test_hasse_32_brute_force_cover_oracle(inst32):
 
 @pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (9, 5), (12, 4), (8, 1), (5, 5), (1, 1)])
 def test_threshold_order_sets_match_less_eq(m, n):
-    # the down- and up-set bitsets, built from per-coordinate thresholds
-    # of the row coordinates, against less_eq on every ordered pair
+    # the down-set bitsets, built from per-coordinate thresholds of the row
+    # coordinates, and the up-sets transposed from them, against less_eq
+    # on every ordered pair
     poset = BPoset(m, n)
-    E = poset.elements
+    E, up = poset.elements, up_sets(poset)
     for j, b in enumerate(E):
         for i, a in enumerate(E):
-            assert (poset._down[j] >> i & 1, poset._up[i] >> j & 1) == (less_eq(a, b),) * 2
+            assert (poset._down[j] >> i & 1, up[i] >> j & 1) == (less_eq(a, b),) * 2
 
 
 @pytest.mark.parametrize("m,n", [(4, 2), (6, 3), (8, 4), (9, 5), (12, 4), (8, 1), (5, 5), (6, 5)])
@@ -407,7 +411,6 @@ def test_asl1_needs_a_distributive_lattice(monkeypatch, size, pairs, lattice):
     poset.elements = tuple(range(size))
     leq = [[i == j or (i, j) in pairs for j in range(size)] for i in range(size)]
     poset._down = [sum(leq[i][j] << i for i in range(size)) for j in range(size)]
-    poset._up = [sum(leq[i][j] << j for j in range(size)) for i in range(size)]
     monkeypatch.setattr(poset, "_cover_pairs", lambda: cover_pairs_by_triples(poset))
     assert distributive_by_pairs(poset) is lattice
     assert distributive_by_triples(poset) is lattice
@@ -492,13 +495,28 @@ def test_asl2_reexpands_one_relation_per_row_pattern(reexpansions):
     "m,n,field", [(6, 2, QQ), (6, 3, QQ), (6, 3, GF(32003)), (8, 4, QQ), (7, 5, QQ), (5, 5, QQ), (4, 1, QQ)]
 )
 def test_the_closed_cell_restriction_matches_the_term_filter(m, n, field):
-    # every label on every big cell, m = n and n = 1 included
+    # every label on every big cell, m = n and n = 1 included, as packed
+    # dicts compared exactly
     inst = build_instance(m, n, field)
     for cell in itertools.combinations(range(1, m + 1), n):
         for label in inst.labels:
             terms = _on_cell(inst, label, cell)
-            assert sorted(terms) == sorted(on_cell_by_filter(inst, label, cell))
+            assert terms == on_cell_by_filter(inst, label, cell)
             assert _on_cell(inst, label, cell) is terms
+
+
+@pytest.mark.parametrize("m,n", [(5, 3), (6, 4)])
+@pytest.mark.parametrize("field", [QQ, GF(32003)], ids=["Q", "F32003"])
+def test_the_shared_packed_minor_matches_cofactor_expansion(m, n, field):
+    # every row and column subset of each size, the empty minor included,
+    # against det_laplace of the X submatrix, packed
+    inst = build_instance(m, n, field)
+    ring = inst.ring
+    for k in range(n + 1):
+        for rows in itertools.combinations(range(1, m + 1), k):
+            for cols in itertools.combinations(range(1, n + 1), k):
+                sub = [[ring.var(xvar(r, c)) for c in cols] for r in rows]
+                assert packed_minor(inst, rows, cols) == _Packing.pack_dict(det_laplace(ring, sub))
 
 
 @pytest.mark.parametrize("m,n", [(4, 2), (7, 3), (9, 3), (9, 4), (11, 5)])
@@ -703,6 +721,17 @@ def test_wonderful_all_shapes(m):
         assert is_wonderful(BPoset(m, n))
 
 
+@pytest.mark.parametrize("m,n", [(3, 2), (4, 2), (5, 3), (4, 4)])
+def test_wonderful_fails_with_any_one_cover_dropped(monkeypatch, m, n):
+    # is_wonderful reads the covers and the minimal elements off
+    # _cover_pairs; without any one cover the verdict is False
+    poset = BPoset(m, n)
+    pairs = poset._cover_pairs()
+    for k in range(len(pairs)):
+        monkeypatch.setattr(poset, "_cover_pairs", lambda k=k: pairs[:k] + pairs[k + 1 :])
+        assert not is_wonderful(poset)
+
+
 class FakePoset:
     """Explicit-relation poset exposing the same surface as BPoset."""
 
@@ -724,6 +753,17 @@ class FakePoset:
 
     def lt(self, a, b):
         return a != b and self.leq(a, b)
+
+    def _cover_pairs(self):
+        """(i, j) by element index with element j covering element i, read
+        off the closure."""
+        E = self.elements
+        return [
+            (i, j)
+            for i, a in enumerate(E)
+            for j, b in enumerate(E)
+            if self.lt(a, b) and not any(self.lt(a, c) and self.lt(c, b) for c in E)
+        ]
 
 
 def test_wonderful_detects_failure():

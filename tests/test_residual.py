@@ -320,14 +320,11 @@ def test_colon_criterion_rejects_one_flipped_sign(monkeypatch, m, n):
     ring, polys = inst.ring, inst.polynomials
     q1x, q2x = polys[Q(1)] * ring.var(xvar(2, n)), polys[Q(2)] * ring.var(xvar(1, n))
 
-    def packed(f):
-        return {_Packing.pack(e): c for e, c in f._terms}
-
-    assert colon_family(inst)[1, 2] == packed(q1x - q2x)
+    assert colon_family(inst)[1, 2] == _Packing.pack_dict(q1x - q2x)
 
     def flipped(i):
         family = colon_family(i)
-        family[1, 2] = packed(q1x + q2x)
+        family[1, 2] = _Packing.pack_dict(q1x + q2x)
         return family
 
     monkeypatch.setattr(residual, "colon_family", flipped)
