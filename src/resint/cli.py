@@ -6,16 +6,16 @@ takes the same four plus the three --budget-* caps, --timings and
 --checks; `table` takes --max-m, from 2 to 12.
 
 `verify` runs the selected checks one after another, in `ALL_CHECKS`
-order, on one instance per field; results that several checks use (the
+order, on one instance over Q; results that several checks use (the
 straightening relations, the lattice certificate of the first
 straightening-law axiom, the verdict of the second, the toric kernel, the
 transcendence certificate) are computed once per run.  `sagbi` and
 `squarefree` follow from the two axioms, and colon proves a closed family
-a Groebner basis, so no check runs Buchberger.  `_Run` is the one place
-that picks a check's field: only colon runs over the configured field;
-radical is certified by integer identities over Z, and the structural
-checks run over Q.  Each algebraic check records in
-`holds_over` where its verdict holds.
+a Groebner basis, so no check runs Buchberger.  radical and colon are
+certified by integer identities, so they hold over Z; the structural
+checks hold over Q.  Each algebraic check records in `holds_over` where
+its verdict holds.  `--field` picks only the field that the witness
+texts, generators.poly, hsop.poly and the artifact hashes are printed in.
 
 Exit codes for `verify`: 0 all checks true, 1 some check false, 2 resource
 budget exhausted (partial report still written), 3 two modules disagreed
@@ -137,11 +137,11 @@ def cmd_generate(config: RunConfig) -> list[Path]:
     (n >= 2) to the output directory in the canonical text formats."""
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
-    instance = build_instance(config.m, config.n, field=config.field)
+    instance = build_instance(config.m, config.n)
     written = []
     # each generator is rendered once, for both files that print it
     lines = {
-        lab: f"{lab.text} = {poly_text(instance.polynomials[lab])}\n"
+        lab: f"{lab.text} = {poly_text(instance.polynomials[lab], config.field)}\n"
         for lab in instance.labels
     }
 
@@ -154,7 +154,7 @@ def cmd_generate(config: RunConfig) -> list[Path]:
     del lines
 
     hsop_path = out / "hsop.poly"
-    hsop_path.write_text("".join(poly_text(w) + "\n" for w in hsop(instance)))
+    hsop_path.write_text("".join(poly_text(w, config.field) + "\n" for w in hsop(instance)))
     written.append(hsop_path)
 
     dot_path = out / "hasse.dot"
@@ -198,50 +198,40 @@ class _Run:
     same budget hit, with the same stats, and the run spends each budget
     once.
 
-    `instance` is over the configured field and is the one `colon` gets;
-    `rational_instance`, the one radical, the structural checks and the
-    Q-only modules get, is over Q."""
+    `instance`, the one every check gets, is over Q whatever the
+    configured field, which only the report's texts are printed in."""
 
     def __init__(self, config: RunConfig):
         self.config = config
 
     @cached_property
     def instance(self):
-        return build_instance(self.config.m, self.config.n, field=self.config.field)
-
-    @cached_property
-    def rational_instance(self):
-        if self.config.field == QQ:
-            return self.instance
-        return build_instance(self.config.m, self.config.n, field=QQ)
+        return build_instance(self.config.m, self.config.n)
 
     @_shared
     def asl1(self):
-        return verify_asl1(self.rational_instance, budget=self.config.budget)
+        return verify_asl1(self.instance, budget=self.config.budget)
 
     @_shared
     def asl2(self):
-        return verify_asl2(self.rational_instance, budget=self.config.budget)
+        return verify_asl2(self.instance, budget=self.config.budget)
 
     @_shared
     def kernel(self):
-        return toric_kernel(self.rational_instance, self.asl1)
+        return toric_kernel(self.instance, self.asl1)
 
     @_shared
     def transcendence(self):
-        return verify_transcendence_basis(self.rational_instance, budget=self.config.budget)
+        return verify_transcendence_basis(self.instance, budget=self.config.budget)
 
 
 def _check_radical(run: _Run) -> dict:
-    cert = verify_ara_witness(run.rational_instance, budget=run.config.budget)
+    cert = verify_ara_witness(run.instance, budget=run.config.budget)
     return {"verdict": cert.verdict, "holds_over": "Z", "certificate": cert.as_dict()}
 
 
 def _check_colon(run: _Run) -> dict:
-    return {
-        "verdict": verify_colon_identity(run.instance, budget=run.config.budget),
-        "holds_over": run.instance.field.name,
-    }
+    return {"verdict": verify_colon_identity(run.instance, budget=run.config.budget), "holds_over": "Z"}
 
 
 def _axioms(run: _Run) -> tuple[bool, bool]:
@@ -250,7 +240,7 @@ def _axioms(run: _Run) -> tuple[bool, bool]:
     try:
         return run.asl1, run.asl2
     except BudgetExceeded as exc:
-        done = {"lattice_rows_checked": len(run.rational_instance.poset), "pairs_checked": 0}
+        done = {"lattice_rows_checked": len(run.instance.poset), "pairs_checked": 0}
         raise BudgetExceeded(str(exc), {**done, **exc.stats}) from None
 
 
@@ -260,7 +250,7 @@ def _check_asl(run: _Run) -> dict:
 
 
 def _check_wonderful(run: _Run) -> dict:
-    return {"verdict": is_wonderful(run.rational_instance.poset)}
+    return {"verdict": is_wonderful(run.instance.poset)}
 
 
 def _check_sagbi(run: _Run) -> dict:
@@ -291,7 +281,7 @@ def _check_dims(run: _Run) -> dict:
 
     The transcendence count is null when its certificate failed: then the
     verdict is false, and `consistent` compares the numbers derived."""
-    instance = run.rational_instance
+    instance = run.instance
     from_poset = instance.poset.poset_rank()
     from_semigroup = semigroup_dimension(initial_generators(instance))
     values = {"poset_rank": from_poset, "semigroup_rank": from_semigroup}
@@ -357,7 +347,7 @@ def cmd_verify(config: RunConfig, checks: list[str]) -> tuple[dict, int]:
     inconsistency = results.get("dims", {}).get("consistent") is False
 
     instance = run.instance
-    witness_texts = [poly_text(w) for w in hsop(instance)]
+    witness_texts = [poly_text(w, config.field) for w in hsop(instance)]
     report = {
         "tool": "resint",
         "version": __version__,
@@ -371,7 +361,7 @@ def cmd_verify(config: RunConfig, checks: list[str]) -> tuple[dict, int]:
         "artifact_hashes": {
             "hsop": _sha256("\n".join(witness_texts)),
             "generators": _sha256(
-                "\n".join(poly_text(instance.polynomials[lab]) for lab in instance.labels)
+                "\n".join(poly_text(instance.polynomials[lab], config.field) for lab in instance.labels)
             ),
         },
     }
@@ -428,7 +418,9 @@ def build_parser() -> argparse.ArgumentParser:
     def add_instance(p, default_field):
         p.add_argument("--m", type=int, required=True)
         p.add_argument("--n", type=int, required=True)
-        p.add_argument("--field", default=default_field, help="Q, Fp, or Fp:<prime>")
+        p.add_argument(
+            "--field", default=default_field, help="field the texts print in: Q, Fp, or Fp:<prime>"
+        )
         p.add_argument(
             "--out",
             default=os.environ.get(OUTPUT_DIR_ENV, "."),

@@ -237,19 +237,18 @@ def _pattern(a: int, b: int) -> tuple[int, int]:
     return (pa, pb) if pa < pb else (pb, pa)
 
 
-def colon_family(instance: ResidualInstance) -> dict[tuple[int, ...], dict]:
+def colon_family(instance: ResidualInstance, qs: dict[int, dict]) -> dict[tuple[int, ...], dict]:
     """The family g_K, 1 <= |K| <= n, of J = I_n(X) + (X y), by row set K,
-    each as a packed dict {monomial: coefficient}.
+    each as a packed dict {monomial: coefficient}; `qs` holds Q_r packed,
+    by r.
 
     For k = |K| < n, g_K = det[Q_K | X on rows K, columns n-k+2..n],
     expanded along its first column: the sum over the t-th row r of K of
     (-1)^t * Q_r * det(X on K - r, columns n-k+2..n), an explicit
     (X y)-combination.  So g_{r} = Q_r.  For k = n, g_K = [K]; at n = 1
-    the family is the m minors [r].  Q_r and [K] are those of
-    `instance.polynomials`.
+    the family is the m minors [r].  [K] is that of `instance.polynomials`.
     """
     m, n, field = instance.m, instance.n, instance.field
-    qs = {r: _Packing.pack_dict(instance.polynomials[Q(r)]) for r in range(1, m + 1)}
     signs = (field.one, field.neg(field.one))
     family = {}
     for k in range(1, n + 1):
@@ -309,6 +308,16 @@ def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = No
     identity is compared on packed monomials.  A false verdict means the
     certificate failed, not that the identity does.
 
+    Over Q the verdict holds over Z, so in every characteristic.  Every
+    monic g_K must have `int` coefficients (checked).  So each S-pair
+    reduction divides only by monic integer polynomials: its quotients
+    and remainder are integer, and it is a standard representation over
+    Z.  Read mod p, a monic lead keeps its monomial and a quotient term
+    can only vanish, so the representation stays standard over F_p; the
+    chains and the lead tests read only the leads, and the Cramer
+    identities are integer identities.  Over F_p the `int` check holds
+    trivially and the verdict is for that field.
+
     The S-pair phase counts own-pattern pairs against the pair budget,
     tracks the largest intermediate polynomial against the term budget and
     reads the clock once per pair; the Cramer loop reads it once per row
@@ -326,12 +335,15 @@ def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = No
         trace.wall_seconds = time.monotonic() - start
         return BudgetExceeded(message, {**trace.as_dict(), "row_sets_checked": checked})
 
+    qs = {r: _Packing.pack_dict(instance.polynomials[Q(r)]) for r in range(1, m + 1)}
     # monic, with terms in descending grevlex; the shortest divide first
     family = []
-    for K, g in colon_family(instance).items():
+    for K, g in colon_family(instance, qs).items():
         if g:
             terms = sorted(((pk.key(e), e, c) for e, c in g.items()), reverse=True)
             family.append((K, _monic(terms, field)))
+    if not all(type(c) is int for _, terms in family for _, _, c in terms):
+        return False
     family.sort(key=lambda entry: (len(entry[1]), entry[1][0][0]))
     reducers = _Reducers(pk.guard, pk.nvars, [terms for _, terms in family])
     leads = reducers.leads
@@ -376,7 +388,6 @@ def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = No
 
     ys = [_Packing.var(ring.index[yvar(j)]) for j in range(1, n + 1)]
     columns = tuple(range(1, n + 1))
-    qs = {r: _Packing.pack_dict(instance.polynomials[Q(r)]) for r in range(1, m + 1)}
     signs = (field.one, field.neg(field.one))
     for checked, rows in enumerate(itertools.combinations(range(1, m + 1), n)):
         if time.monotonic() > deadline:

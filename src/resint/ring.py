@@ -545,18 +545,26 @@ class Polynomial:
     __str__ = __repr__
 
 
-def poly_text(f: Polynomial) -> str:
+def poly_text(f: Polynomial, field=None) -> str:
     """Canonical text form used for golden files and reports.
 
     Terms descend in the polynomial's ring order; rational coefficients are
     reduced fractions with an explicit sign, prime-field coefficients are
     residues in 0..p-1.
+
+    `field`, when given, is the field the text is read over: each
+    coefficient prints as its image there (`field.coerce`), and a term
+    whose image is 0 is left out.  An integer polynomial printed with
+    `GF(p)` gives the text of the same polynomial built over F_p.
     """
-    if not f._terms:
+    terms = f._terms
+    if field is not None and field != f.ring.field:
+        terms = [(e, c) for e, c in ((e, field.coerce(c)) for e, c in terms) if c]
+    if not terms:
         return "0"
-    rational = isinstance(f.ring.field, RationalField)
+    rational = isinstance(field or f.ring.field, RationalField)
     out = []
-    for i, (e, c) in enumerate(f._terms):
+    for i, (e, c) in enumerate(terms):
         mono = monomial_text(f.ring, e)
         if rational and c < 0:
             sep = "-" if i == 0 else " - "

@@ -127,10 +127,10 @@ def test_verify_computes_shared_results_once(tmp_path, monkeypatch):
     assert code == 0
     # no check runs Buchberger, colon included
     assert calls["buchberger"] == 0
-    # one instance over Fp:32003 and one over Q; each axiom, the kernel
+    # one instance, over Q, under --field Fp:32003; each axiom, the kernel
     # and the transcendence certificate once
     assert {name: calls[name] for name in shared} == {
-        "build_instance": 2,
+        "build_instance": 1,
         "verify_asl1": 1,
         "verify_asl2": 1,
         "toric_kernel": 1,
@@ -147,6 +147,15 @@ def test_verify_computes_shared_results_once(tmp_path, monkeypatch):
     _, code = cmd_verify(config(tmp_path / "structural", field_name="Q"), structural)
     assert code == 0
     assert calls["verify_asl1"] == calls["verify_asl2"] == 1
+
+
+@pytest.mark.parametrize("field_name", ["Q", "Fp:32003", "Fp:2"])
+def test_one_instance_and_colon_over_z_under_every_field(tmp_path, monkeypatch, field_name):
+    calls = _count_calls(monkeypatch, ("build_instance",))
+    report, code = cmd_verify(config(tmp_path, m=3, n=2, field_name=field_name), list(ALL_CHECKS))
+    assert code == 0
+    assert calls["build_instance"] == 1
+    assert report["checks"]["colon"] == {"verdict": True, "holds_over": "Z"}
 
 
 def test_transbasis_and_dims_share_the_run_instance(tmp_path, monkeypatch):

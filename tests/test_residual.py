@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 
 from references import colon_identity_by_elimination, det_laplace
-from resint.groebner import Budget, BudgetExceeded, IdealBasis, buchberger, radical_membership
+from resint.groebner import Budget, BudgetExceeded, IdealBasis, _Packing, buchberger, radical_membership
 from resint.labels import M, Q
 from resint.poset import StraighteningRelation
 from resint.residual import (
@@ -28,7 +28,7 @@ from resint.residual import (
     verify_ara_witness,
     verify_colon_identity,
 )
-from resint.ring import GF, QQ, GrevLex, IncompatibleField, xvar, yvar
+from resint.ring import GF, QQ, GrevLex, IncompatibleField, poly_text, xvar, yvar
 
 FP = GF(32003)
 
@@ -261,13 +261,18 @@ def test_colon_identity_matches_elimination(m, n, p):
     assert verify_colon_identity(inst) is colon_identity_by_elimination(inst) is True
 
 
+def _family(inst) -> dict:
+    """`colon_family` of the instance's own Q_r."""
+    return colon_family(inst, {r: _Packing.pack_dict(inst.polynomials[Q(r)]) for r in range(1, inst.m + 1)})
+
+
 def _family_polynomials(inst) -> set:
     """`colon_family` as monic polynomials of the grevlex ring."""
     ring = inst.ring.with_order(GrevLex())
     nvars = len(ring.vars)
     return {
         ring._from_dict({tuple(e.to_bytes(nvars, "little")): c for e, c in g.items()}).monic()
-        for g in colon_family(inst).values()
+        for g in _family(inst).values()
     }
 
 
@@ -286,7 +291,7 @@ def test_colon_identity_rejects_a_wrong_cramer_identity(monkeypatch):
     from resint import residual
 
     inst = build_instance(4, 2, field=FP)
-    monkeypatch.setattr(residual, "colon_family", lambda i, real=colon_family(inst): real)
+    monkeypatch.setattr(residual, "colon_family", lambda i, qs, real=_family(inst): real)
     inst.polynomials[Q(1)] = inst.ring.var(xvar(1, 1)) * inst.ring.var(yvar(1))
     assert verify_colon_identity(inst) is False
 
@@ -301,8 +306,8 @@ def test_colon_identity_rejects_a_wrong_cramer_identity(monkeypatch):
 def test_colon_criterion_rejects_a_family_without_one_g_K(monkeypatch, m, n, rows):
     from resint import residual
 
-    def without(i):
-        family = colon_family(i)
+    def without(i, qs):
+        family = colon_family(i, qs)
         del family[rows]
         return family
 
@@ -314,16 +319,15 @@ def test_colon_criterion_rejects_a_family_without_one_g_K(monkeypatch, m, n, row
 def test_colon_criterion_rejects_one_flipped_sign(monkeypatch, m, n):
     # g_{1,2} = Q1*x[2][n] - Q2*x[1][n]; flip the sign of its Q2 summand
     from resint import residual
-    from resint.groebner import _Packing
 
     inst = build_instance(m, n, field=FP)
     ring, polys = inst.ring, inst.polynomials
     q1x, q2x = polys[Q(1)] * ring.var(xvar(2, n)), polys[Q(2)] * ring.var(xvar(1, n))
 
-    assert colon_family(inst)[1, 2] == _Packing.pack_dict(q1x - q2x)
+    assert _family(inst)[1, 2] == _Packing.pack_dict(q1x - q2x)
 
-    def flipped(i):
-        family = colon_family(i)
+    def flipped(i, qs):
+        family = colon_family(i, qs)
         family[1, 2] = _Packing.pack_dict(q1x + q2x)
         return family
 
@@ -337,13 +341,44 @@ def test_colon_leads_reject_y1(monkeypatch):
     # and the Cramer identities still pass, and only a lead shows y1
     from resint import residual
 
-    def with_y1(i):
-        family = colon_family(i)
+    def with_y1(i, qs):
+        family = colon_family(i, qs)
         family[1,] = {e + 1: c for e, c in family[1,].items()}  # y1 is the lowest packed field
         return family
 
     monkeypatch.setattr(residual, "colon_family", with_y1)
     assert verify_colon_identity(build_instance(3, 1, field=FP)) is False
+
+
+def test_colon_rejects_a_non_integer_monic_g_K(monkeypatch):
+    # g_{1,2} + c*Q1 keeps its lead (Q1 has lower degree) and lies in J, so
+    # the family is still a Groebner basis of J; only c = 1/2 puts a
+    # non-integer coefficient in the monic family, so only then would the
+    # verdict not hold over Z
+    from resint import residual
+
+    def plus(c):
+        def family(i, qs):
+            family = colon_family(i, qs)
+            residual.add_product(family[1, 2], qs[1], {0: 1}, c, QQ)
+            return family
+
+        return family
+
+    for c, verdict in ((1, True), (Fraction(1, 2), False)):
+        monkeypatch.setattr(residual, "colon_family", plus(c))
+        assert verify_colon_identity(build_instance(5, 3)) is verdict
+
+
+@pytest.mark.parametrize("p", [2, 3, 32003])
+@pytest.mark.parametrize("m,n", [(4, 2), (5, 3), (6, 1), (5, 5)])
+def test_integer_instance_prints_as_the_prime_field_instance(m, n, p):
+    # the texts of the Q instance read mod p are those of the F_p instance
+    inst, fp = build_instance(m, n), build_instance(m, n, field=GF(p))
+    for f, g in zip(hsop(inst), hsop(fp), strict=True):
+        assert poly_text(f, GF(p)) == poly_text(g)
+    for lab in inst.labels:
+        assert poly_text(inst.polynomials[lab], GF(p)) == poly_text(fp.polynomials[lab])
 
 
 def test_colon_budget_hit_has_the_same_keys_in_either_part(monkeypatch):

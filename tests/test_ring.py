@@ -468,6 +468,17 @@ def test_serialization_zero():
     assert poly_text(R.zero) == "0"
 
 
+def test_serialization_read_over_a_prime_field():
+    # each coefficient prints as its residue, and a residue 0 drops its term
+    R = ambient_ring(2, 2)
+    x = lambda i, j: R.var(xvar(i, j))
+    f = 2 * x(1, 1) * x(2, 2) - x(1, 2) * x(2, 1) + 3
+    assert poly_text(f, GF(2)) == "x[1][2]*x[2][1] + 1"
+    assert poly_text(f, GF(3)) == "2*x[1][1]*x[2][2] + 2*x[1][2]*x[2][1]"
+    assert poly_text(f, QQ) == poly_text(f) == "2*x[1][1]*x[2][2] - x[1][2]*x[2][1] + 3"
+    assert poly_text(2 * x(1, 1), GF(2)) == "0"
+
+
 def _rendered_by_sort(f, monkeypatch) -> str:
     """`poly_text` with each monomial rendered by the per-term sort."""
     with monkeypatch.context() as patch:
