@@ -28,6 +28,7 @@ from __future__ import annotations
 
 import argparse
 import hashlib
+import itertools
 import json
 import math
 import os
@@ -35,6 +36,7 @@ import sys
 import time
 from dataclasses import dataclass, field as dc_field
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 
 from . import __version__
@@ -48,7 +50,7 @@ from .residual import (
     verify_ara_witness,
     verify_colon_identity,
 )
-from .ring import DEFAULT_PRIME, GF, QQ, poly_text
+from .ring import DEFAULT_PRIME, GF, QQ, RationalField, monomial_text, poly_text
 from .sagbi import (
     initial_generators,
     semigroup_dimension,
@@ -129,6 +131,66 @@ def _sha256(text: str) -> str:
 
 
 # ---------------------------------------------------------------------------
+# the texts of the generators and witnesses
+
+
+def _joined(terms: list[tuple[int, str]]) -> str:
+    """The text of a polynomial from its term texts, each " + body" or
+    " - body", in order: the first drops its spaces (and its plus)."""
+    text = "".join(map(itemgetter(1), terms))
+    if not text:
+        return "0"
+    return "-" + text[3:] if text[1] == "-" else text[3:]
+
+
+def _texts(instance, field) -> tuple[list[str], list[str]]:
+    """The text of each generator, in label order, and of each witness of
+    `hsop`, printed over `field` exactly as `poly_text` prints them.
+
+    Each term of each generator is printed once, from the generator's
+    packed table, with its coefficient coerced once into `field` (a term
+    whose image is 0 is left out).  A generator's text joins its term
+    texts in the ring order, lex, under which a packed monomial is its own
+    key.  For n >= 2 a witness is the sum of the generators of one rank
+    class, and its text merges their term texts in the ring order.  That
+    sum has no cancellation, because distinct generators share no
+    monomial: a minor's monomials have one x factor in each of its rows,
+    none in any other row and no y, so they fix its row set; a Q_i's
+    monomials x[i][j] * y_j have y-degree 1 and fix i.  So the witness's
+    terms are its generators' terms with their own coefficients, and they
+    print as those do.  For n = 1 the witnesses are the variables x[i][1]."""
+    ring = instance.ring
+    nvars = len(ring.vars)
+    coerce = None if field == ring.field else field.coerce
+    rational = isinstance(field, RationalField)
+
+    def terms(label) -> list[tuple[int, str]]:
+        out = []
+        for e, c in instance.packed[label].items():
+            if coerce is not None:
+                c = coerce(c)
+                if not c:
+                    continue
+            sep = " + "
+            if rational and c < 0:
+                sep, c = " - ", -c
+            mono = monomial_text(ring, e.to_bytes(nvars, "little"))
+            out.append((e, sep + (str(c) if mono == "1" else mono if c == 1 else f"{c}*{mono}")))
+        out.sort(reverse=True)
+        return out
+
+    if instance.n == 1:
+        generators = [_joined(terms(lab)) for lab in instance.labels]
+        return generators, [poly_text(w, field) for w in hsop(instance)]
+    by_label, witnesses = {}, []
+    for cls in instance.poset.rank_classes():
+        parts = [terms(lab) for lab in cls]
+        by_label.update((lab, _joined(p)) for lab, p in zip(cls, parts))
+        witnesses.append(_joined(sorted(itertools.chain.from_iterable(parts), reverse=True)))
+    return [by_label[lab] for lab in instance.labels], witnesses
+
+
+# ---------------------------------------------------------------------------
 # generate
 
 
@@ -138,23 +200,16 @@ def cmd_generate(config: RunConfig) -> list[Path]:
     out = Path(config.output_dir)
     out.mkdir(parents=True, exist_ok=True)
     instance = build_instance(config.m, config.n)
+    generator_texts, witness_texts = _texts(instance, config.field)
+    lines = {lab: f"{lab.text} = {text}\n" for lab, text in zip(instance.labels, generator_texts)}
     written = []
-    # each generator is rendered once, for both files that print it
-    lines = {
-        lab: f"{lab.text} = {poly_text(instance.polynomials[lab], config.field)}\n"
-        for lab in instance.labels
-    }
 
     gen_path = out / "generators.poly"
     gen_path.write_text("".join(lines.values()))
     written.append(gen_path)
-    if config.n >= 2:
-        d_text = "".join(lines[lab] for lab in build_D(config.m, config.n))
-    # the lines are the size of generators.poly; free them before hsop's peak
-    del lines
 
     hsop_path = out / "hsop.poly"
-    hsop_path.write_text("".join(poly_text(w, config.field) + "\n" for w in hsop(instance)))
+    hsop_path.write_text("".join(text + "\n" for text in witness_texts))
     written.append(hsop_path)
 
     dot_path = out / "hasse.dot"
@@ -163,7 +218,7 @@ def cmd_generate(config: RunConfig) -> list[Path]:
 
     if config.n >= 2:
         d_path = out / "transcendence_basis.poly"
-        d_path.write_text(d_text)
+        d_path.write_text("".join(lines[lab] for lab in build_D(config.m, config.n)))
         written.append(d_path)
     return written
 
@@ -346,8 +401,7 @@ def cmd_verify(config: RunConfig, checks: list[str]) -> tuple[dict, int]:
     budget_hit = any(r.get("budget_exceeded") for r in results.values())
     inconsistency = results.get("dims", {}).get("consistent") is False
 
-    instance = run.instance
-    witness_texts = [poly_text(w, config.field) for w in hsop(instance)]
+    generator_texts, witness_texts = _texts(run.instance, config.field)
     report = {
         "tool": "resint",
         "version": __version__,
@@ -360,9 +414,7 @@ def cmd_verify(config: RunConfig, checks: list[str]) -> tuple[dict, int]:
         },
         "artifact_hashes": {
             "hsop": _sha256("\n".join(witness_texts)),
-            "generators": _sha256(
-                "\n".join(poly_text(instance.polynomials[lab], config.field) for lab in instance.labels)
-            ),
+            "generators": _sha256("\n".join(generator_texts)),
         },
     }
     all_true = all(r.get("verdict") is True for r in results.values())

@@ -187,14 +187,23 @@ class _Packing:
         n = len(ring.vars)
         self.nvars = n
         self.guard = int.from_bytes(bytes([EXPONENT_LIMIT]) * n, "little")
-        rows = ring.order.weight_rows(n)
+        self._order = ring.order
+
+    # the keys' weights are built on first use: unpacking needs none
+    @cached_property
+    def weights(self) -> tuple[int, ...]:
+        n = self.nvars
+        rows = self._order.weight_rows(n)
         top = EXPONENT_LIMIT - 1
         width = 1 + max(((top * sum(map(abs, row))).bit_length() for row in rows), default=0)
         last = len(rows) - 1
-        self.weights = tuple(
+        return tuple(
             sum(row[i] << (width * (last - r)) for r, row in enumerate(rows)) for i in range(n)
         )
-        self.degree_shift = 1 + (top * sum(map(abs, self.weights))).bit_length()
+
+    @cached_property
+    def degree_shift(self) -> int:
+        return 1 + ((EXPONENT_LIMIT - 1) * sum(map(abs, self.weights))).bit_length()
 
     def key(self, m: int) -> int:
         return sum(map(mul, self.weights, m.to_bytes(self.nvars, "little")))

@@ -48,8 +48,9 @@ def _sparse(field, row) -> dict:
 
 
 def rank(matrix: list[list]) -> int:
-    """Rank over Q of a matrix of elements of Q."""
-    rows = [_sparse(QQ, row) for row in matrix]
+    """Rank over Q of a matrix of elements of Q (ints or Fractions), read
+    as they are: an entry already in Q needs no coercion."""
+    rows = [{j: x for j, x in enumerate(row) if x} for row in matrix]
     return len(_row_reduce(QQ, rows, len(matrix[0]) if matrix else 0))
 
 

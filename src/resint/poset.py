@@ -3,7 +3,7 @@ straightening relations, the two straightening-law axioms, and the
 wonderful-poset cover condition.
 
 Functions that expand labels into actual polynomials take the residual
-instance (which owns the ring and the label -> polynomial map) as their
+instance (which owns the ring and each generator's packed table) as their
 first argument.  They expand on a big cell: the n rows of one minor of X
 set to the identity matrix, where that minor is 1 and a minor sharing k
 rows with it is +- a minor of size n - k.  `_on_cell` builds each
@@ -258,24 +258,35 @@ def is_wonderful(poset: BPoset) -> bool:
     covers both (or both are maximal, when gamma is +infinity).
 
     The covers are read off `_cover_pairs` (closed form, proved in
-    `BPoset`), and the minimal elements are those that cover nothing; the
-    elements above each one come from `lt`."""
-    E = list(poset.elements)
-    above = {a: [b for b in E if poset.lt(a, b)] for a in E}
-    covers: dict = {a: [] for a in E}
-    covered = set()
+    `BPoset`), and the minimal elements are those that cover nothing.  The
+    order is read off the down-set bitsets `_down`, transposed into the
+    up-sets: bit j of up[i] is set when element i < element j.  So the
+    gammas above both b1 and b2 are up[b1] & up[b2], and those above some
+    common cover beta are the union of beta's up-set and beta itself."""
+    size = len(poset.elements)
+    up = [0] * size
+    for j, down in enumerate(poset._down):
+        below = down & ~(1 << j)
+        while below:
+            low = below & -below
+            up[low.bit_length() - 1] |= 1 << j
+            below ^= low
+    covers: list[list[int]] = [[] for _ in range(size)]
+    covered = 0
     for i, j in poset._cover_pairs():
-        covers[E[i]].append(E[j])
-        covered.add(j)
-    minimal = [b for j, b in enumerate(E) if j not in covered]
-    for cov in [minimal, *covers.values()]:
+        covers[i].append(j)
+        covered |= 1 << j
+    minimal = [i for i in range(size) if not covered >> i & 1]
+    for cov in [minimal, *covers]:
         for b1, b2 in itertools.combinations(cov, 2):
-            common = [beta for beta in covers[b1] if beta in covers[b2]]
-            if not common and (above[b1] or above[b2]):
+            common = set(covers[b1]).intersection(covers[b2])
+            if not common and (up[b1] or up[b2]):
                 return False
-            for gamma in above[b1]:
-                if poset.lt(b2, gamma) and not any(poset.leq(beta, gamma) for beta in common):
-                    return False
+            reached = 0
+            for beta in common:
+                reached |= up[beta] | 1 << beta
+            if up[b1] & up[b2] & ~reached:
+                return False
     return True
 
 
@@ -289,17 +300,23 @@ def _sorted_labels(labels: Iterable[GeneratorLabel]) -> tuple[GeneratorLabel, ..
 
 def packed_minor(instance, rows: tuple, cols: tuple) -> dict:
     """det(X on rows, cols), columns counted from 1, as a packed dict
-    {monomial: coefficient}: Laplace expansion along the first row,
+    {monomial: coefficient}: Laplace expansion along the last column,
     memoised on the instance per (rows, columns) with every minor it
-    expands into.  Its terms have distinct monomials, so none cancel."""
+    expands into.  Its terms have distinct monomials, so none cancel.
+
+    Along the last column, the minors expanded into are those of the
+    columns before it, on every subset of the rows: the minors of all the
+    row sets on columns 1..n share one table of each smaller size."""
     d = instance._minors.get((rows, cols))
     if d is None:
         field = instance.ring.field
         d = {} if rows else {0: field.one}
-        for t, c in enumerate(cols):
-            x = _Packing.var(instance.ring.index[xvar(rows[0], c)])
-            for e, coef in packed_minor(instance, rows[1:], cols[:t] + cols[t + 1 :]).items():
-                d[e + x] = field.neg(coef) if t % 2 else coef
+        for t, r in enumerate(rows):
+            x = _Packing.var(instance.ring.index[xvar(r, cols[-1])])
+            # the cofactor of row t in the last column has sign (-1)^(t + k - 1)
+            odd = (t + len(cols) - 1) % 2
+            for e, coef in packed_minor(instance, rows[:t] + rows[t + 1 :], cols[:-1]).items():
+                d[e + x] = field.neg(coef) if odd else coef
         instance._minors[rows, cols] = d
     return d
 
@@ -346,7 +363,7 @@ def _on_cell(instance, label: GeneratorLabel, cell: tuple[int, ...]) -> dict:
             if r in col:
                 terms = {_Packing.var(instance.ring.index[yvar(col[r])]): field.one}
             else:
-                terms = _Packing.pack_dict(instance.polynomials[label])
+                terms = instance.packed[label]
         else:
             hit = {col[r] for r in label.rows if r in col}
             free_cols = tuple(j for j in range(1, instance.n + 1) if j not in hit)
@@ -361,14 +378,20 @@ def _on_cell(instance, label: GeneratorLabel, cell: tuple[int, ...]) -> dict:
 
 def _to_pattern(labels: Iterable[GeneratorLabel]) -> dict[int, int]:
     """The rows the labels use (a Q index counts as a row) -> 1..k, in order."""
-    rows = sorted({r for l in labels for r in ((l.q_index,) if l.is_q else l.rows)})
-    return {r: i for i, r in enumerate(rows, start=1)}
+    rows: set[int] = set()
+    for q_index, minor_rows in labels:
+        if q_index is None:
+            rows.update(minor_rows)
+        else:
+            rows.add(q_index)
+    return {r: i for i, r in enumerate(sorted(rows), start=1)}
 
 
 def _rename(label: GeneratorLabel, f: dict[int, int]) -> GeneratorLabel:
-    if label.is_q:
-        return GeneratorLabel(q_index=f[label.q_index])
-    return GeneratorLabel(rows=tuple(f[r] for r in label.rows))
+    q_index, rows = label
+    if q_index is not None:
+        return Q(f[q_index])
+    return M(tuple(map(f.__getitem__, rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +410,10 @@ def bordered_relation(rows: Sequence[int]) -> Identity:
     matrix; its cofactor expansion along that column is the identity, one
     term Q_r * [R minus r] per row r, in row order.
     """
+    rows = tuple(rows)
     size = len(rows)
     return [
-        (1 if (k + size) % 2 == 0 else -1, (Q(r), M(rr for rr in rows if rr != r)))
+        (1 if (k + size) % 2 == 0 else -1, (Q(r), M(rows[: k - 1] + rows[k:])))
         for k, r in enumerate(rows, start=1)
     ]
 
@@ -433,7 +457,7 @@ class StraighteningRelation:
         with its rows renamed to 1..k in order, which holds exactly when
         the relation does (the renaming argument in `straighten`).  A
         relation that differs in any term is a new key and is re-expanded."""
-        key = self._renamed(_to_pattern(self.left + tuple(l for _, p in self.right for l in p)))
+        key = self._renamed(_to_pattern(itertools.chain(self.left, *(p for _, p in self.right))))
         if key not in instance._verified:
             instance._verified[key] = self._reexpands(instance)
         return instance._verified[key]
@@ -464,8 +488,8 @@ class StraighteningRelation:
 
     def _renamed(self, f: dict[int, int]) -> "StraighteningRelation":
         return StraighteningRelation(
-            tuple(_rename(l, f) for l in self.left),
-            tuple((c, tuple(_rename(l, f) for l in pair)) for c, pair in self.right),
+            (_rename(self.left[0], f), _rename(self.left[1], f)),
+            tuple((c, (_rename(a, f), _rename(b, f))) for c, (a, b) in self.right),
         )
 
     @property
@@ -625,7 +649,9 @@ def verify_asl1(instance, budget: Budget | None = None) -> bool:
     (De Concini, Eisenbud and Procesi, *Hodge Algebras*, 1982), so it is
     not recomputed here.
 
-    No polynomial is expanded and no pair is visited.  The wall-clock
+    Each leading monomial is read off the element's own terms, as the
+    largest monomial of its packed table (`ResidualInstance.lead`).  No
+    product is expanded and no pair is visited.  The wall-clock
     budget is read before each element's lead check;
     `lattice_rows_checked` counts the elements done.
     """
@@ -639,12 +665,10 @@ def verify_asl1(instance, budget: Budget | None = None) -> bool:
             factors = [xvar(r, k) for k, r in enumerate(c[1:], start=1)]
         else:
             factors = [xvar(c[n], n), yvar(n)]
-        lead = [0] * len(index)
-        for v in factors:
-            lead[index[v]] += 1
-        if instance.polynomials[e].leading_monomial() != tuple(lead):
+        if instance.lead(e) != sum(_Packing.var(index[v]) for v in factors):
             return False
-    chain = [instance.polynomials[e].leading_monomial() for e in witness_chain(poset.m, n)]
+    unpack = instance.packing.unpack
+    chain = [unpack(instance.lead(e)) for e in witness_chain(poset.m, n)]
     return linalg.rank(chain) == poset.poset_rank()
 
 

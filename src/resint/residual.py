@@ -12,7 +12,10 @@ from __future__ import annotations
 
 import itertools
 import time
+import weakref
+from collections.abc import MutableMapping
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Mapping
 
 from .groebner import (
@@ -38,7 +41,6 @@ from .ring import (
     PolynomialRing,
     VariableId,
     ambient_ring,
-    minor,
     q_entry,
     xvar,
     yvar,
@@ -53,13 +55,61 @@ class BadAssignment(Exception):
     """Raised for partial specialization assignments."""
 
 
+class _OnRequest(MutableMapping):
+    """A map over the labels of one instance whose value at a label is
+    made by `build(instance, label)` on its first read and then kept.  A
+    value set is kept as set; deleting one makes the next read build it
+    again.
+
+    It holds the instance weakly: the instance holds the map, and a cycle
+    would keep each instance, with all its tables, alive until the cyclic
+    garbage collector next runs."""
+
+    def __init__(self, instance: "ResidualInstance", build):
+        self._instance = weakref.ref(instance)
+        self._keys = instance.labels
+        self._known = frozenset(instance.labels)
+        self._build = build
+        self._values: dict = {}
+
+    def __getitem__(self, key):
+        value = self._values.get(key)
+        if value is None:
+            if key not in self._known:
+                raise KeyError(key)
+            value = self._values[key] = self._build(self._instance(), key)
+        return value
+
+    def __setitem__(self, key, value):
+        if key not in self._known:
+            raise KeyError(key)
+        self._values[key] = value
+
+    def __delitem__(self, key):
+        del self._values[key]
+
+    def __iter__(self):
+        return iter(self._keys)
+
+    def __len__(self):
+        return len(self._keys)
+
+
 class ResidualInstance:
-    """All generators of the witness algebra for one (m, n), realized.
+    """The generators of the witness algebra for one (m, n), each built on
+    request.
 
     Carries the ambient ring (ordered so the two leading-monomial formulas
     hold), the canonical label list (Q1..Qm then minors in lexicographic
-    row order -- golden files depend on this), and the label -> polynomial
-    map.
+    row order -- golden files depend on this), and two label-keyed maps
+    whose entries are built on first read: `polynomials`, each generator
+    as a `Polynomial`, and `packed`, each as a packed dict {monomial:
+    coefficient} (`groebner._Packing`), the table every check and every
+    printed text reads.  Each generator is built once, in one form, and
+    the other is derived from it: a minor's table is `poset.packed_minor`
+    on the columns 1..n and its polynomial is unpacked from the table; a
+    Q's polynomial, of n terms, is `ring.q_entry` and its table is packed
+    from it.
     """
 
     def __init__(self, m: int, n: int, field=QQ):
@@ -69,12 +119,8 @@ class ResidualInstance:
         self.n = n
         self.ring = ambient_ring(m, n, field=field)
         self.labels: tuple[GeneratorLabel, ...] = tuple(canonical_labels(m, n))
-        self.polynomials: dict[GeneratorLabel, Polynomial] = {}
-        for lab in self.labels:
-            if lab.is_q:
-                self.polynomials[lab] = q_entry(self.ring, lab.q_index)
-            else:
-                self.polynomials[lab] = minor(self.ring, lab.rows)
+        self.polynomials = _OnRequest(self, ResidualInstance._polynomial)
+        self.packed = _OnRequest(self, ResidualInstance._packed)
         self._poset: BPoset | None = None
         # by row pattern, for the instance's life: `poset.straighten`, `.verify`
         self._straighten_table: dict = {}
@@ -82,8 +128,33 @@ class ResidualInstance:
         # packed generators on a big cell by (label, cell), for `poset._on_cell`
         self._cells: dict = {}
         # packed minors of X by (rows, columns), for `poset.packed_minor`: the
-        # cell restrictions and `colon_family` and its Cramer identities
+        # generators' tables, the cell restrictions and `colon_family`
         self._minors: dict = {}
+
+    @cached_property
+    def packing(self) -> _Packing:
+        """The packing of the ring, to unpack the tables' monomials."""
+        return _Packing(self.ring)
+
+    def _polynomial(self, label: GeneratorLabel) -> Polynomial:
+        if label.is_q:
+            return q_entry(self.ring, label.q_index)
+        # descending packed monomials are descending in lex (`lead`)
+        unpack = self.packing.unpack
+        terms = sorted(self.packed[label].items(), reverse=True)
+        return Polynomial(self.ring, tuple((unpack(e), c) for e, c in terms))
+
+    def _packed(self, label: GeneratorLabel) -> dict:
+        if label.is_q:
+            return _Packing.pack_dict(self.polynomials[label])
+        return packed_minor(self, label.rows, tuple(range(1, self.n + 1)))
+
+    def lead(self, label: GeneratorLabel) -> int:
+        """The leading monomial of `label`, packed: the largest monomial of
+        its packed table under the ring order.  That order is lex, and
+        under lex a packed monomial is its own key (`_Packing.key`: the
+        variable at index i weighs 1 << FIELD_BITS * i)."""
+        return max(self.packed[label])
 
     @property
     def field(self):
@@ -106,7 +177,8 @@ class ResidualInstance:
 
 
 def build_instance(m: int, n: int, field=QQ) -> ResidualInstance:
-    """Instance with all m + C(m, n) generators realized as polynomials."""
+    """Instance of the m + C(m, n) generators, whose polynomials and packed
+    tables are built on request."""
     return ResidualInstance(m, n, field=field)
 
 
@@ -246,7 +318,7 @@ def colon_family(instance: ResidualInstance, qs: dict[int, dict]) -> dict[tuple[
     expanded along its first column: the sum over the t-th row r of K of
     (-1)^t * Q_r * det(X on K - r, columns n-k+2..n), an explicit
     (X y)-combination.  So g_{r} = Q_r.  For k = n, g_K = [K]; at n = 1
-    the family is the m minors [r].  [K] is that of `instance.polynomials`.
+    the family is the m minors [r].  [K] is its table in `instance.packed`.
     """
     m, n, field = instance.m, instance.n, instance.field
     signs = (field.one, field.neg(field.one))
@@ -255,7 +327,7 @@ def colon_family(instance: ResidualInstance, qs: dict[int, dict]) -> dict[tuple[
         cols = tuple(range(n - k + 2, n + 1))
         for K in itertools.combinations(range(1, m + 1), k):
             if k == n:
-                family[K] = _Packing.pack_dict(instance.polynomials[M(K)])
+                family[K] = instance.packed[M(K)]
                 continue
             g: dict = {}
             for t, r in enumerate(K):
@@ -335,7 +407,7 @@ def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = No
         trace.wall_seconds = time.monotonic() - start
         return BudgetExceeded(message, {**trace.as_dict(), "row_sets_checked": checked})
 
-    qs = {r: _Packing.pack_dict(instance.polynomials[Q(r)]) for r in range(1, m + 1)}
+    qs = {r: instance.packed[Q(r)] for r in range(1, m + 1)}
     # monic, with terms in descending grevlex; the shortest divide first
     family = []
     for K, g in colon_family(instance, qs).items():
@@ -392,7 +464,7 @@ def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = No
     for checked, rows in enumerate(itertools.combinations(range(1, m + 1), n)):
         if time.monotonic() > deadline:
             raise exhausted("wall-clock budget exhausted", checked)
-        det = _Packing.pack_dict(instance.polynomials[M(rows)])
+        det = instance.packed[M(rows)]
         for j, y in enumerate(ys):
             cramer: dict = {}
             for t, r in enumerate(rows):

@@ -5,7 +5,9 @@ subduction, transcendence certificates) is built on the types here:
 variables, monomial orders, polynomials, and the maximal minors (as sums
 over permutations) of the generic matrix of indeterminates.  A monomial
 is its exponent tuple over the ring's variable sequence; `monomial_text`
-prints one.
+prints one from that tuple or from the bytes of its packed form
+(`groebner._Packing`, one byte per variable), which is how the generator
+and witness texts of `resint verify` and `generate` are printed.
 
 Coefficients over Q are ints while they are integers and reduced
 Fractions only after a division leaves a remainder; over F_p they are
@@ -203,22 +205,30 @@ def GF(p: int) -> PrimeField:
 # variables
 
 
-class VariableId:
+class VariableId(tuple):
     """A variable of the session universe: x[i][j], y[i], t (slack), Y[k].
 
     kind is one of "x", "y", "t", "p"; the indices tuple carries (row, col)
     for x, (index,) for y and p, and an aux counter for slacks (0 is the
     canonical Rabinowitsch slack, printed plainly as `t`).
+
+    A variable is the tuple (kind, indices), so it hashes and compares as
+    that tuple does; `xvar` and `yvar` return one shared variable per value.
     """
 
-    __slots__ = ("kind", "indices", "_hash")
+    __slots__ = ()
 
-    def __init__(self, kind: str, indices: tuple[int, ...] = ()):
+    def __new__(cls, kind: str, indices: tuple[int, ...] = ()):
         if kind not in ("x", "y", "t", "p"):
             raise ValueError(f"unknown variable kind {kind!r}")
-        self.kind = kind
-        self.indices = indices
-        self._hash = hash((kind, indices))
+        return tuple.__new__(cls, (kind, indices))
+
+    def __getnewargs__(self):
+        # copy and pickle call __new__ with the fields, not the one tuple
+        return tuple(self)
+
+    kind = property(operator.itemgetter(0))
+    indices = property(operator.itemgetter(1))
 
     @property
     def text(self) -> str:
@@ -232,26 +242,26 @@ class VariableId:
         k = self.indices[0] if self.indices else 0
         return "t" if k == 0 else f"t{k}"
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, VariableId)
-            and other.kind == self.kind
-            and other.indices == self.indices
-        )
-
-    def __hash__(self):
-        return self._hash
-
     def __repr__(self):
         return self.text
 
 
+_XVARS: dict[tuple[int, int], VariableId] = {}
+_YVARS: dict[int, VariableId] = {}
+
+
 def xvar(i: int, j: int) -> VariableId:
-    return VariableId("x", (i, j))
+    v = _XVARS.get((i, j))
+    if v is None:
+        v = _XVARS[i, j] = VariableId("x", (i, j))
+    return v
 
 
 def yvar(i: int) -> VariableId:
-    return VariableId("y", (i,))
+    v = _YVARS.get(i)
+    if v is None:
+        v = _YVARS[i] = VariableId("y", (i,))
+    return v
 
 
 def tvar(k: int = 0) -> VariableId:
@@ -275,7 +285,7 @@ def pvar(k: int) -> VariableId:
 
 
 def _unit_row(nvars: int, i: int, value: int = 1) -> tuple[int, ...]:
-    return tuple(value if j == i else 0 for j in range(nvars))
+    return (0,) * i + (value,) + (0,) * (nvars - i - 1)
 
 
 class MonomialOrder:
@@ -351,11 +361,19 @@ def _display_key(v: VariableId) -> tuple:
     return (_KIND_DISPLAY_RANK[v.kind], v.indices)
 
 
-def monomial_text(ring: "PolynomialRing", exps: tuple[int, ...]) -> str:
-    """Render exponents with x[i][j] factors first, then y, t, Y.
+def monomial_text(ring: "PolynomialRing", exps: Sequence[int]) -> str:
+    """Render exponents (a tuple, or the bytes of a packed monomial) with
+    x[i][j] factors first, then y, t, Y.
 
     Walks the ring's display table: its variable positions in display
-    order and their texts, both built once per ring."""
+    order and their texts, both built once per ring.  Bytes whose
+    exponents are all 0 or 1 take a shortcut when the display order is the
+    variable sequence rotated (the ambient ring's y's then x's): the
+    factors are picked from the display texts by the bytes, rotated the
+    same way."""
+    shift = ring.display_shift
+    if shift is not None and type(exps) is bytes and not exps.translate(None, b"\0\1"):
+        return "*".join(itertools.compress(ring.display_texts, exps[shift:] + exps[:shift])) or "1"
     texts = ring.var_texts
     parts = []
     for i in ring.display_order:
@@ -601,6 +619,12 @@ class PolynomialRing:
         self.display_order = tuple(
             sorted(range(len(self.vars)), key=lambda i: _display_key(self.vars[i]))
         )
+        self.display_texts = tuple(self.var_texts[i] for i in self.display_order)
+        # k when the display order is the sequence rotated left by k, else None
+        nv = len(self.vars)
+        k = self.display_order[0] if nv else 0
+        rotated = self.display_order == (*range(k, nv), *range(k))
+        self.display_shift = k if rotated else None
         self.order = order if order is not None else Lex()
         self._zero_exps = (0,) * len(self.vars)
         self.zero = Polynomial(self, ())
@@ -621,8 +645,7 @@ class PolynomialRing:
         return Polynomial(self, ((self._zero_exps, c),))
 
     def var(self, v: VariableId) -> Polynomial:
-        i = self.index[v]
-        exps = tuple(1 if j == i else 0 for j in range(len(self.vars)))
+        exps = _unit_row(len(self.vars), self.index[v])
         return Polynomial(self, ((exps, self.field.one),))
 
     def monomial(self, exponents: Mapping[VariableId, int]) -> tuple[int, ...]:

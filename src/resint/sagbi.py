@@ -57,15 +57,17 @@ class MonomialAlgebraMap:
 def initial_generators(instance: ResidualInstance) -> MonomialAlgebraMap:
     """Leading monomials of every generator, keyed by presentation variable.
 
-    Under the ambient order these are x[i][n]*y[n] for the Q's and the main
-    diagonals for the minors.
+    Each is the largest monomial of the generator's packed table under the
+    ambient order (`ResidualInstance.lead`): x[i][n]*y[n] for the Q's and
+    the main diagonals for the minors.
     """
     pvars = [pvar(k) for k in range(1, len(instance.labels) + 1)]
     pring = PolynomialRing(QQ, pvars, TauOrder(tau_sequence(instance)))
+    unpack = instance.packing.unpack
     targets = {}
     legend = {}
     for v, lab in zip(pvars, instance.labels):
-        targets[v] = instance.polynomials[lab].leading_monomial()
+        targets[v] = unpack(instance.lead(lab))
         legend[v] = lab
     return MonomialAlgebraMap(instance, pring, targets, legend)
 

@@ -15,11 +15,12 @@ fraction arithmetic.  Everything here runs over Q.
 
 from __future__ import annotations
 
+import operator
 import time
 from dataclasses import dataclass
 
 from . import linalg
-from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded, _Packing
+from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded
 from .labels import GeneratorLabel, M, Q
 from .poset import Identity, StraighteningRelation, _on_cell, bordered_relation
 from .ring import (
@@ -120,7 +121,7 @@ def specialize_D(instance: ResidualInstance) -> dict[GeneratorLabel, Polynomial]
     for label in build_D(m, n):
         d: dict = {}
         for e, c in instance.polynomials[label]._terms:
-            if any(e[i] for i in zeroed):
+            if any(map(e.__getitem__, zeroed)):
                 continue
             e = list(e)
             for i in ones:
@@ -306,10 +307,10 @@ class DContext:
             terms = bordered_relation((1,) + rows)
         identity = StraighteningRelation.solve(terms, (label, pivot), QQ)
         sums = [
-            [a + b for a, b in zip(self.denominator(p), self.denominator(q))]
+            map(operator.add, self.denominator(p), self.denominator(q))
             for _, (p, q) in identity.right
         ]
-        den = [max(column) for column in zip(*sums)]
+        den = list(map(max, zip(*sums)))
         den[self.position[pivot]] += 1
         self.identities[label] = identity
         self._den[label] = tuple(den)
@@ -358,7 +359,7 @@ def verify_rewrite(context: DContext, label: GeneratorLabel, frac: DFraction) ->
     instance = context.instance
     ring = instance.ring
     cell = tuple(range(1, instance.n + 1))
-    unpack = _Packing(ring).unpack
+    unpack = instance.packing.unpack
 
     def on_cell(lab: GeneratorLabel) -> Polynomial:
         return ring._from_dict({unpack(e): c for e, c in _on_cell(instance, lab, cell).items()})

@@ -279,8 +279,28 @@ def test_a_budget_hit_is_attempted_once_per_run(tmp_path, monkeypatch):
     assert report["checks"]["transbasis"]["stats"] == report["checks"]["dims"]["stats"]
 
 
+@pytest.mark.parametrize("m,n", [(4, 2), (5, 3), (6, 5), (9, 3), (8, 1), (5, 5)])
+@pytest.mark.parametrize("field_name", ["Q", "Fp:2", "Fp:32003"])
+def test_texts_from_the_packed_tables_match_poly_text(m, n, field_name):
+    # every generator and witness text, each term printed once from the
+    # packed tables, against poly_text of the generators built by minor and
+    # q_entry and of the hsop witnesses summed from those generators
+    from resint.cli import _texts
+    from resint.residual import build_instance, hsop
+    from resint.ring import minor, poly_text, q_entry
+
+    field = parse_field(field_name)
+    generators, witnesses = _texts(build_instance(m, n), field)
+    reference = build_instance(m, n)
+    for lab in reference.labels:
+        ring = reference.ring
+        reference.polynomials[lab] = q_entry(ring, lab.q_index) if lab.is_q else minor(ring, lab.rows)
+    assert generators == [poly_text(reference.polynomials[lab], field) for lab in reference.labels]
+    assert witnesses == [poly_text(w, field) for w in hsop(reference)]
+
+
 def _swapped_minors(monkeypatch):
-    # [1,2] and [3,4] trade polynomials at (4,2), so neither lead is its
+    # [1,2] and [3,4] trade packed tables at (4,2), so neither lead is its
     # closed form x[r_1][1]*x[r_2][2]
     from resint import cli
 
@@ -288,22 +308,22 @@ def _swapped_minors(monkeypatch):
 
     def built(*args, **kwargs):
         inst = real(*args, **kwargs)
-        polys = inst.polynomials
-        polys[M([1, 2])], polys[M([3, 4])] = polys[M([3, 4])], polys[M([1, 2])]
+        packed = inst.packed
+        packed[M([1, 2])], packed[M([3, 4])] = packed[M([3, 4])], packed[M([1, 2])]
         return inst
 
     monkeypatch.setattr(cli, "build_instance", built)
 
 
 def _shared_leading_monomial(monkeypatch):
-    # Q2 gets Q1's polynomial, and with it Q1's leading monomial
+    # Q2 gets Q1's packed table, and with it Q1's leading monomial
     from resint import cli
 
     real = cli.build_instance
 
     def built(*args, **kwargs):
         inst = real(*args, **kwargs)
-        inst.polynomials[Q(2)] = inst.polynomials[Q(1)]
+        inst.packed[Q(2)] = inst.packed[Q(1)]
         return inst
 
     monkeypatch.setattr(cli, "build_instance", built)

@@ -623,10 +623,13 @@ def test_asl1_rejects_a_non_standard_expansion(monkeypatch):
 
 
 def test_asl1_rejects_a_shared_leading_monomial(monkeypatch):
-    # Q2 gets Q1's polynomial, so Q1 and Q2 share a leading monomial, and
-    # so do the standard monomials Q1*Q1 and Q1*Q2
+    # Q2 gets Q1's packed table, which verify_asl1 reads, and Q1's
+    # polynomial, which the expansion reads: so Q1 and Q2 share a leading
+    # monomial, and so do the standard monomials Q1*Q1 and Q1*Q2
     inst = build_instance(4, 2)
+    monkeypatch.setitem(inst.packed, Q(2), inst.packed[Q(1)])
     monkeypatch.setitem(inst.polynomials, Q(2), inst.polynomials[Q(1)])
+    assert inst.lead(Q(2)) == inst.lead(Q(1))
     assert inst.polynomials[Q(2)].leading_monomial() == inst.polynomials[Q(1)].leading_monomial()
     assert not verify_asl1(inst)
     assert not asl1_by_expansion(inst, 2)
@@ -747,6 +750,11 @@ class FakePoset:
                         closure.add((a, d))
                         changed = True
         self._closure = closure
+        # bit i of _down[j] is set when element i <= element j
+        self._down = [
+            sum(1 << i for i, a in enumerate(self.elements) if (a, b) in closure)
+            for b in self.elements
+        ]
 
     def leq(self, a, b):
         return (a, b) in self._closure

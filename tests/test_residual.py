@@ -28,7 +28,7 @@ from resint.residual import (
     verify_ara_witness,
     verify_colon_identity,
 )
-from resint.ring import GF, QQ, GrevLex, IncompatibleField, poly_text, xvar, yvar
+from resint.ring import GF, QQ, GrevLex, IncompatibleField, minor, poly_text, q_entry, xvar, yvar
 
 FP = GF(32003)
 
@@ -64,6 +64,40 @@ def test_build_bad_shape():
 def test_generator_count(m, n):
     inst = build_instance(m, n)
     assert len(inst.labels) == m + math.comb(m, n)
+
+
+@pytest.mark.parametrize("m,n", [(4, 2), (5, 3), (6, 1), (5, 5), (6, 4)])
+def test_instance_builds_each_polynomial_on_first_read(monkeypatch, m, n):
+    # build_instance calls neither minor nor q_entry; a first read of a
+    # polynomial equals the one they build, terms in the same order, and
+    # the lead of each packed table is that polynomial's leading monomial
+    import sys
+
+    calls = {"minor": 0, "q_entry": 0}
+    for module in [mod for name, mod in sys.modules.items() if name.startswith("resint")]:
+        for name in calls:
+            if hasattr(module, name):
+
+                def counted(*args, _name=name, _real=getattr(module, name)):
+                    calls[_name] += 1
+                    return _real(*args)
+
+                monkeypatch.setattr(module, name, counted)
+    inst = build_instance(m, n)
+    assert calls == {"minor": 0, "q_entry": 0}
+    monkeypatch.undo()
+    packing = _Packing(inst.ring)
+    for lab in inst.labels:
+        built = inst.polynomials[lab]
+        expected = q_entry(inst.ring, lab.q_index) if lab.is_q else minor(inst.ring, lab.rows)
+        assert built._terms == expected._terms
+        assert inst.polynomials[lab] is built
+        assert packing.unpack(inst.lead(lab)) == built.leading_monomial()
+        # under lex a packed monomial is its own key, which `lead` relies on
+        assert all(packing.key(e) == e for e in inst.packed[lab])
+    assert list(inst.polynomials) == list(inst.labels) == list(inst.packed)
+    with pytest.raises(KeyError):
+        inst.polynomials[Q(m + 1)]
 
 
 # ---------------------------------------------------------------------------

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from references import det_laplace, monomial_text_by_sort
 from resint import ring as ring_module
 from resint.groebner import _extended_ring
-from resint.labels import M, Q
+from resint.labels import GeneratorLabel, M, Q
 from resint.poset import StraighteningRelation, bordered_relation, straighten
 from resint.residual import build_instance
 from resint.ring import (
@@ -24,6 +24,7 @@ from resint.ring import (
     GrevLex,
     IncompatibleField,
     NotIncomparable,
+    VariableId,
     ZeroPolynomial,
     ambient_ring,
     minor,
@@ -570,3 +571,51 @@ def test_grevlex_is_degree_graded():
     R = ambient_ring(2, 2, order=GrevLex())
     f = R.var(xvar(1, 1)) ** 3 + R.var(xvar(2, 2)) * R.var(yvar(1))
     assert sum(f.leading_monomial()) == 3
+
+
+# ---------------------------------------------------------------------------
+# interned labels and variables
+
+
+def test_labels_and_variables_are_interned():
+    assert M([1, 2]) is M((1, 2)) is M(r for r in (1, 2))
+    assert Q(3) is Q(3)
+    assert xvar(1, 2) is xvar(1, 2)
+    assert yvar(2) is yvar(2)
+
+
+def test_interned_labels_keep_their_surface():
+    import copy
+    import pickle
+
+    q, m = Q(3), M((1, 4))
+    assert (q.text, m.text, repr(m)) == ("Q3", "[1,4]", "[1,4]")
+    assert (q.sort_key, m.sort_key) == ((0, (3,)), (1, (1, 4)))
+    assert (q.is_q, q.q_index, q.rows) == (True, 3, None)
+    assert (m.is_q, m.q_index, m.rows) == (False, None, (1, 4))
+    # the hash of the (q_index, rows) pair, as before interning
+    assert (hash(q), hash(m)) == (hash((3, None)), hash((None, (1, 4))))
+    assert GeneratorLabel(q_index=3) == q and GeneratorLabel(rows=(1, 4)) == m
+    assert q != m and q != Q(4) and m != M((1, 3)) and Q(1) != M((1,))
+    assert copy.deepcopy(m) == m and pickle.loads(pickle.dumps(q)) == q
+    for bad in ((2, 1), [1, 1]):
+        with pytest.raises(ValueError):
+            M(bad)
+    with pytest.raises(ValueError):
+        GeneratorLabel()
+    with pytest.raises(ValueError):
+        GeneratorLabel(q_index=1, rows=(1,))
+
+
+def test_interned_variables_keep_their_surface():
+    import copy
+    import pickle
+
+    v = xvar(2, 3)
+    assert (v.kind, v.indices, v.text, repr(v)) == ("x", (2, 3), "x[2][3]", "x[2][3]")
+    assert (yvar(4).text, pvar(5).text) == ("y[4]", "Y[5]")
+    assert v == VariableId("x", (2, 3)) and hash(v) == hash(("x", (2, 3)))
+    assert v != xvar(3, 2) and yvar(1) != pvar(1)
+    assert copy.deepcopy(v) == v and pickle.loads(pickle.dumps(v)) == v
+    with pytest.raises(ValueError):
+        VariableId("z", (1,))
