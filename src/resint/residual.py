@@ -63,7 +63,9 @@ class _OnRequest(MutableMapping):
 
     It holds the instance weakly: the instance holds the map, and a cycle
     would keep each instance, with all its tables, alive until the cyclic
-    garbage collector next runs."""
+    garbage collector next runs.  So a map kept after its instance is
+    freed still reads the values it has built, and raises ReferenceError
+    for any other."""
 
     def __init__(self, instance: "ResidualInstance", build):
         self._instance = weakref.ref(instance)
@@ -77,7 +79,13 @@ class _OnRequest(MutableMapping):
         if value is None:
             if key not in self._known:
                 raise KeyError(key)
-            value = self._values[key] = self._build(self._instance(), key)
+            instance = self._instance()
+            if instance is None:
+                raise ReferenceError(
+                    f"cannot build {key.text}: its ResidualInstance has been freed; "
+                    "keep the instance, not only its map"
+                )
+            value = self._values[key] = self._build(instance, key)
         return value
 
     def __setitem__(self, key, value):
@@ -110,6 +118,17 @@ class ResidualInstance:
     on the columns 1..n and its polynomial is unpacked from the table; a
     Q's polynomial, of n terms, is `ring.q_entry` and its table is packed
     from it.
+
+    The two maps are not kept in step: a value set in one does not reach
+    the other, so a test that corrupts a generator corrupts the map that
+    its check reads.  `packed` is read through `lead` by the `asl`,
+    `sagbi`, `squarefree` and `dims` checks, directly by `colon`, through
+    the big-cell restrictions (`poset._on_cell`) by `radical` at n >= 2,
+    `asl`, `sagbi` and `transbasis`, and by the printed texts.  `polynomials` is
+    read by `transbasis` (`transcendence.specialize_D`), by `radical` at
+    n = 1, by the input hash of a `colon` budget hit, and by the library
+    functions `hsop`, `specialize`, `generators`, `ideal` and
+    `sagbi.subduce`.
     """
 
     def __init__(self, m: int, n: int, field=QQ):

@@ -100,6 +100,23 @@ def test_instance_builds_each_polynomial_on_first_read(monkeypatch, m, n):
         inst.polynomials[Q(m + 1)]
 
 
+def test_a_map_kept_after_its_instance_is_freed():
+    # the maps hold the instance weakly: a built value still reads, and an
+    # unbuilt one raises ReferenceError, not an AttributeError on None
+    import gc
+
+    inst = build_instance(4, 2)
+    polynomials, packed = inst.polynomials, inst.packed
+    built = polynomials[M((1, 2))]
+    del inst
+    gc.collect()
+    assert polynomials[M((1, 2))] is built
+    with pytest.raises(ReferenceError, match=r"\[3,4\].*freed"):
+        polynomials[M((3, 4))]
+    with pytest.raises(ReferenceError, match="Q1"):
+        packed[Q(1)]
+
+
 # ---------------------------------------------------------------------------
 # the witness family
 

@@ -24,6 +24,7 @@ from resint.ring import (
     GrevLex,
     IncompatibleField,
     NotIncomparable,
+    PolynomialRing,
     VariableId,
     ZeroPolynomial,
     ambient_ring,
@@ -492,6 +493,24 @@ def _assert_renders_as_by_sort(polys, monkeypatch):
         for e, _ in f._terms:
             assert monomial_text(f.ring, e) == monomial_text_by_sort(f.ring, e)
         assert poly_text(f) == _rendered_by_sort(f, monkeypatch)
+
+
+@pytest.mark.parametrize("m,n", [(3, 2), (4, 1), (5, 3)])
+def test_a_packed_monomial_prints_as_its_exponent_tuple(m, n):
+    # the bytes of a packed monomial print as its tuple: through the
+    # squarefree shortcut in the ambient ring, whose display order is its
+    # variable sequence rotated, and through the loop otherwise (a square,
+    # or a ring whose display order is no rotation)
+    R = ambient_ring(m, n)
+    nv = len(R.vars)
+    assert R.display_shift is not None
+    shuffled = PolynomialRing(QQ, R.vars[1::2] + R.vars[::2])
+    assert shuffled.display_shift is None
+    monomials = [tuple(e) for e in itertools.product((0, 1), repeat=nv)][:: max(1, 2**nv // 300)]
+    monomials += [tuple(2 if i == j else e[i] for i in range(nv)) for j, e in enumerate(monomials[:nv])]
+    for ring in (R, shuffled):
+        for e in monomials:
+            assert monomial_text(ring, bytes(e)) == monomial_text(ring, e) == monomial_text_by_sort(ring, e)
 
 
 def _signed_and_squared(R, m, n):
