@@ -455,9 +455,16 @@ class StraighteningRelation:
 
         The verdict is memoized on the instance under the whole relation
         with its rows renamed to 1..k in order, which holds exactly when
-        the relation does (the renaming argument in `straighten`).  A
+        the relation does (the renaming argument in `straighten`): a plain
+        tuple of its renamed (q_index, rows) pairs and its coefficients.  A
         relation that differs in any term is a new key and is re-expanded."""
-        key = self._renamed(_to_pattern(itertools.chain(self.left, *(p for _, p in self.right))))
+        f = _to_pattern(itertools.chain(self.left, *(p for _, p in self.right)))
+
+        def renamed(label):
+            q_index, rows = label
+            return (None, tuple(map(f.__getitem__, rows))) if q_index is None else (f[q_index], None)
+
+        key = (*map(renamed, self.left), *((c, *map(renamed, pair)) for c, pair in self.right))
         if key not in instance._verified:
             instance._verified[key] = self._reexpands(instance)
         return instance._verified[key]

@@ -13,7 +13,6 @@ from __future__ import annotations
 import itertools
 import time
 import weakref
-from collections.abc import MutableMapping
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Mapping
@@ -41,7 +40,6 @@ from .ring import (
     PolynomialRing,
     VariableId,
     ambient_ring,
-    q_entry,
     xvar,
     yvar,
 )
@@ -55,52 +53,33 @@ class BadAssignment(Exception):
     """Raised for partial specialization assignments."""
 
 
-class _OnRequest(MutableMapping):
-    """A map over the labels of one instance whose value at a label is
-    made by `build(instance, label)` on its first read and then kept.  A
-    value set is kept as set; deleting one makes the next read build it
-    again.
+class _OnRequest(dict):
+    """The packed tables of one instance's generators built so far, by
+    label: `packed[label]`, for a label of the instance that has none,
+    builds its table (`ResidualInstance._packed`) and keeps it.  A table
+    set is kept as set; deleting one makes the next read build it again.
 
     It holds the instance weakly: the instance holds the map, and a cycle
     would keep each instance, with all its tables, alive until the cyclic
     garbage collector next runs.  So a map kept after its instance is
-    freed still reads the values it has built, and raises ReferenceError
+    freed still reads the tables it has built, and raises ReferenceError
     for any other."""
 
-    def __init__(self, instance: "ResidualInstance", build):
+    def __init__(self, instance: "ResidualInstance"):
         self._instance = weakref.ref(instance)
-        self._keys = instance.labels
         self._known = frozenset(instance.labels)
-        self._build = build
-        self._values: dict = {}
 
-    def __getitem__(self, key):
-        value = self._values.get(key)
-        if value is None:
-            if key not in self._known:
-                raise KeyError(key)
-            instance = self._instance()
-            if instance is None:
-                raise ReferenceError(
-                    f"cannot build {key.text}: its ResidualInstance has been freed; "
-                    "keep the instance, not only its map"
-                )
-            value = self._values[key] = self._build(instance, key)
-        return value
-
-    def __setitem__(self, key, value):
+    def __missing__(self, key):
         if key not in self._known:
             raise KeyError(key)
-        self._values[key] = value
-
-    def __delitem__(self, key):
-        del self._values[key]
-
-    def __iter__(self):
-        return iter(self._keys)
-
-    def __len__(self):
-        return len(self._keys)
+        instance = self._instance()
+        if instance is None:
+            raise ReferenceError(
+                f"cannot build {key.text}: its ResidualInstance has been freed; "
+                "keep the instance, not only its map"
+            )
+        value = self[key] = instance._packed(key)
+        return value
 
 
 class ResidualInstance:
@@ -109,26 +88,15 @@ class ResidualInstance:
 
     Carries the ambient ring (ordered so the two leading-monomial formulas
     hold), the canonical label list (Q1..Qm then minors in lexicographic
-    row order -- golden files depend on this), and two label-keyed maps
-    whose entries are built on first read: `polynomials`, each generator
-    as a `Polynomial`, and `packed`, each as a packed dict {monomial:
-    coefficient} (`groebner._Packing`), the table every check and every
-    printed text reads.  Each generator is built once, in one form, and
-    the other is derived from it: a minor's table is `poset.packed_minor`
-    on the columns 1..n and its polynomial is unpacked from the table; a
-    Q's polynomial, of n terms, is `ring.q_entry` and its table is packed
-    from it.
-
-    The two maps are not kept in step: a value set in one does not reach
-    the other, so a test that corrupts a generator corrupts the map that
-    its check reads.  `packed` is read through `lead` by the `asl`,
-    `sagbi`, `squarefree` and `dims` checks, directly by `colon`, through
-    the big-cell restrictions (`poset._on_cell`) by `radical` at n >= 2,
-    `asl`, `sagbi` and `transbasis`, and by the printed texts.  `polynomials` is
-    read by `transbasis` (`transcendence.specialize_D`), by `radical` at
-    n = 1, by the input hash of a `colon` budget hit, and by the library
-    functions `hsop`, `specialize`, `generators`, `ideal` and
-    `sagbi.subduce`.
+    row order -- golden files depend on this), and `packed`, the one
+    stored form of each generator: a label-keyed map whose entry, a packed
+    dict {monomial: coefficient} (`groebner._Packing`), is built on first
+    read and kept.  A minor's table is `poset.packed_minor` on the columns
+    1..n; Q_r's is its n terms x[r][j] * y_j.  Every check and every
+    printed text reads these tables, so a test that corrupts a generator
+    sets its table.  `polynomial(label)` unpacks a table into a
+    `Polynomial` on every call and keeps nothing; of the checks only the
+    input hash of a `colon` budget hit calls it, through `generators`.
     """
 
     def __init__(self, m: int, n: int, field=QQ):
@@ -138,8 +106,7 @@ class ResidualInstance:
         self.n = n
         self.ring = ambient_ring(m, n, field=field)
         self.labels: tuple[GeneratorLabel, ...] = tuple(canonical_labels(m, n))
-        self.polynomials = _OnRequest(self, ResidualInstance._polynomial)
-        self.packed = _OnRequest(self, ResidualInstance._packed)
+        self.packed = _OnRequest(self)
         self._poset: BPoset | None = None
         # by row pattern, for the instance's life: `poset.straighten`, `.verify`
         self._straighten_table: dict = {}
@@ -155,18 +122,22 @@ class ResidualInstance:
         """The packing of the ring, to unpack the tables' monomials."""
         return _Packing(self.ring)
 
-    def _polynomial(self, label: GeneratorLabel) -> Polynomial:
-        if label.is_q:
-            return q_entry(self.ring, label.q_index)
-        # descending packed monomials are descending in lex (`lead`)
-        unpack = self.packing.unpack
-        terms = sorted(self.packed[label].items(), reverse=True)
-        return Polynomial(self.ring, tuple((unpack(e), c) for e, c in terms))
-
     def _packed(self, label: GeneratorLabel) -> dict:
         if label.is_q:
-            return _Packing.pack_dict(self.polynomials[label])
+            var, index, r = _Packing.var, self.ring.index, label.q_index
+            # in the order of `ring.q_entry`'s terms
+            return {var(index[xvar(r, j)]) + var(index[yvar(j)]): self.field.one for j in range(self.n, 0, -1)}
         return packed_minor(self, label.rows, tuple(range(1, self.n + 1)))
+
+    def unpack(self, table: dict) -> Polynomial:
+        """A packed table as a `Polynomial`: descending packed monomials are
+        descending in lex (`lead`)."""
+        unpack = self.packing.unpack
+        return Polynomial(self.ring, tuple((unpack(e), c) for e, c in sorted(table.items(), reverse=True)))
+
+    def polynomial(self, label: GeneratorLabel) -> Polynomial:
+        """`label`'s generator, unpacked from its table on every call."""
+        return self.unpack(self.packed[label])
 
     def lead(self, label: GeneratorLabel) -> int:
         """The leading monomial of `label`, packed: the largest monomial of
@@ -186,7 +157,7 @@ class ResidualInstance:
         return self._poset
 
     def generators(self) -> list[Polynomial]:
-        return [self.polynomials[lab] for lab in self.labels]
+        return list(map(self.polynomial, self.labels))
 
     def ideal(self) -> IdealBasis:
         return IdealBasis(self.ring, self.generators())
@@ -196,8 +167,8 @@ class ResidualInstance:
 
 
 def build_instance(m: int, n: int, field=QQ) -> ResidualInstance:
-    """Instance of the m + C(m, n) generators, whose polynomials and packed
-    tables are built on request."""
+    """Instance of the m + C(m, n) generators, whose packed tables are
+    built on request."""
     return ResidualInstance(m, n, field=field)
 
 
@@ -209,23 +180,21 @@ def hsop(instance: ResidualInstance) -> list[Polynomial]:
     """The arithmetic-rank witnesses.
 
     For n >= 2: for each rank r the sum of all generators of that rank,
-    n(m-n+1)+1 polynomials in all.  For n = 1 the poset recipe would give
-    m+1 elements, one more than the true arithmetic rank, so that case
-    returns the m column variables x[1][1], ..., x[m][1] instead.
+    n(m-n+1)+1 polynomials in all.  Distinct generators share no monomial
+    (the no-cancellation argument in `cli._texts`), so a witness's packed
+    table is the union of its rank class's tables, unpacked once.  For
+    n = 1 the poset recipe would give m+1 elements, one more than the true
+    arithmetic rank, so that case returns the m column variables
+    x[1][1], ..., x[m][1] instead.
     """
     if instance.n == 1:
         return [instance.ring.var(xvar(i, 1)) for i in range(1, instance.m + 1)]
-    # one sort per class: adding the polynomials one by one re-sorts the
-    # growing sum for every generator
-    ring = instance.ring
-    add = ring.field.add
     sums = []
     for cls in instance.poset.rank_classes():
-        acc: dict = {}
+        table: dict = {}
         for lab in cls:
-            for e, c in instance.polynomials[lab]._terms:
-                acc[e] = add(acc[e], c) if e in acc else c
-        sums.append(ring._from_dict(acc))
+            table.update(instance.packed[lab])
+        sums.append(instance.unpack(table))
     return sums
 
 
@@ -272,7 +241,8 @@ def verify_ara_witness(instance: ResidualInstance, budget: Budget | None = None)
     and is in the radical already.  Each same-rank pair's relation must
     re-expand, satisfy the least-label condition and have int coefficients:
     then it holds in Z[X, y], and the induction in every characteristic.
-    For n = 1 the witnesses are the minors [i] and Q_i = y_1 * [i].
+    For n = 1 the witnesses are the minors [i] = x[i][1] and
+    Q_i = y_1 * [i], compared on the packed tables.
 
     The instance must be over Q.  The wall-clock budget is read after each
     relation; when it runs out, BudgetExceeded carries the relations checked
@@ -283,10 +253,12 @@ def verify_ara_witness(instance: ResidualInstance, budget: Budget | None = None)
     deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
     relations: list[dict] = []
     if instance.n == 1:
-        y1 = instance.ring.var(yvar(1))
+        index, one = instance.ring.index, instance.field.one
+        y1 = _Packing.var(index[yvar(1)])
         verdict = True
-        for i, w in enumerate(hsop(instance), start=1):
-            ok = instance.polynomials[M((i,))] == w and instance.polynomials[Q(i)] == y1 * w
+        for i in range(1, instance.m + 1):
+            x = _Packing.var(index[xvar(i, 1)])
+            ok = instance.packed[M((i,))] == {x: one} and instance.packed[Q(i)] == {x + y1: one}
             verdict = verdict and ok
             relations.append(
                 {"pair": [f"Q{i}", f"[{i}]"], "rank": None, "relation": f"Q{i} = y1*[{i}]", "verdict": ok}
@@ -515,7 +487,7 @@ def specialize(
             "assignment missing " + ", ".join(v.text for v in missing)
         )
     spec_gens = [
-        instance.polynomials[lab].substitute(assignment, target)
+        instance.polynomial(lab).substitute(assignment, target)
         for lab in instance.labels
     ]
     if all(not g for g in spec_gens):

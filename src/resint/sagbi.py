@@ -216,6 +216,6 @@ def subduce(
             return f
         prod = instance.ring.one
         for idx in factorization:
-            prod = prod * instance.polynomials[instance.labels[idx]]
+            prod = prod * instance.polynomial(instance.labels[idx])
         f = f - prod * lc
     return f

@@ -20,7 +20,7 @@ import time
 from dataclasses import dataclass
 
 from . import linalg
-from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded
+from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded, _Packing
 from .labels import GeneratorLabel, M, Q
 from .poset import Identity, StraighteningRelation, _on_cell, bordered_relation
 from .ring import (
@@ -109,26 +109,27 @@ def specialize_D(instance: ResidualInstance) -> dict[GeneratorLabel, Polynomial]
     closed forms by exact comparison.
 
     `special_assignment` sends each variable to 0, to 1 or to itself, so
-    the specialization is a term filter: a term that uses a zeroed
-    variable is dropped, and the exponents of the variables sent to 1
-    are set to 0 (only y_1's), with terms that then coincide summed."""
+    the specialization is a bitmask filter on each term of the packed
+    table: a term that uses a zeroed variable is dropped, and the exponent
+    fields of the variables sent to 1 (only y_1's) are cleared, with terms
+    that then coincide summed.  Only the surviving terms are unpacked."""
     m, n, ring = instance.m, instance.n, instance.ring
     assignment = special_assignment(m, n, ring)
-    zeroed = [i for i, v in enumerate(ring.vars) if not assignment[v]]
-    ones = [i for i, v in enumerate(ring.vars) if assignment[v] == ring.one]
-    add = ring.field.add
+    zeroed_mask = ones_mask = 0
+    for i, v in enumerate(ring.vars):
+        if not assignment[v]:
+            zeroed_mask |= _Packing.fields(i)
+        elif assignment[v] == ring.one:
+            ones_mask |= _Packing.fields(i)
+    add, zero = ring.field.add, ring.field.zero
     out: dict[GeneratorLabel, Polynomial] = {}
     for label in build_D(m, n):
         d: dict = {}
-        for e, c in instance.polynomials[label]._terms:
-            if any(map(e.__getitem__, zeroed)):
-                continue
-            e = list(e)
-            for i in ones:
-                e[i] = 0
-            e = tuple(e)
-            d[e] = add(d[e], c) if e in d else c
-        specialized = ring._from_dict(d)
+        for e, c in instance.packed[label].items():
+            if not e & zeroed_mask:
+                e &= ~ones_mask
+                d[e] = add(d[e], c) if e in d else c
+        specialized = instance.unpack({e: c for e, c in d.items() if c != zero})
         predicted = closed_form(ring, n, label)
         if specialized != predicted:
             raise StructureViolation(

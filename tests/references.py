@@ -231,7 +231,7 @@ def elimination_kernel(instance, budget=None) -> tuple[Polynomial, ...]:
 
 def expand_labels(instance, labels) -> Polynomial:
     """Product in the ambient ring of the polynomials behind the labels."""
-    polys = [instance.polynomials[l] for l in labels]
+    polys = [instance.polynomial(l) for l in labels]
     if not polys:
         return instance.ring.one
     result = polys[0]
@@ -291,7 +291,7 @@ def on_cell_by_filter(instance, label, cell) -> dict:
         for j in range(1, instance.n + 1):
             (ones if j == k else zeros).append(index[xvar(r, j)])
     terms = {}
-    for e, c in instance.polynomials[label]._terms:
+    for e, c in instance.polynomial(label)._terms:
         if any(e[p] for p in zeros):
             continue
         e = list(e)
@@ -331,10 +331,10 @@ def rewrite_in_full(context, label, frac) -> bool:
     """Cleared-denominator identity poly(label) * den == num, with the D
     polynomials substituted into the fraction in all of K[X, y]."""
     instance = context.instance
-    assignment = {v: instance.polynomials[context.legend[v]] for v in context.dvars}
+    assignment = {v: instance.polynomial(context.legend[v]) for v in context.dvars}
     num = frac.num.substitute(assignment, instance.ring)
     den = frac.den_poly().substitute(assignment, instance.ring)
-    return instance.polynomials[label] * den == num
+    return instance.polynomial(label) * den == num
 
 
 def cover_pairs_by_triples(poset) -> list[tuple[int, int]]:
@@ -510,7 +510,7 @@ def lift_to_generators(mam: MonomialAlgebraMap, f: Polynomial) -> Polynomial:
     """Replace each presentation variable by its actual generator."""
     instance = mam.instance
     assignment = {
-        v: instance.polynomials[mam.legend[v]] for v in mam.pring.vars
+        v: instance.polynomial(mam.legend[v]) for v in mam.pring.vars
     }
     return f.substitute(assignment, instance.ring)
 

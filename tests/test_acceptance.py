@@ -62,7 +62,7 @@ def test_criterion_01_golden_hsop(tmp_path):
         [M([1, 4]), M([2, 3])], [M([2, 4])], [M([3, 4])],
     ]
     rebuilt = "".join(
-        poly_text(sum((inst.polynomials[lab] for lab in grp), inst.ring.zero)) + "\n"
+        poly_text(sum((inst.polynomial(lab) for lab in grp), inst.ring.zero)) + "\n"
         for grp in groups
     )
     ok = got == golden and got.decode() == rebuilt

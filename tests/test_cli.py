@@ -120,6 +120,21 @@ def _count_calls(monkeypatch, names) -> dict:
     return calls
 
 
+@pytest.mark.parametrize("m,n", [(5, 3), (6, 5), (4, 1)])
+@pytest.mark.parametrize("field_name", ["Q", "Fp:32003"])
+def test_no_check_builds_a_generator_polynomial(tmp_path, monkeypatch, m, n, field_name):
+    # every check and every printed text reads the packed tables: no
+    # generator is unpacked into a Polynomial on a run that ends normally
+    from resint.residual import ResidualInstance
+
+    calls = []
+    real = ResidualInstance.polynomial
+    monkeypatch.setattr(ResidualInstance, "polynomial", lambda inst, lab: calls.append(lab) or real(inst, lab))
+    _, code = cmd_verify(config(tmp_path, m=m, n=n, field_name=field_name), list(ALL_CHECKS))
+    assert code == 0
+    assert calls == []
+
+
 def test_verify_computes_shared_results_once(tmp_path, monkeypatch):
     shared = ("build_instance", "verify_asl1", "verify_asl2", "toric_kernel", "verify_transcendence_basis")
     calls = _count_calls(monkeypatch, shared + ("buchberger",))
@@ -284,19 +299,24 @@ def test_a_budget_hit_is_attempted_once_per_run(tmp_path, monkeypatch):
 def test_texts_from_the_packed_tables_match_poly_text(m, n, field_name):
     # every generator and witness text, each term printed once from the
     # packed tables, against poly_text of the generators built by minor and
-    # q_entry and of the hsop witnesses summed from those generators
+    # q_entry and of the witnesses summed from those generators (the
+    # variables x[i][1] at n = 1); hsop, merged from the tables, agrees
     from resint.cli import _texts
     from resint.residual import build_instance, hsop
-    from resint.ring import minor, poly_text, q_entry
+    from resint.ring import minor, poly_text, q_entry, xvar
 
     field = parse_field(field_name)
-    generators, witnesses = _texts(build_instance(m, n), field)
-    reference = build_instance(m, n)
-    for lab in reference.labels:
-        ring = reference.ring
-        reference.polynomials[lab] = q_entry(ring, lab.q_index) if lab.is_q else minor(ring, lab.rows)
-    assert generators == [poly_text(reference.polynomials[lab], field) for lab in reference.labels]
-    assert witnesses == [poly_text(w, field) for w in hsop(reference)]
+    inst = build_instance(m, n)
+    generators, witnesses = _texts(inst, field)
+    ring = inst.ring
+    reference = {lab: q_entry(ring, lab.q_index) if lab.is_q else minor(ring, lab.rows) for lab in inst.labels}
+    if n == 1:
+        summed = [ring.var(xvar(i, 1)) for i in range(1, m + 1)]
+    else:
+        summed = [sum((reference[lab] for lab in cls), ring.zero) for cls in inst.poset.rank_classes()]
+    assert generators == [poly_text(reference[lab], field) for lab in inst.labels]
+    assert witnesses == [poly_text(w, field) for w in summed]
+    assert hsop(inst) == summed
 
 
 def _swapped_minors(monkeypatch):
@@ -509,13 +529,14 @@ def test_dims_counts_only_a_proved_transcendence_dimension(tmp_path, monkeypatch
 def test_a_wrong_q_entry_fails_colon(tmp_path, monkeypatch):
     # Q1 = x11*y1 breaks the Cramer identities of every row set with row 1
     from resint import cli
+    from resint.groebner import _Packing
     from resint.ring import xvar, yvar
 
     real = cli.build_instance
 
     def built(*args, **kwargs):
         inst = real(*args, **kwargs)
-        inst.polynomials[Q(1)] = inst.ring.var(xvar(1, 1)) * inst.ring.var(yvar(1))
+        inst.packed[Q(1)] = _Packing.pack_dict(inst.ring.var(xvar(1, 1)) * inst.ring.var(yvar(1)))
         return inst
 
     monkeypatch.setattr(cli, "build_instance", built)

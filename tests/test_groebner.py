@@ -231,7 +231,7 @@ def test_normal_form_of_one_in_proper_ideal(inst22):
 def test_normal_form_zero_input(inst22):
     G = buchberger(inst22.ideal(), order=GrevLex())
     y1 = inst22.ring.var(yvar(1))
-    q2 = inst22.polynomials[inst22.labels[1]]
+    q2 = inst22.polynomial(inst22.labels[1])
     assert not normal_form(y1 * q2 - y1 * q2, G)
 
 

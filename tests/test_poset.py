@@ -623,14 +623,13 @@ def test_asl1_rejects_a_non_standard_expansion(monkeypatch):
 
 
 def test_asl1_rejects_a_shared_leading_monomial(monkeypatch):
-    # Q2 gets Q1's packed table, which verify_asl1 reads, and Q1's
-    # polynomial, which the expansion reads: so Q1 and Q2 share a leading
-    # monomial, and so do the standard monomials Q1*Q1 and Q1*Q2
+    # Q2 gets Q1's packed table, which verify_asl1 reads and the expansion
+    # reads through `polynomial`: so Q1 and Q2 share a leading monomial,
+    # and so do the standard monomials Q1*Q1 and Q1*Q2
     inst = build_instance(4, 2)
     monkeypatch.setitem(inst.packed, Q(2), inst.packed[Q(1)])
-    monkeypatch.setitem(inst.polynomials, Q(2), inst.polynomials[Q(1)])
     assert inst.lead(Q(2)) == inst.lead(Q(1))
-    assert inst.polynomials[Q(2)].leading_monomial() == inst.polynomials[Q(1)].leading_monomial()
+    assert inst.polynomial(Q(2)).leading_monomial() == inst.polynomial(Q(1)).leading_monomial()
     assert not verify_asl1(inst)
     assert not asl1_by_expansion(inst, 2)
     monkeypatch.undo()
@@ -648,7 +647,7 @@ def test_summed_leading_monomial_is_the_products(m, n, degree):
         for chain in enumerate_standard_monomials(inst.poset, d):
             assert is_standard(chain)
             product = expand_labels(inst, chain)
-            lms = (inst.polynomials[l].leading_monomial() for l in chain)
+            lms = (inst.polynomial(l).leading_monomial() for l in chain)
             assert tuple(map(sum, zip(zero, *lms))) == product._terms[0][0]
 
 

@@ -28,7 +28,19 @@ from resint.residual import (
     verify_ara_witness,
     verify_colon_identity,
 )
-from resint.ring import GF, QQ, GrevLex, IncompatibleField, minor, poly_text, q_entry, xvar, yvar
+from resint.ring import (
+    GF,
+    QQ,
+    GrevLex,
+    IncompatibleField,
+    Polynomial,
+    PolynomialRing,
+    minor,
+    poly_text,
+    q_entry,
+    xvar,
+    yvar,
+)
 
 FP = GF(32003)
 
@@ -51,8 +63,8 @@ def test_build_single_column():
     inst = build_instance(3, 1)
     assert [l.text for l in inst.labels] == ["Q1", "Q2", "Q3", "[1]", "[2]", "[3]"]
     ring = inst.ring
-    assert inst.polynomials[M([2])] == ring.var(xvar(2, 1))
-    assert inst.polynomials[Q(2)] == ring.var(xvar(2, 1)) * ring.var(yvar(1))
+    assert inst.polynomial(M([2])) == ring.var(xvar(2, 1))
+    assert inst.polynomial(Q(2)) == ring.var(xvar(2, 1)) * ring.var(yvar(1))
 
 
 def test_build_bad_shape():
@@ -66,11 +78,27 @@ def test_generator_count(m, n):
     assert len(inst.labels) == m + math.comb(m, n)
 
 
+def _stored(inst):
+    """Every object the instance holds, outside its ring and the code."""
+    import gc
+    import weakref
+
+    skip = (type, types.FunctionType, types.ModuleType, weakref.ref, PolynomialRing)
+    seen, todo = set(), [inst]
+    while todo:
+        obj = todo.pop()
+        if id(obj) not in seen and not isinstance(obj, skip):
+            seen.add(id(obj))
+            yield obj
+            todo.extend(gc.get_referents(obj))
+
+
 @pytest.mark.parametrize("m,n", [(4, 2), (5, 3), (6, 1), (5, 5), (6, 4)])
 def test_instance_builds_each_polynomial_on_first_read(monkeypatch, m, n):
-    # build_instance calls neither minor nor q_entry; a first read of a
-    # polynomial equals the one they build, terms in the same order, and
-    # the lead of each packed table is that polynomial's leading monomial
+    # build_instance calls neither minor nor q_entry; each polynomial,
+    # unpacked from its table on every read, equals the one they build,
+    # terms in the same order, the lead of each packed table is that
+    # polynomial's leading monomial, and the instance keeps no polynomial
     import sys
 
     calls = {"minor": 0, "q_entry": 0}
@@ -88,31 +116,33 @@ def test_instance_builds_each_polynomial_on_first_read(monkeypatch, m, n):
     monkeypatch.undo()
     packing = _Packing(inst.ring)
     for lab in inst.labels:
-        built = inst.polynomials[lab]
+        built = inst.polynomial(lab)
         expected = q_entry(inst.ring, lab.q_index) if lab.is_q else minor(inst.ring, lab.rows)
         assert built._terms == expected._terms
-        assert inst.polynomials[lab] is built
+        assert inst.polynomial(lab) == built
         assert packing.unpack(inst.lead(lab)) == built.leading_monomial()
         # under lex a packed monomial is its own key, which `lead` relies on
         assert all(packing.key(e) == e for e in inst.packed[lab])
-    assert list(inst.polynomials) == list(inst.labels) == list(inst.packed)
+    assert list(inst.packed) == list(inst.labels)
+    assert not any(isinstance(obj, Polynomial) for obj in _stored(inst))
+    assert not hasattr(inst, "polynomials")
     with pytest.raises(KeyError):
-        inst.polynomials[Q(m + 1)]
+        inst.polynomial(Q(m + 1))
 
 
 def test_a_map_kept_after_its_instance_is_freed():
-    # the maps hold the instance weakly: a built value still reads, and an
+    # the map holds the instance weakly: a built value still reads, and an
     # unbuilt one raises ReferenceError, not an AttributeError on None
     import gc
 
     inst = build_instance(4, 2)
-    polynomials, packed = inst.polynomials, inst.packed
-    built = polynomials[M((1, 2))]
+    packed = inst.packed
+    built = packed[M((1, 2))]
     del inst
     gc.collect()
-    assert polynomials[M((1, 2))] is built
+    assert packed[M((1, 2))] is built
     with pytest.raises(ReferenceError, match=r"\[3,4\].*freed"):
-        polynomials[M((3, 4))]
+        packed[M((3, 4))]
     with pytest.raises(ReferenceError, match="Q1"):
         packed[Q(1)]
 
@@ -128,7 +158,7 @@ def test_hsop_42_matches_worked_example(inst42):
     ]
     witnesses = hsop(inst42)
     assert len(witnesses) == 7
-    q3_plus = inst42.polynomials[Q(3)] + inst42.polynomials[M([1, 2])]
+    q3_plus = inst42.polynomial(Q(3)) + inst42.polynomial(M([1, 2]))
     assert witnesses[2] == q3_plus
 
 
@@ -164,7 +194,7 @@ def test_hsop_elements_are_sums_of_generators(inst42):
     for cls, w in zip(inst42.poset.rank_classes(), hsop(inst42)):
         acc = inst42.ring.zero
         for lab in cls:
-            acc = acc + inst42.polynomials[lab]
+            acc = acc + inst42.polynomial(lab)
         assert acc == w
 
 
@@ -199,7 +229,7 @@ def test_verify_ara_n1():
 
 def test_verify_ara_n1_rejects_a_wrong_generator():
     inst = build_instance(3, 1)
-    inst.polynomials[Q(2)] = inst.polynomials[Q(3)]
+    inst.packed[Q(2)] = inst.packed[Q(3)]
     assert verify_ara_witness(inst).verdict is False
 
 
@@ -314,7 +344,7 @@ def test_colon_identity_matches_elimination(m, n, p):
 
 def _family(inst) -> dict:
     """`colon_family` of the instance's own Q_r."""
-    return colon_family(inst, {r: _Packing.pack_dict(inst.polynomials[Q(r)]) for r in range(1, inst.m + 1)})
+    return colon_family(inst, {r: inst.packed[Q(r)] for r in range(1, inst.m + 1)})
 
 
 def _family_polynomials(inst) -> set:
@@ -343,7 +373,7 @@ def test_colon_identity_rejects_a_wrong_cramer_identity(monkeypatch):
 
     inst = build_instance(4, 2, field=FP)
     monkeypatch.setattr(residual, "colon_family", lambda i, qs, real=_family(inst): real)
-    inst.polynomials[Q(1)] = inst.ring.var(xvar(1, 1)) * inst.ring.var(yvar(1))
+    inst.packed[Q(1)] = _Packing.pack_dict(inst.ring.var(xvar(1, 1)) * inst.ring.var(yvar(1)))
     assert verify_colon_identity(inst) is False
 
 
@@ -372,8 +402,8 @@ def test_colon_criterion_rejects_one_flipped_sign(monkeypatch, m, n):
     from resint import residual
 
     inst = build_instance(m, n, field=FP)
-    ring, polys = inst.ring, inst.polynomials
-    q1x, q2x = polys[Q(1)] * ring.var(xvar(2, n)), polys[Q(2)] * ring.var(xvar(1, n))
+    ring = inst.ring
+    q1x, q2x = inst.polynomial(Q(1)) * ring.var(xvar(2, n)), inst.polynomial(Q(2)) * ring.var(xvar(1, n))
 
     assert _family(inst)[1, 2] == _Packing.pack_dict(q1x - q2x)
 
@@ -429,7 +459,7 @@ def test_integer_instance_prints_as_the_prime_field_instance(m, n, p):
     for f, g in zip(hsop(inst), hsop(fp), strict=True):
         assert poly_text(f, GF(p)) == poly_text(g)
     for lab in inst.labels:
-        assert poly_text(inst.polynomials[lab], GF(p)) == poly_text(fp.polynomials[lab])
+        assert poly_text(inst.polynomial(lab), GF(p)) == poly_text(fp.polynomial(lab))
 
 
 def test_colon_budget_hit_has_the_same_keys_in_either_part(monkeypatch):
@@ -478,7 +508,7 @@ def test_specialize_monomial_assignment(inst42):
     ideal, _ = specialize(inst42, assignment, inst42.ring)
     ring = inst42.ring
     for i in range(1, 5):
-        specialized = inst42.polynomials[Q(i)].substitute(assignment, ring)
+        specialized = inst42.polynomial(Q(i)).substitute(assignment, ring)
         assert specialized == ring.var(xvar(i, 1))
 
 
@@ -525,7 +555,7 @@ def test_specialize_commutes_with_minors():
             )
         ideal_gens, _ = specialize(inst, assignment, ring)
         for lab in inst.labels:
-            expected = inst.polynomials[lab].substitute(assignment, ring)
+            expected = inst.polynomial(lab).substitute(assignment, ring)
             if lab.rows is not None:
                 matrix = [
                     [assignment[xvar(r, j)] for j in range(1, 3)] for r in lab.rows

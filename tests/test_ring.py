@@ -423,7 +423,7 @@ def test_rational_coefficients_stay_ints(inst42):
     from resint.transcendence import DContext
 
     context = DContext(inst42)
-    polys = list(inst42.polynomials.values())
+    polys = inst42.generators()
     polys.append(expand_labels(inst42, (Q(3), M([1, 2]), M([2, 4]))))
     polys.extend(context.fraction(label).num for label in inst42.labels)
     coefficients = [c for f in polys for _, c in f._terms]

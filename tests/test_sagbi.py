@@ -262,10 +262,10 @@ def test_squarefree_leading_terms_are_incomparable_products(inst42):
 def test_subduction_of_pluecker_lift(inst42):
     # [1,4][2,3] - [1,3][2,4] subduces in one step through -[1,2][3,4]
     f = (
-        inst42.polynomials[M([1, 4])] * inst42.polynomials[M([2, 3])]
-        - inst42.polynomials[M([1, 3])] * inst42.polynomials[M([2, 4])]
+        inst42.polynomial(M([1, 4])) * inst42.polynomial(M([2, 3]))
+        - inst42.polynomial(M([1, 3])) * inst42.polynomial(M([2, 4]))
     )
-    assert f == -1 * inst42.polynomials[M([1, 2])] * inst42.polynomials[M([3, 4])]
+    assert f == -1 * inst42.polynomial(M([1, 2])) * inst42.polynomial(M([3, 4]))
     assert not subduce(inst42, f, mam=initial_generators(inst42))
 
 
@@ -292,7 +292,7 @@ def test_kernel_lifts_subduce_to_zero(inst42):
 def test_subduce_reads_the_clock_before_each_step(monkeypatch, inst42):
     # Q3^2 + Q2^2 + Q1^2 subduces in three steps, one square each; the
     # clock runs out at its third read, before the third step
-    f = sum((inst42.polynomials[Q(i)] ** 2 for i in (1, 2, 3)), inst42.ring.zero)
+    f = sum((inst42.polynomial(Q(i)) ** 2 for i in (1, 2, 3)), inst42.ring.zero)
     mam = initial_generators(inst42)
     assert not subduce(inst42, f, mam=mam, deadline=time.monotonic() + 60)
     reads = itertools.count()

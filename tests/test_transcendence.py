@@ -12,11 +12,11 @@ import pytest
 
 from references import rewrite_in_full
 from resint import transcendence as transcendence_module
-from resint.groebner import Budget, BudgetExceeded
+from resint.groebner import Budget, BudgetExceeded, _Packing
 from resint.labels import M, Q
 from resint.poset import StraighteningRelation
 from resint.residual import build_instance
-from resint.ring import GF, QQ, IncompatibleField, Polynomial, ambient_ring, xvar, yvar
+from resint.ring import GF, QQ, IncompatibleField, ambient_ring, xvar, yvar
 from resint.sagbi import initial_generators, semigroup_dimension
 from resint.transcendence import (
     BadPluecker,
@@ -118,17 +118,17 @@ def test_closed_forms_match_substitution_everywhere(m):
         specialized = specialize_D(inst)
         assert list(specialized) == list(build_D(m, n))
         for label, poly in specialized.items():
-            assert poly._terms == inst.polynomials[label].substitute(assignment, inst.ring)._terms
+            assert poly._terms == inst.polynomial(label).substitute(assignment, inst.ring)._terms
 
 
 def test_a_wrong_D_polynomial_fails_the_specialization(monkeypatch):
     inst = build_instance(5, 3)
     label = M([1, 2, 4])  # M_{4,3}: one of its terms survives the specialization
-    poly = inst.polynomials[label]
-    (survivor,) = closed_form(inst.ring, 3, label)._terms
-    terms = tuple((e, -c if e == survivor[0] else c) for e, c in poly._terms)
-    assert sum(a != b for a, b in zip(terms, poly._terms)) == 1
-    monkeypatch.setitem(inst.polynomials, label, Polynomial(inst.ring, terms))
+    table = inst.packed[label]
+    (survivor,) = _Packing.pack_dict(closed_form(inst.ring, 3, label))
+    flipped = {e: -c if e == survivor else c for e, c in table.items()}
+    assert sum(flipped[e] != c for e, c in table.items()) == 1
+    monkeypatch.setitem(inst.packed, label, flipped)
     with pytest.raises(StructureViolation):
         specialize_D(inst)
 
