@@ -34,7 +34,7 @@ print("lm([1,2])   =", monomial_text(R, m12.leading_monomial()))
 # the straightening relation of that product, checked by re-expansion.
 terms = bordered_relation((1, 2, 3))
 print("cofactors   =", terms, "(sum is zero)")
-rel = StraighteningRelation.solve(terms, (Q(3), M([1, 2])), QQ)
+rel = StraighteningRelation.solve(terms, (Q(3), M([1, 2])))
 print("solved      :", rel.text)
 print("re-expands  :", rel.verify(build_instance(4, 2)))
 

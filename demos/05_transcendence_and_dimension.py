@@ -9,7 +9,7 @@ main minor and Q_1.  That pins the dimension without any poset theory.
 
 import json
 
-from resint import QQ, M, build_D, build_instance, verify_transcendence_basis
+from resint import M, build_D, build_instance, verify_transcendence_basis
 from resint.poset import StraighteningRelation
 from resint.transcendence import (
     DContext,
@@ -36,7 +36,7 @@ terms = plucker_relation(inst.ring, (1,), (2, 3, 4))
 print("\nthe three-term exchange relation (the terms sum to zero):")
 for c, (a, b) in terms:
     print(f"  {c:+d} * {a.text} * {b.text}")
-rel = StraighteningRelation.solve(terms, (M([1, 4]), M([2, 3])), QQ)
+rel = StraighteningRelation.solve(terms, (M([1, 4]), M([2, 3])))
 print("solved:", rel.text, "| re-expands:", rel.verify(inst))
 
 ctx = DContext(inst)

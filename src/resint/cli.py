@@ -45,12 +45,11 @@ from .poset import is_wonderful, verify_asl1, verify_asl2
 from .residual import (
     build_instance,
     expected_witness_count,
-    hsop,
     upper_bound_table,
     verify_ara_witness,
     verify_colon_identity,
 )
-from .ring import DEFAULT_PRIME, GF, QQ, RationalField, monomial_text, poly_text
+from .ring import DEFAULT_PRIME, GF, QQ, monomial_text, poly_text
 from .sagbi import (
     initial_generators,
     semigroup_dimension,
@@ -148,7 +147,7 @@ def _texts(instance, field) -> tuple[list[str], list[str]]:
     `hsop`, printed over `field` exactly as `poly_text` prints them.
 
     Each term of each generator is printed once, from the generator's
-    packed table, with its coefficient coerced once into `field` (a term
+    integer table, with its coefficient coerced once into `field` (a term
     whose image is 0 is left out).  A generator's text joins its term
     texts in the ring order, lex, under which a packed monomial is its own
     key.  For n >= 2 a witness is the sum of the generators of one rank
@@ -158,17 +157,17 @@ def _texts(instance, field) -> tuple[list[str], list[str]]:
     none in any other row and no y, so they fix its row set; a Q_i's
     monomials x[i][j] * y_j have y-degree 1 and fix i.  So the witness's
     terms are its generators' terms with their own coefficients, and they
-    print as those do.  For n = 1 the witnesses are the variables x[i][1]."""
+    print as those do.  For n = 1 the witnesses are the minors [i] = x[i][1],
+    whose texts are printed already."""
     ring = instance.ring
     nvars = len(ring.vars)
-    coerce = None if field == ring.field else field.coerce
-    rational = isinstance(field, RationalField)
+    rational = field == QQ
 
     def terms(label) -> list[tuple[int, str]]:
         out = []
         for e, c in instance.packed[label].items():
-            if coerce is not None:
-                c = coerce(c)
+            if not rational:
+                c = field.coerce(c)
                 if not c:
                     continue
             sep = " + "
@@ -181,7 +180,7 @@ def _texts(instance, field) -> tuple[list[str], list[str]]:
 
     if instance.n == 1:
         generators = [_joined(terms(lab)) for lab in instance.labels]
-        return generators, [poly_text(w, field) for w in hsop(instance)]
+        return generators, generators[instance.m :]
     by_label, witnesses = {}, []
     for cls in instance.poset.rank_classes():
         parts = [terms(lab) for lab in cls]

@@ -31,7 +31,7 @@ from typing import Iterable, Sequence
 from . import linalg
 from .groebner import DEFAULT_BUDGET, Budget, BudgetExceeded, _Packing
 from .labels import GeneratorLabel, M, Q, canonical_labels
-from .ring import NotIncomparable, xvar, yvar
+from .ring import QQ, NotIncomparable, xvar, yvar
 
 
 class StraighteningBudgetExceeded(BudgetExceeded):
@@ -309,30 +309,28 @@ def packed_minor(instance, rows: tuple, cols: tuple) -> dict:
     row sets on columns 1..n share one table of each smaller size."""
     d = instance._minors.get((rows, cols))
     if d is None:
-        field = instance.ring.field
-        d = {} if rows else {0: field.one}
+        d = {} if rows else {0: 1}
         for t, r in enumerate(rows):
             x = _Packing.var(instance.ring.index[xvar(r, cols[-1])])
             # the cofactor of row t in the last column has sign (-1)^(t + k - 1)
             odd = (t + len(cols) - 1) % 2
             for e, coef in packed_minor(instance, rows[:t] + rows[t + 1 :], cols[:-1]).items():
-                d[e + x] = field.neg(coef) if odd else coef
+                d[e + x] = -coef if odd else coef
         instance._minors[rows, cols] = d
     return d
 
 
-def add_product(acc: dict, f: dict, g: dict, coeff, field) -> dict:
-    """acc += coeff * f * g on packed dicts {monomial: coefficient} by the
-    field's mul and add, dropping the terms that cancel; returns acc."""
-    zero, add, mul = field.zero, field.add, field.mul
+def add_product(acc: dict, f: dict, g: dict, coeff) -> dict:
+    """acc += coeff * f * g on packed dicts {monomial: coefficient} of
+    integers (or rationals), dropping the terms that cancel; returns acc."""
     for a, ca in f.items():
-        ca = mul(ca, coeff)
+        ca *= coeff
         for b, cb in g.items():
-            e, c = a + b, mul(ca, cb)
+            e, c = a + b, ca * cb
             old = acc.get(e)
             if old is None:
                 acc[e] = c
-            elif (c := add(old, c)) == zero:
+            elif not (c := old + c):
                 del acc[e]
             else:
                 acc[e] = c
@@ -356,12 +354,11 @@ def _on_cell(instance, label: GeneratorLabel, cell: tuple[int, ...]) -> dict:
     F x C (`packed_minor`).  sign(s) is the parity of the inversions of s."""
     terms = instance._cells.get((label, cell))
     if terms is None:
-        field = instance.ring.field
         col = {r: k for k, r in enumerate(cell, start=1)}
         if label.is_q:
             r = label.q_index
             if r in col:
-                terms = {_Packing.var(instance.ring.index[yvar(col[r])]): field.one}
+                terms = {_Packing.var(instance.ring.index[yvar(col[r])]): 1}
             else:
                 terms = instance.packed[label]
         else:
@@ -371,7 +368,7 @@ def _on_cell(instance, label: GeneratorLabel, cell: tuple[int, ...]) -> dict:
             free = iter(free_cols)
             base = [col[r] if r in col else next(free) for r in label.rows]
             if sum(a > b for a, b in itertools.combinations(base, 2)) % 2:
-                terms = {e: field.neg(c) for e, c in terms.items()}
+                terms = {e: -c for e, c in terms.items()}
         instance._cells[label, cell] = terms
     return terms
 
@@ -430,15 +427,15 @@ class StraighteningRelation:
     right: tuple[tuple[object, tuple[GeneratorLabel, GeneratorLabel]], ...]
 
     @classmethod
-    def solve(cls, terms: Identity, left, field) -> "StraighteningRelation":
+    def solve(cls, terms: Identity, left) -> "StraighteningRelation":
         """Solve `terms` (sum c * pair = 0) for its one term whose pair is
-        `left`; the other coefficients become -c * pivot in `field`."""
+        `left`; the other coefficients become -c * pivot, integers."""
         left = _sorted_labels(left)
         pivots = [c for c, pair in terms if pair == left]
         if len(pivots) != 1:
             raise ValueError(f"{len(pivots)} terms of the identity are {left}, not one")
         pivot = pivots[0]
-        right = tuple((field.coerce(-c * pivot), pair) for c, pair in terms if pair != left)
+        right = tuple((-c * pivot, pair) for c, pair in terms if pair != left)
         return cls(left, right)
 
     def min_label_condition(self) -> bool:
@@ -486,12 +483,11 @@ class StraighteningRelation:
         X_R0 y; that polynomial is 0.  F[X, y] is a domain, so f_q = 0.
         Integer coefficients carry the identity to Z[X, y].  The
         full-space re-expansion is kept as a cross-check in the tests."""
-        field = instance.ring.field
         cell = next(l.rows for l in self.left if not l.is_q)
         diff: dict = {}
-        for coeff, pair in ((field.one, self.left), *((field.neg(c), p) for c, p in self.right)):
-            add_product(diff, *(_on_cell(instance, l, cell) for l in pair), coeff, field)
-        return all(c == field.zero for c in diff.values())
+        for coeff, pair in ((1, self.left), *((-c, p) for c, p in self.right)):
+            add_product(diff, *(_on_cell(instance, l, cell) for l in pair), coeff)
+        return not any(diff.values())
 
     def _renamed(self, f: dict[int, int]) -> "StraighteningRelation":
         return StraighteningRelation(
@@ -539,12 +535,11 @@ def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningR
     pattern = _sorted_labels(_rename(l, to_pattern) for l in (a, b))
     table = instance._straighten_table
     if pattern not in table:
-        field = instance.ring.field
         first, second = pattern
         if first.is_q:
             # incomparability of Q_j with the minor means exactly j > last row
             terms = bordered_relation(second.rows + (first.q_index,))
-            table[pattern] = StraighteningRelation.solve(terms, pattern, field)
+            table[pattern] = StraighteningRelation.solve(terms, pattern)
         else:
             content = sorted(first.rows + second.rows)
             candidates = []
@@ -561,16 +556,16 @@ def straighten(instance, a: GeneratorLabel, b: GeneratorLabel) -> StraighteningR
                     candidates.append((c_lab, d_lab))
             cell = first.rows
             target, *expansions = (
-                add_product({}, *(_on_cell(instance, l, cell) for l in pair), field.one, field)
+                add_product({}, *(_on_cell(instance, l, cell) for l in pair), 1)
                 for pair in (pattern, *candidates)
             )
             monos = sorted({e for p in expansions + [target] for e in p})
-            matrix = [[p.get(mo, field.zero) for p in expansions] for mo in monos]
-            rhs = [target.get(mo, field.zero) for mo in monos]
-            sol = linalg.solve_field(field, matrix, rhs)
+            matrix = [[p.get(mo, 0) for p in expansions] for mo in monos]
+            rhs = [target.get(mo, 0) for mo in monos]
+            sol = linalg.solve_field(QQ, matrix, rhs)
             if sol is None:
                 raise ValueError(f"no standard expansion found for {a.text}*{b.text}")
-            right = tuple((c, pair) for c, pair in zip(sol, candidates) if c != field.zero)
+            right = tuple((c, pair) for c, pair in zip(sol, candidates) if c)
             table[pattern] = StraighteningRelation(pattern, right)
     return table[pattern]._renamed({i: r for r, i in to_pattern.items()})
 
@@ -585,9 +580,8 @@ def straighten_product(
     """Rewrite a product of generators as a combination of standard
     monomials.  The clock is read before each rewrite step when a
     `time.monotonic()` deadline is given."""
-    field = instance.ring.field
     result: dict[tuple[GeneratorLabel, ...], object] = {}
-    work = [(field.one, _sorted_labels(labels))]
+    work = [(1, _sorted_labels(labels))]
     steps = 0
     while work:
         steps += 1
@@ -603,9 +597,8 @@ def straighten_product(
             None,
         )
         if bad is None:
-            old = result.get(ls, field.zero)
-            new = field.add(old, coeff)
-            if new == field.zero:
+            new = QQ.add(result.get(ls, 0), coeff)
+            if not new:
                 result.pop(ls, None)
             else:
                 result[ls] = new
@@ -613,7 +606,7 @@ def straighten_product(
         rel = straighten(instance, ls[bad], ls[bad + 1])
         rest = ls[:bad] + ls[bad + 2:]
         for c, pair in rel.right:
-            work.append((field.mul(coeff, c), _sorted_labels(rest + pair)))
+            work.append((QQ.mul(coeff, c), _sorted_labels(rest + pair)))
     return result
 
 

@@ -11,6 +11,7 @@ the table the big-cell restrictions read, and its products from
 from __future__ import annotations
 
 import itertools
+import operator
 import time
 import weakref
 from dataclasses import dataclass
@@ -35,7 +36,6 @@ from .poset import BPoset, add_product, packed_minor, straighten
 from .ring import (
     QQ,
     GrevLex,
-    IncompatibleField,
     Polynomial,
     PolynomialRing,
     VariableId,
@@ -90,13 +90,15 @@ class ResidualInstance:
     hold), the canonical label list (Q1..Qm then minors in lexicographic
     row order -- golden files depend on this), and `packed`, the one
     stored form of each generator: a label-keyed map whose entry, a packed
-    dict {monomial: coefficient} (`groebner._Packing`), is built on first
-    read and kept.  A minor's table is `poset.packed_minor` on the columns
-    1..n; Q_r's is its n terms x[r][j] * y_j.  Every check and every
-    printed text reads these tables, so a test that corrupts a generator
-    sets its table.  `polynomial(label)` unpacks a table into a
-    `Polynomial` on every call and keeps nothing; of the checks only the
-    input hash of a `colon` budget hit calls it, through `generators`.
+    dict {monomial: integer coefficient} (`groebner._Packing`), is built
+    on first read and kept.  A minor's table is `poset.packed_minor` on
+    the columns 1..n; Q_r's is its n terms x[r][j] * y_j.  The tables are
+    the same whatever `field` is: every check and every printed text reads
+    them, so a test that corrupts a generator sets its table.  `field` is
+    the field of the `Polynomial` views only: `polynomial(label)`,
+    `generators` and `hsop` unpack a table into the ring over `field` on
+    every call and keep nothing; of the checks only the input hash of a
+    `colon` budget hit calls them.
     """
 
     def __init__(self, m: int, n: int, field=QQ):
@@ -126,14 +128,16 @@ class ResidualInstance:
         if label.is_q:
             var, index, r = _Packing.var, self.ring.index, label.q_index
             # in the order of `ring.q_entry`'s terms
-            return {var(index[xvar(r, j)]) + var(index[yvar(j)]): self.field.one for j in range(self.n, 0, -1)}
+            return {var(index[xvar(r, j)]) + var(index[yvar(j)]): 1 for j in range(self.n, 0, -1)}
         return packed_minor(self, label.rows, tuple(range(1, self.n + 1)))
 
     def unpack(self, table: dict) -> Polynomial:
-        """A packed table as a `Polynomial`: descending packed monomials are
-        descending in lex (`lead`)."""
-        unpack = self.packing.unpack
-        return Polynomial(self.ring, tuple((unpack(e), c) for e, c in sorted(table.items(), reverse=True)))
+        """A packed table as a `Polynomial` over the instance's field, each
+        coefficient coerced and a term whose image is 0 left out: descending
+        packed monomials are descending in lex (`lead`)."""
+        unpack, coerce = self.packing.unpack, self.field.coerce
+        terms = ((unpack(e), coerce(c)) for e, c in sorted(table.items(), reverse=True))
+        return Polynomial(self.ring, tuple(term for term in terms if term[1]))
 
     def polynomial(self, label: GeneratorLabel) -> Polynomial:
         """`label`'s generator, unpacked from its table on every call."""
@@ -244,21 +248,19 @@ def verify_ara_witness(instance: ResidualInstance, budget: Budget | None = None)
     For n = 1 the witnesses are the minors [i] = x[i][1] and
     Q_i = y_1 * [i], compared on the packed tables.
 
-    The instance must be over Q.  The wall-clock budget is read after each
-    relation; when it runs out, BudgetExceeded carries the relations checked
-    so far as a partial certificate.
+    The wall-clock budget is read after each relation; when it runs out,
+    BudgetExceeded carries the relations checked so far as a partial
+    certificate.
     """
-    if instance.field != QQ:
-        raise IncompatibleField(f"the radical certificate runs over Q, not {instance.field.name}")
     deadline = time.monotonic() + (budget or DEFAULT_BUDGET).wall_seconds
     relations: list[dict] = []
     if instance.n == 1:
-        index, one = instance.ring.index, instance.field.one
+        index = instance.ring.index
         y1 = _Packing.var(index[yvar(1)])
         verdict = True
         for i in range(1, instance.m + 1):
             x = _Packing.var(index[xvar(i, 1)])
-            ok = instance.packed[M((i,))] == {x: one} and instance.packed[Q(i)] == {x + y1: one}
+            ok = instance.packed[M((i,))] == {x: 1} and instance.packed[Q(i)] == {x + y1: 1}
             verdict = verdict and ok
             relations.append(
                 {"pair": [f"Q{i}", f"[{i}]"], "rank": None, "relation": f"Q{i} = y1*[{i}]", "verdict": ok}
@@ -301,28 +303,27 @@ def _pattern(a: int, b: int) -> tuple[int, int]:
 
 
 def colon_family(instance: ResidualInstance, qs: dict[int, dict]) -> dict[tuple[int, ...], dict]:
-    """The family g_K, 1 <= |K| <= n, of J = I_n(X) + (X y), by row set K,
-    each as a packed dict {monomial: coefficient}; `qs` holds Q_r packed,
-    by r.
+    """The family g_K, 1 <= |K| <= n, of J = I_n(X) + (X y), by row set K
+    inside the rows of `qs`, each as a packed dict {monomial: coefficient};
+    `qs` holds Q_r packed, by r.
 
     For k = |K| < n, g_K = det[Q_K | X on rows K, columns n-k+2..n],
     expanded along its first column: the sum over the t-th row r of K of
     (-1)^t * Q_r * det(X on K - r, columns n-k+2..n), an explicit
     (X y)-combination.  So g_{r} = Q_r.  For k = n, g_K = [K]; at n = 1
-    the family is the m minors [r].  [K] is its table in `instance.packed`.
+    the family is the minors [r].  [K] is its table in `instance.packed`.
     """
-    m, n, field = instance.m, instance.n, instance.field
-    signs = (field.one, field.neg(field.one))
+    n = instance.n
     family = {}
     for k in range(1, n + 1):
         cols = tuple(range(n - k + 2, n + 1))
-        for K in itertools.combinations(range(1, m + 1), k):
+        for K in itertools.combinations(sorted(qs), k):
             if k == n:
                 family[K] = instance.packed[M(K)]
                 continue
             g: dict = {}
             for t, r in enumerate(K):
-                add_product(g, qs[r], packed_minor(instance, K[:t] + K[t + 1 :], cols), signs[t % 2], field)
+                add_product(g, qs[r], packed_minor(instance, K[:t] + K[t + 1 :], cols), (-1) ** t)
             family[K] = g
     return family
 
@@ -330,66 +331,74 @@ def colon_family(instance: ResidualInstance, qs: dict[int, dict]) -> dict[tuple[
 def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = None) -> bool:
     """Certify (X y) : (y) = J, where J = I_n(X) + (X y) is the generator ideal.
 
-    Let G be `colon_family`, in the ambient grevlex order.  Four parts make
-    the proof:
+    Let G be `colon_family` on all the rows, in the ambient grevlex order.
+    It is computed on the rows 1..min(m, 2n) only, and five parts make the
+    proof:
 
+    - Renaming.  Every Q_r and every minor [R] is Q_1, or [1..n], with the
+      exponent fields of its row i moved to row r_i (checked, so every
+      generator's table is read).  An order-preserving row renaming f is
+      an injective ring map that keeps y and sends x[i][j] to x[f(i)][j],
+      so it sends Q_i to Q_f(i), [K] to [f(K)], g_K to g_f(K), and every
+      identity among them to the renamed identity.  It keeps the grevlex
+      order on its image, since the variables are ordered by row, then
+      column.
     - Membership.  Each g_K is Q_r, a minor [K], or an explicit
       (X y)-combination, so G lies in J; it holds every Q_r (n >= 2) and
       every minor, so it generates J.  At n = 1, G is the minors [r], and
       Q_r = y1 * [r] is a Cramer identity below.
     - Buchberger's criterion, at own-pattern pairs.  g_K uses only the
-      rows K, and its lead uses every row of K (checked).  An
-      order-preserving row renaming f is an injective ring map that sends
-      g_K to g_f(K) and keeps the grevlex order on its image, since the
-      variables are ordered by row, then column.  A lead of g_C divides a
+      rows K, and its lead uses every row of K (checked on the rows
+      1..2n, and so, renamed, for every K).  A lead of g_C divides a
       monomial only when every row of C occurs in it, so reducing an
       S-pair with row union U divides only by g_C with C in U and stays in
       the rows U: it is the renamed reduction of the pair's pattern, the
-      pair renamed into the rows 1..|U|.  Call a pair lifted when its
-      S-polynomial reduces to zero or its leads are coprime (Buchberger's
-      product criterion).  If the S-syzygies of lifted pairs span every
-      S-syzygy of the leads, G is a Groebner basis (the lifting theorem;
-      Cox-Little-O'Shea, ch. 2 sec. 9).  The S-syzygy of (A, B) is a sum
-      of monomial multiples of those of (A, C) and (C, B) when the lead of
-      g_C divides the lcm of A and B (Buchberger's chain criterion).  So
-      the own-pattern pairs, those whose row union is 1..u, are taken by
-      ascending lcm, and each must have coprime leads, chain through some
-      g_C to two patterns taken before it, or reduce to zero.  Renaming
-      sends every pair to its pattern and keeps reductions and chains, so
-      then every S-syzygy is in the span, and G is a Groebner basis of J.
+      pair renamed into the rows 1..|U|, and |U| <= 2n.  Call a pair lifted
+      when its S-polynomial reduces to zero or its leads are coprime
+      (Buchberger's product criterion).  If the S-syzygies of lifted pairs
+      span every S-syzygy of the leads, G is a Groebner basis (the lifting
+      theorem; Cox-Little-O'Shea, ch. 2 sec. 9).  The S-syzygy of (A, B)
+      is a sum of monomial multiples of those of (A, C) and (C, B) when the
+      lead of g_C divides the lcm of A and B (Buchberger's chain
+      criterion).  So the own-pattern pairs, those whose row union is
+      1..u, are taken by ascending lcm, and each must have coprime leads,
+      chain through some g_C to two patterns taken before it, or reduce to
+      zero.  Renaming sends every pair to its pattern and keeps reductions
+      and chains, so then every S-syzygy is in the span, and G is a
+      Groebner basis of J.
     - Leads.  No lead contains y1.  Then J : y1 = J: if y1 * f is in J and
       h is the normal form of f, then y1 * h is in J, and no lead divides a
       monomial of y1 * h, since none contains y1; so y1 * h is reduced,
       hence zero.  J is homogeneous, so this is Bayer-Stillman's
       in(J : y1) = in(J) : y1.
-    - Cramer.  For each n-row set R and column j, Cramer's rule gives
+    - Cramer.  For R = 1..n and each column j, Cramer's rule gives
       y_j * [R] = sum over the t-th row r of R of (-1)^(t+j) * Q_r *
-      det(X on R - r, columns other than j), an (X y)-combination: so J is
-      in (X y) : (y).
+      det(X on R - r, columns other than j), an (X y)-combination
+      (checked).  Renamed, it holds for every n-row set R: so J is in
+      (X y) : (y).
 
     Then (X y) : (y) is in (X y) : y1, which is in J : y1 = J.  Every
     identity is compared on packed monomials.  A false verdict means the
     certificate failed, not that the identity does.
 
-    Over Q the verdict holds over Z, so in every characteristic.  Every
-    monic g_K must have `int` coefficients (checked).  So each S-pair
-    reduction divides only by monic integer polynomials: its quotients
-    and remainder are integer, and it is a standard representation over
-    Z.  Read mod p, a monic lead keeps its monomial and a quotient term
-    can only vanish, so the representation stays standard over F_p; the
-    chains and the lead tests read only the leads, and the Cramer
-    identities are integer identities.  Over F_p the `int` check holds
-    trivially and the verdict is for that field.
+    The tables are integer, so the verdict holds over Z, in every
+    characteristic.  Every monic g_K must have `int` coefficients
+    (checked).  So each S-pair reduction divides only by monic integer
+    polynomials: its quotients and remainder are integer, and it is a
+    standard representation over Z.  Read mod p, a monic lead keeps its
+    monomial and a quotient term can only vanish, so the representation
+    stays standard over F_p; the chains and the lead tests read only the
+    leads, and the Cramer identities are integer identities.
 
     The S-pair phase counts own-pattern pairs against the pair budget,
     tracks the largest intermediate polynomial against the term budget and
-    reads the clock once per pair; the Cramer loop reads it once per row
-    set.  A budget hit carries those counts and the row sets checked.
+    reads the clock once per pair; the renaming check reads it once per
+    n-row set.  A budget hit carries those counts and the row sets checked.
     """
     budget = budget or DEFAULT_BUDGET
     start = time.monotonic()
     deadline = start + budget.wall_seconds
-    ring, field, m, n = instance.ring, instance.field, instance.m, instance.n
+    ring, m, n = instance.ring, instance.m, instance.n
     pk = _Packing(ring.with_order(GrevLex()))
     trace = RunTrace("", "grevlex")
 
@@ -398,13 +407,13 @@ def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = No
         trace.wall_seconds = time.monotonic() - start
         return BudgetExceeded(message, {**trace.as_dict(), "row_sets_checked": checked})
 
-    qs = {r: instance.packed[Q(r)] for r in range(1, m + 1)}
+    qs = {r: instance.packed[Q(r)] for r in range(1, min(m, 2 * n) + 1)}
     # monic, with terms in descending grevlex; the shortest divide first
     family = []
     for K, g in colon_family(instance, qs).items():
         if g:
             terms = sorted(((pk.key(e), e, c) for e, c in g.items()), reverse=True)
-            family.append((K, _monic(terms, field)))
+            family.append((K, _monic(terms, QQ)))
     if not all(type(c) is int for _, terms in family for _, _, c in terms):
         return False
     family.sort(key=lambda entry: (len(entry[1]), entry[1][0][0]))
@@ -417,13 +426,12 @@ def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = No
         if lead & y1 or not all(lead & row[r] for r in K):
             return False
 
-    # own-pattern pairs, whose row union is 1..u with u <= 2n, by ascending lcm
+    # own-pattern pairs, whose row union is 1..u, by ascending lcm
     guard = pk.guard
     masks = [sum(1 << r - 1 for r in K) for K, _ in family]
-    own = [(c, leads[c]) for c, (K, _) in enumerate(family) if K[-1] <= 2 * n]
     pairs = []
-    for b, (j, lead_j) in enumerate(own):
-        for i, lead_i in own[:b]:
+    for j, lead_j in enumerate(leads):
+        for i, lead_i in enumerate(leads[:j]):
             union = masks[i] | masks[j]
             if not union & (union + 1):
                 lcm = _lcm(lead_i, lead_j, guard)
@@ -443,26 +451,45 @@ def verify_colon_identity(instance: ResidualInstance, budget: Budget | None = No
             and c != j
             and _pattern(a, masks[c]) in lifted
             and _pattern(masks[c], b) in lifted
-            for c, lead in own
+            for c, lead in enumerate(leads)
         )
-        if not chained and _s_remainder(pk, reducers, i, j, lcm, field, trace):
+        if not chained and _s_remainder(pk, reducers, i, j, lcm, QQ, trace):
             return False
         lifted.add(_pattern(a, b))
 
-    ys = [_Packing.var(ring.index[yvar(j)]) for j in range(1, n + 1)]
     columns = tuple(range(1, n + 1))
-    signs = (field.one, field.neg(field.one))
+    det = instance.packed[M(columns)]
+    for j in range(n):
+        cramer: dict = {}
+        for t in range(n):
+            sub = packed_minor(instance, columns[:t] + columns[t + 1 :], columns[:j] + columns[j + 1 :])
+            add_product(cramer, qs[t + 1], sub, (-1) ** (t + j))
+        y = _Packing.var(ring.index[yvar(j + 1)])
+        if cramer != {e + y: c for e, c in det.items()}:
+            return False
+
+    def renaming(table: dict, k: int):
+        # rows -> `table` with the exponent fields of its row i moved to row
+        # rows[i-1], i = 1..k; a row's n fields are consecutive, so a move
+        # multiplies them by a power of two
+        fields = [row[i] for i in range(1, k + 1)]
+        fields.insert(0, ~sum(fields))  # the fields that stay
+        split = [(tuple(map(e.__and__, fields)), c) for e, c in table.items()]
+
+        def renamed(rows: tuple[int, ...]) -> dict:
+            moves = (1, *(row[r] // row[i] for i, r in enumerate(rows, 1)))
+            return {sum(map(operator.mul, parts, moves)): c for parts, c in split}
+
+        return renamed
+
+    q_renamed, minor_renamed = renaming(qs[1], 1), renaming(det, n)
+    if any(instance.packed[Q(r)] != q_renamed((r,)) for r in range(1, m + 1)):
+        return False
     for checked, rows in enumerate(itertools.combinations(range(1, m + 1), n)):
         if time.monotonic() > deadline:
             raise exhausted("wall-clock budget exhausted", checked)
-        det = instance.packed[M(rows)]
-        for j, y in enumerate(ys):
-            cramer: dict = {}
-            for t, r in enumerate(rows):
-                sub = packed_minor(instance, rows[:t] + rows[t + 1 :], columns[:j] + columns[j + 1 :])
-                add_product(cramer, qs[r], sub, signs[(t + j) % 2], field)
-            if cramer != {e + y: c for e, c in det.items()}:
-                return False
+        if instance.packed[M(rows)] != minor_renamed(rows):
+            return False
     return True
 
 

@@ -10,7 +10,8 @@ build order.  The certificate tables only the identities and the
 denominators; the numerators of one fraction and of the labels it is
 built from are built to re-substitute it, on the big cell of the main
 minor behind a D-degree guard (`verify_rewrite`), as a check of the
-fraction arithmetic.  Everything here runs over Q.
+fraction arithmetic.  Everything here runs over Q, and the instance must
+be over Q: `DContext` builds `Polynomial`s in the instance's ring.
 """
 
 from __future__ import annotations
@@ -121,15 +122,14 @@ def specialize_D(instance: ResidualInstance) -> dict[GeneratorLabel, Polynomial]
             zeroed_mask |= _Packing.fields(i)
         elif assignment[v] == ring.one:
             ones_mask |= _Packing.fields(i)
-    add, zero = ring.field.add, ring.field.zero
     out: dict[GeneratorLabel, Polynomial] = {}
     for label in build_D(m, n):
         d: dict = {}
         for e, c in instance.packed[label].items():
             if not e & zeroed_mask:
                 e &= ~ones_mask
-                d[e] = add(d[e], c) if e in d else c
-        specialized = instance.unpack({e: c for e, c in d.items() if c != zero})
+                d[e] = d.get(e, 0) + c
+        specialized = instance.unpack({e: c for e, c in d.items() if c})
         predicted = closed_form(ring, n, label)
         if specialized != predicted:
             raise StructureViolation(
@@ -306,7 +306,7 @@ class DContext:
         else:
             pivot = Q(1)
             terms = bordered_relation((1,) + rows)
-        identity = StraighteningRelation.solve(terms, (label, pivot), QQ)
+        identity = StraighteningRelation.solve(terms, (label, pivot))
         sums = [
             map(operator.add, self.denominator(p), self.denominator(q))
             for _, (p, q) in identity.right

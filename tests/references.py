@@ -249,7 +249,7 @@ def straighten_by_solve(instance, a, b) -> StraighteningRelation:
     field = instance.ring.field
     if key[0].is_q:
         q, mnr = key
-        return StraighteningRelation.solve(bordered_relation(mnr.rows + (q.q_index,)), key, field)
+        return StraighteningRelation.solve(bordered_relation(mnr.rows + (q.q_index,)), key)
     content = sorted(a.rows + b.rows)
     candidates = set()
     for rows_c in itertools.combinations(sorted(set(content)), len(a.rows)):

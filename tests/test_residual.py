@@ -32,7 +32,6 @@ from resint.ring import (
     GF,
     QQ,
     GrevLex,
-    IncompatibleField,
     Polynomial,
     PolynomialRing,
     minor,
@@ -257,9 +256,12 @@ def test_verify_ara_budget_carries_partial_certificate():
     assert stats["relations_checked"] == len(partial["relations"]) >= 1
 
 
-def test_radical_certificate_refuses_a_prime_field():
-    with pytest.raises(IncompatibleField):
-        verify_ara_witness(build_instance(3, 2, field=GF(101)))
+def test_a_prime_field_instance_gives_the_q_radical_certificate():
+    # the certificate reads only the integer tables, whatever the field
+    for m, n, p in [(3, 2, 101), (4, 2, 2), (5, 3, 3), (4, 1, 2), (3, 3, 32003)]:
+        certificate = verify_ara_witness(build_instance(m, n, field=GF(p))).as_dict()
+        assert certificate == verify_ara_witness(build_instance(m, n)).as_dict()
+        assert certificate["verdict"] is True
 
 
 @pytest.mark.parametrize(
@@ -348,11 +350,12 @@ def _family(inst) -> dict:
 
 
 def _family_polynomials(inst) -> set:
-    """`colon_family` as monic polynomials of the grevlex ring."""
+    """`colon_family` as monic polynomials of the grevlex ring, its
+    integer coefficients coerced into the instance's field."""
     ring = inst.ring.with_order(GrevLex())
-    nvars = len(ring.vars)
+    nvars, coerce = len(ring.vars), ring.field.coerce
     return {
-        ring._from_dict({tuple(e.to_bytes(nvars, "little")): c for e, c in g.items()}).monic()
+        ring._from_dict({tuple(e.to_bytes(nvars, "little")): coerce(c) for e, c in g.items()}).monic()
         for g in _family(inst).values()
     }
 
@@ -374,6 +377,18 @@ def test_colon_identity_rejects_a_wrong_cramer_identity(monkeypatch):
     inst = build_instance(4, 2, field=FP)
     monkeypatch.setattr(residual, "colon_family", lambda i, qs, real=_family(inst): real)
     inst.packed[Q(1)] = _Packing.pack_dict(inst.ring.var(xvar(1, 1)) * inst.ring.var(yvar(1)))
+    assert verify_colon_identity(inst) is False
+
+
+@pytest.mark.parametrize("m,n,label", [(6, 2, Q(6)), (7, 2, M([5, 7])), (9, 3, M([2, 5, 9]))])
+def test_colon_reads_every_generator_beyond_the_rows_1_to_2n(m, n, label):
+    # the S-pairs and the Cramer identities use only the rows 1..2n; a
+    # generator with a row beyond them enters only the renaming check
+    inst = build_instance(m, n)
+    assert verify_colon_identity(inst)
+    table = inst.packed[label]
+    top = max(table)
+    inst.packed[label] = {**table, top: -table[top]}
     assert verify_colon_identity(inst) is False
 
 
@@ -401,7 +416,7 @@ def test_colon_criterion_rejects_one_flipped_sign(monkeypatch, m, n):
     # g_{1,2} = Q1*x[2][n] - Q2*x[1][n]; flip the sign of its Q2 summand
     from resint import residual
 
-    inst = build_instance(m, n, field=FP)
+    inst = build_instance(m, n)
     ring = inst.ring
     q1x, q2x = inst.polynomial(Q(1)) * ring.var(xvar(2, n)), inst.polynomial(Q(2)) * ring.var(xvar(1, n))
 
@@ -441,7 +456,7 @@ def test_colon_rejects_a_non_integer_monic_g_K(monkeypatch):
     def plus(c):
         def family(i, qs):
             family = colon_family(i, qs)
-            residual.add_product(family[1, 2], qs[1], {0: 1}, c, QQ)
+            residual.add_product(family[1, 2], qs[1], {0: 1}, c)
             return family
 
         return family
@@ -464,8 +479,9 @@ def test_integer_instance_prints_as_the_prime_field_instance(m, n, p):
 
 def test_colon_budget_hit_has_the_same_keys_in_either_part(monkeypatch):
     # each clock read advances one second: the S-pair phase reads it once per
-    # own-pattern pair, 12 at (4,2), the Cramer loop once per row set, so two
-    # of the six row sets are checked; the pair budget stops the S-pair phase
+    # own-pattern pair, 12 at (4,2), the renaming check once per row set, so
+    # two of the six minors are checked against the renamed [1,2]; the pair
+    # budget stops the S-pair phase
     from resint import residual
 
     inst = build_instance(4, 2, field=FP)

@@ -271,7 +271,7 @@ def test_q_entry_bad_index():
 def test_bordered_cofactors_rows12_j3(inst32):
     terms = bordered_relation((1, 2, 3))
     assert terms == [(1, (Q(1), M([2, 3]))), (-1, (Q(2), M([1, 3]))), (1, (Q(3), M([1, 2])))]
-    rel = StraighteningRelation.solve(terms, (Q(3), M([1, 2])), QQ)
+    rel = StraighteningRelation.solve(terms, (Q(3), M([1, 2])))
     assert rel.right == ((-1, (Q(1), M([2, 3]))), (1, (Q(2), M([1, 3]))))
     assert rel.verify(inst32)
 
@@ -279,7 +279,7 @@ def test_bordered_cofactors_rows12_j3(inst32):
 def test_bordered_4rows_n3():
     terms = bordered_relation((1, 2, 3, 4))
     assert len(terms) == 4
-    rel = StraighteningRelation.solve(terms, (Q(4), M([1, 2, 3])), QQ)
+    rel = StraighteningRelation.solve(terms, (Q(4), M([1, 2, 3])))
     assert rel.verify(build_instance(4, 3))
 
 
@@ -297,7 +297,7 @@ def test_bordered_expansion_vanishes_everywhere(m):
         inst = build_instance(m, n)
         for rows in itertools.combinations(range(1, m + 1), n + 1):
             rel = StraighteningRelation.solve(
-                bordered_relation(rows), (Q(rows[-1]), M(rows[:-1])), QQ
+                bordered_relation(rows), (Q(rows[-1]), M(rows[:-1]))
             )
             assert rel.verify(inst)
 

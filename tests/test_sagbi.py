@@ -26,7 +26,7 @@ from resint.sagbi import (
     toric_kernel,
     verify_squarefree_initial,
 )
-from resint.ring import GF, IncompatibleField, poly_text, xvar, yvar
+from resint.ring import GF, poly_text, xvar, yvar
 
 
 # ---------------------------------------------------------------------------
@@ -175,9 +175,17 @@ def test_subduction_agrees_with_the_two_axioms(m, n):
     assert sagbi_by_subduction(toric_kernel(inst, asl1))
 
 
-def test_kernel_refuses_a_prime_field():
-    with pytest.raises(IncompatibleField):
-        toric_kernel(build_instance(3, 2, field=GF(101)), True)
+def test_a_prime_field_instance_gives_the_q_kernel():
+    # the axioms and the kernel read only the integer tables, whatever the field
+    for m, n, p in [(3, 2, 101), (4, 2, 2), (5, 3, 3), (4, 1, 2)]:
+        fp, q = build_instance(m, n, field=GF(p)), build_instance(m, n)
+        asl1 = verify_asl1(fp)
+        assert asl1 is verify_asl1(q) is True
+        assert verify_asl2(fp)
+        kernel, expected = toric_kernel(fp, asl1), toric_kernel(q, asl1)
+        assert kernel.generators == expected.generators
+        assert kernel.mam.targets == expected.mam.targets
+        assert kernel.legend_lines() == expected.legend_lines()
 
 
 def test_kernel_42_contains_minor_pair_binomial(inst42):
