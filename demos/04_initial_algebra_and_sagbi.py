@@ -23,7 +23,7 @@ print("initial monomials:")
 for v in mam.pring.vars:
     print(f"  {v.text} = in({mam.legend[v].text}) = {monomial_text(inst.ring, mam.targets[v])}")
 
-print("\nsemigroup dimension (exponent rank):", semigroup_dimension(mam))
+print("\nsemigroup dimension (exponent rank):", semigroup_dimension(inst))
 print("poset rank (same number, independent route):", inst.poset.poset_rank())
 
 print("\nHibi binomials, one per incomparable pair:")
@@ -35,8 +35,8 @@ asl1 = verify_asl1(inst)
 print("\nfirst axiom (lattice certificate):", asl1)
 kernel = toric_kernel(inst, asl1)
 print("toric kernel (those binomials, sorted by their tau-leading terms):")
-for g in kernel.generators:
-    print("  ", g)
+for line in kernel.binomial_lines():
+    print("  ", line)
 print("squarefree incomparable leading terms:", verify_squarefree_initial(kernel))
 
 asl2 = verify_asl2(inst)

@@ -49,13 +49,8 @@ from .residual import (
     verify_ara_witness,
     verify_colon_identity,
 )
-from .ring import DEFAULT_PRIME, GF, QQ, monomial_text, poly_text
-from .sagbi import (
-    initial_generators,
-    semigroup_dimension,
-    toric_kernel,
-    verify_squarefree_initial,
-)
+from .ring import DEFAULT_PRIME, GF, QQ, monomial_text
+from .sagbi import semigroup_dimension, toric_kernel, verify_squarefree_initial
 from .transcendence import build_D, verify_transcendence_basis
 
 ALL_CHECKS = (
@@ -319,7 +314,7 @@ def _check_squarefree(run: _Run) -> dict:
         "verdict": verify_squarefree_initial(run.kernel),
         "holds_over": "Q",
         "legend": run.kernel.legend_lines(),
-        "kernel": [poly_text(g) for g in run.kernel.generators],
+        "kernel": run.kernel.binomial_lines(),
     }
 
 
@@ -337,7 +332,7 @@ def _check_dims(run: _Run) -> dict:
     verdict is false, and `consistent` compares the numbers derived."""
     instance = run.instance
     from_poset = instance.poset.poset_rank()
-    from_semigroup = semigroup_dimension(initial_generators(instance))
+    from_semigroup = semigroup_dimension(instance)
     values = {"poset_rank": from_poset, "semigroup_rank": from_semigroup}
     if run.config.n >= 2:
         cert = run.transcendence

@@ -178,7 +178,11 @@ class _Packing:
 
     key() orders packed monomials exactly as the ring order's key() orders
     their tuples, as long as every exponent is below EXPONENT_LIMIT: each
-    folded row gets a bit width wider than the spread of its values.
+    folded row gets a bit width wider than the spread of its values.  A
+    grevlex key is read off the bytes instead: the degree, shifted above
+    the exponents read as one big-endian number from the least variable
+    on, minus that number.  A larger exponent of an earlier variable makes
+    a monomial smaller at equal degree, as `GrevLex.key` has it.
     pair_key() orders by (total degree, key), the pair-selection order.
     Both are linear in the exponents.
     """
@@ -188,6 +192,14 @@ class _Packing:
         self.nvars = n
         self.guard = int.from_bytes(bytes([EXPONENT_LIMIT]) * n, "little")
         self._order = ring.order
+        if isinstance(ring.order, GrevLex):
+            shift = FIELD_BITS * n + 1
+
+            def key(m: int) -> int:
+                b = m.to_bytes(n, "little")
+                return (sum(b) << shift) - int.from_bytes(b, "big")
+
+            self.key = key
 
     # the keys' weights are built on first use: unpacking needs none
     @cached_property

@@ -124,6 +124,9 @@ class BPoset:
         self.n = n
         self.elements: tuple[GeneratorLabel, ...] = tuple(canonical_labels(m, n))
         self._pos = {e: i for i, e in enumerate(self.elements)}
+        # the row coordinates of each element, and the element at each
+        self._coords = {e: self.coords(e) for e in self.elements}
+        self._at = {c: e for e, c in self._coords.items()}
         self._down = self._order_sets()
 
     def __len__(self):
@@ -146,10 +149,6 @@ class BPoset:
             return (0, *range(1 - self.n, 0), e.q_index)
         return (1, *e.rows)
 
-    def _label(self, c: Sequence[int]) -> GeneratorLabel:
-        """The element whose row coordinates are c."""
-        return M(c[1:]) if c[0] else Q(c[-1])
-
     def _order_sets(self) -> list[int]:
         """Down-sets as bitsets by element index: bit i of down[j] is set
         exactly when element i <= element j (`less_eq`).
@@ -158,7 +157,7 @@ class BPoset:
         compared: below c lie the elements whose k-th coordinate is <= c_k
         for every k (an AND over k of one prefix OR per coordinate)."""
         low = 1 - self.n  # the least coordinate: 1 - n <= 0 <= c_0
-        coords = [self.coords(e) for e in self.elements]
+        coords = list(self._coords.values())
         at = [[0] * (self.m + 1 - low) for _ in range(self.n + 1)]
         for idx, c in enumerate(coords):
             for k, v in enumerate(c):
@@ -193,11 +192,11 @@ class BPoset:
 
     def meet(self, a: GeneratorLabel, b: GeneratorLabel) -> GeneratorLabel:
         """The componentwise min of the row coordinates (class docstring)."""
-        return self._label(tuple(map(min, self.coords(a), self.coords(b))))
+        return self._at[tuple(map(min, self._coords[a], self._coords[b]))]
 
     def join(self, a: GeneratorLabel, b: GeneratorLabel) -> GeneratorLabel:
         """The componentwise max of the row coordinates (class docstring)."""
-        return self._label(tuple(map(max, self.coords(a), self.coords(b))))
+        return self._at[tuple(map(max, self._coords[a], self._coords[b]))]
 
     def hasse_edges(self) -> list[tuple[GeneratorLabel, GeneratorLabel]]:
         """All cover pairs (a, b): a < b with nothing strictly between."""

@@ -523,10 +523,6 @@ def specialize(
     return IdealBasis(target, [g for g in spec_gens if g]), spec_hsop
 
 
-def identity_assignment(instance: ResidualInstance) -> dict[VariableId, Polynomial]:
-    return {v: instance.ring.var(v) for v in instance.ring.vars}
-
-
 # ---------------------------------------------------------------------------
 # the upper-bound comparison table
 

@@ -3,7 +3,7 @@
 Leading monomials of the generators, the presentation (toric) kernel of
 the monomial algebra they span, generated by the Hibi binomials of the
 generator lattice, the tau order on presentation variables, the
-squarefree-initial-term witness, and subduction.
+squarefree-initial-term check, and subduction.
 
 The Sagbi property and the squarefree initial ideal follow from the two
 straightening-law axioms (Hibi, "Distributive lattices, affine semigroup
@@ -17,17 +17,32 @@ nothing here runs Buchberger:
   pairwise distinct leading monomials.  So every nonzero f in A has lm(f)
   equal to the leading monomial of one standard monomial, a product of
   generator leading monomials.
-- *Squarefree.*  By the `verify_asl1` certificate, the Hibi binomials B
-  generate the kernel and the multichains are a K-basis of K[u]/(B).
-  `verify_squarefree_initial` checks that each binomial leads with its
-  incomparable product under tau.  The standard monomials of those leads
-  are exactly the multichains, so the leads generate in_tau(B), and B is
-  the reduced tau-basis: each trailing term is a chain.
+- *Squarefree.*  By the `verify_asl1` certificate, the Hibi binomials B,
+  Y_a*Y_b - Y_{a^b}*Y_{a v b} for each incomparable pair, generate the
+  kernel, and the multichains are a K-basis of K[u]/(B).  The rank rises
+  by exactly one on every cover (`BPoset`), and `tau_sequence` sorts by
+  rank, so tau is a linear extension of the poset order.  The meet a^b
+  lies strictly below a and b, and so below a v b: it is the tau-smallest
+  of the four labels.  Grevlex over tau puts last the term that holds the
+  tau-smallest variable, so Y_{a^b}*Y_{a v b} trails and each binomial
+  leads with its squarefree incomparable product.  The standard monomials
+  of those leads are exactly the multichains, so the leads generate
+  in_tau(B), and B is the reduced tau-basis: each trailing term is a
+  chain.  `verify_squarefree_initial` checks the one fact the argument
+  reads off the order, that tau rises along every cover.
 
-`subduce` reduces in the algebra directly; the tests use it to
-cross-check the Sagbi verdict.  The kernel is read off the integer
-tables, so it is the same for an instance over any field, and its
-presentation ring is over Q.
+The kernel holds each binomial as labels, the lead pair (a, b) and the
+trail pair (a^b, a v b), sorted as the tau key sorts two squarefree
+leads: by the earlier, then the later, tau position of the lead.  No
+presentation ring and no `Polynomial` is built; its texts are written
+from the labels' canonical indices.  `tests/references.py` builds the
+same binomials as `Polynomial`s in the presentation ring under
+`TauOrder` and checks their leading terms, as a cross-check.  The kernel
+reads only labels and the poset, so it is the same for an instance over
+any field.
+
+`initial_generators` and `subduce` reduce in the algebra directly; the
+tests use them to cross-check the Sagbi verdict.
 """
 
 from __future__ import annotations
@@ -37,7 +52,8 @@ from dataclasses import dataclass
 
 from . import linalg
 from .groebner import BudgetExceeded
-from .poset import incomparable, incomparable_pairs
+from .labels import GeneratorLabel
+from .poset import incomparable_pairs
 from .ring import QQ, Polynomial, PolynomialRing, TauOrder, pvar
 from .residual import ResidualInstance
 
@@ -57,7 +73,8 @@ class MonomialAlgebraMap:
 
 
 def initial_generators(instance: ResidualInstance) -> MonomialAlgebraMap:
-    """Leading monomials of every generator, keyed by presentation variable.
+    """Leading monomials of every generator, keyed by presentation variable
+    of a ring under the tau order: what `subduce` factors over.
 
     Each is the largest monomial of the generator's packed table under the
     ambient order (`ResidualInstance.lead`): x[i][n]*y[n] for the Q's and
@@ -74,10 +91,11 @@ def initial_generators(instance: ResidualInstance) -> MonomialAlgebraMap:
     return MonomialAlgebraMap(instance, pring, targets, legend)
 
 
-def semigroup_dimension(mam: MonomialAlgebraMap) -> int:
-    """Rank over Q of the exponent vectors of the target monomials."""
-    matrix = [list(mam.targets[v]) for v in mam.pring.vars]
-    return linalg.rank(matrix)
+def semigroup_dimension(instance: ResidualInstance) -> int:
+    """Rank over Q of the exponent vectors of the generators' leading
+    monomials."""
+    unpack = instance.packing.unpack
+    return linalg.rank([unpack(instance.lead(lab)) for lab in instance.labels])
 
 
 def tau_sequence(instance: ResidualInstance) -> list[int]:
@@ -92,21 +110,38 @@ def tau_sequence(instance: ResidualInstance) -> list[int]:
     return order
 
 
+#: one Hibi binomial: the lead pair (a, b), then the trail pair (a^b, a v b)
+Binomial = tuple[tuple[GeneratorLabel, GeneratorLabel], tuple[GeneratorLabel, GeneratorLabel]]
+
+
 @dataclass
 class ToricKernel:
-    """Generators of the presentation kernel, the Hibi binomials.
+    """Generators of the presentation kernel, the Hibi binomials, on labels.
 
-    `hibi` is False when `verify_asl1` refuted its certificate: the kernel
-    is then unknown, `generators` is empty, and every check on it fails."""
+    `tau` is the tau position of each label, by canonical index.  `hibi`
+    is False when `verify_asl1` refuted its certificate: the kernel is
+    then unknown, `generators` is empty, and every check on it fails."""
 
-    mam: MonomialAlgebraMap
-    generators: tuple  # Polynomial in the presentation ring
+    instance: ResidualInstance
+    tau: tuple[int, ...]
+    generators: tuple[Binomial, ...]
     hibi: bool
 
     def legend_lines(self) -> list[str]:
-        return [
-            f"{v.text} = {self.mam.legend[v].text}" for v in self.mam.pring.vars
-        ]
+        return [f"Y[{k}] = {lab.text}" for k, lab in enumerate(self.instance.labels, start=1)]
+
+    def binomial_lines(self) -> list[str]:
+        """Each binomial as Y[i]*Y[j] - Y[k]*Y[l], by the labels' 1-based
+        canonical indices, each product's ascending: the text of the
+        binomial in the presentation ring under the tau order when the
+        lead pair leads there (`verify_squarefree_initial`)."""
+        name = {lab: k for k, lab in enumerate(self.instance.labels, start=1)}
+
+        def product(pair) -> str:
+            i, j = sorted((name[pair[0]], name[pair[1]]))
+            return f"Y[{i}]*Y[{j}]"
+
+        return [f"{product(lead)} - {product(trail)}" for lead, trail in self.generators]
 
 
 def toric_kernel(instance: ResidualInstance, hibi: bool) -> ToricKernel:
@@ -115,41 +150,34 @@ def toric_kernel(instance: ResidualInstance, hibi: bool) -> ToricKernel:
     `hibi` is the caller's `verify_asl1` verdict on the instance.  When it
     holds, the Hibi binomials Y_a*Y_b - Y_{a^b}*Y_{a v b}, one per
     incomparable pair, generate the kernel; they are returned sorted by
-    the tau key of their leading monomials, and are the reduced tau-basis
-    when `verify_squarefree_initial` holds (module docstring).
+    the tau positions of their lead pairs, earlier then later, and are the
+    reduced tau-basis when `verify_squarefree_initial` holds (module
+    docstring).
     """
-    mam = initial_generators(instance)
+    tau = [0] * len(instance.labels)
+    for position, k in enumerate(tau_sequence(instance)):
+        tau[k] = position
     if not hibi:
-        return ToricKernel(mam, (), hibi=False)
+        return ToricKernel(instance, tuple(tau), (), hibi=False)
     poset = instance.poset
-    y = {lab: mam.pring.var(v) for v, lab in mam.legend.items()}
-    binomials = [
-        y[a] * y[b] - y[poset.meet(a, b)] * y[poset.join(a, b)]
-        for a, b in incomparable_pairs(poset)
-    ]
-    key = mam.pring.order.key
-    binomials.sort(key=lambda g: key(g._terms[0][0]))
-    return ToricKernel(mam, tuple(binomials), hibi=True)
+    index = {lab: k for k, lab in enumerate(instance.labels)}
+
+    def lead_key(pair) -> tuple[int, int]:
+        s, t = tau[index[pair[0]]], tau[index[pair[1]]]
+        return (s, t) if s < t else (t, s)
+
+    pairs = sorted(incomparable_pairs(poset), key=lead_key)
+    binomials = tuple(((a, b), (poset.meet(a, b), poset.join(a, b))) for a, b in pairs)
+    return ToricKernel(instance, tuple(tau), binomials, hibi=True)
 
 
 def verify_squarefree_initial(kernel: ToricKernel) -> bool:
-    """Leading terms of the kernel basis are squarefree products of
-    incomparable presentation-variable pairs; with the lattice certificate,
-    that makes the Hibi binomials the reduced tau-basis (module docstring)."""
-    if not kernel.hibi:
-        return False
-    mam = kernel.mam
-    for g in kernel.generators:
-        lm = g._terms[0][0]
-        if any(e > 1 for e in lm):
-            return False
-        support = [mam.pring.vars[i] for i, e in enumerate(lm) if e]
-        if len(support) != 2:
-            return False
-        a, b = (mam.legend[v] for v in support)
-        if not incomparable(a, b):
-            return False
-    return True
+    """Each kernel binomial leads with its squarefree incomparable product
+    under tau, and with the lattice certificate the binomials are the
+    reduced tau-basis: true when the certificate holds and tau rises along
+    every cover, so that it is a linear extension (module docstring)."""
+    tau = kernel.tau
+    return kernel.hibi and all(tau[i] < tau[j] for i, j in kernel.instance.poset._cover_pairs())
 
 
 # ---------------------------------------------------------------------------

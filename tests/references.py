@@ -5,6 +5,11 @@ single colons, each by eliminating a slack variable, and compares it with
 the generator ideal by mutual normal forms.  `elimination_kernel` computes
 the toric kernel by a block-order elimination in the ambient ring plus the
 presentation ring, with no use of the generator lattice.
+`polynomial_kernel` builds the Hibi binomials as `Polynomial` products in
+the presentation ring under `TauOrder`, and `squarefree_by_leading_terms`
+reads their leading terms, where `sagbi.toric_kernel` holds them as label
+pairs and `sagbi.verify_squarefree_initial` reads the tau positions on the
+covers.  `identity_assignment` is the identity specialization.
 `asl1_by_expansion` checks the first straightening-law axiom degree by
 degree: every standard monomial (multichain) up to the degree has a
 leading monomial no other one shares, read off its expanded product, and
@@ -54,7 +59,14 @@ import itertools
 from resint import groebner, linalg
 from resint.groebner import IdealBasis, _Packing
 from resint.labels import M
-from resint.poset import StraighteningRelation, bordered_relation, less_eq, straighten_product
+from resint.poset import (
+    StraighteningRelation,
+    bordered_relation,
+    incomparable,
+    incomparable_pairs,
+    less_eq,
+    straighten_product,
+)
 from resint.ring import (
     QQ,
     MonomialOrder,
@@ -70,7 +82,6 @@ from resint.ring import (
 from resint.sagbi import (
     MonomialAlgebraMap,
     SubductionFailure,
-    ToricKernel,
     initial_generators,
     subduce,
     tau_sequence,
@@ -177,6 +188,12 @@ def colon_by_elimination(I: IdealBasis, divisors, budget=None) -> IdealBasis:
     return partial
 
 
+def identity_assignment(instance) -> dict:
+    """Every ambient variable to itself: the specialization that is the
+    identity on the instance's ring."""
+    return {v: instance.ring.var(v) for v in instance.ring.vars}
+
+
 def colon_identity_by_elimination(instance, budget=None) -> bool:
     """(X y) : (y) equals the generator ideal, as literal ideals."""
     ring = instance.ring
@@ -227,6 +244,40 @@ def elimination_kernel(instance, budget=None) -> tuple[Polynomial, ...]:
         if len(g) != 2 or mam_image(mam, g):
             raise AssertionError(f"kernel element {g} is not a binomial with image zero")
     return tuple(basis)
+
+
+def polynomial_kernel(mam: MonomialAlgebraMap) -> tuple[Polynomial, ...]:
+    """The Hibi binomials Y_a*Y_b - Y_{a^b}*Y_{a v b}, one per incomparable
+    pair, as `Polynomial` products in the presentation ring, sorted by the
+    tau key of their leading monomials: the kernel `sagbi.toric_kernel`
+    holds as label pairs."""
+    poset = mam.instance.poset
+    y = {lab: mam.pring.var(v) for v, lab in mam.legend.items()}
+    binomials = [
+        y[a] * y[b] - y[poset.meet(a, b)] * y[poset.join(a, b)]
+        for a, b in incomparable_pairs(poset)
+    ]
+    key = mam.pring.order.key
+    binomials.sort(key=lambda g: key(g._terms[0][0]))
+    return tuple(binomials)
+
+
+def squarefree_by_leading_terms(mam: MonomialAlgebraMap, binomials) -> bool:
+    """Each binomial's leading monomial in the presentation ring is a
+    squarefree product of two incomparable presentation variables, read
+    off its terms, where `sagbi.verify_squarefree_initial` proves it from
+    the tau order's positions on the covers."""
+    for g in binomials:
+        lm = g._terms[0][0]
+        if any(e > 1 for e in lm):
+            return False
+        support = [mam.pring.vars[i] for i, e in enumerate(lm) if e]
+        if len(support) != 2:
+            return False
+        a, b = (mam.legend[v] for v in support)
+        if not incomparable(a, b):
+            return False
+    return True
 
 
 def expand_labels(instance, labels) -> Polynomial:
@@ -515,20 +566,20 @@ def lift_to_generators(mam: MonomialAlgebraMap, f: Polynomial) -> Polynomial:
     return f.substitute(assignment, instance.ring)
 
 
-def sagbi_by_subduction(kernel: ToricKernel) -> bool:
+def sagbi_by_subduction(mam: MonomialAlgebraMap, hibi: bool) -> bool:
     """Sagbi certificate by the kernel-lift criterion.
 
-    Every binomial generator of the toric kernel of the initial monomials,
-    lifted to the corresponding difference of generator products, must
-    subduce to zero; that certifies the initial algebra is generated by the
-    initial monomials in every degree at once.  A kernel without its Hibi
-    certificate, or a subduction that fails to terminate within its step
-    cap, counts as a failed certificate.
+    Every binomial generator of the toric kernel of the initial monomials
+    (`polynomial_kernel`), lifted to the corresponding difference of
+    generator products, must subduce to zero; that certifies the initial
+    algebra is generated by the initial monomials in every degree at once.
+    A kernel without its Hibi certificate (`hibi` false), or a subduction
+    that fails to terminate within its step cap, counts as a failed
+    certificate.
     """
-    if not kernel.hibi:
+    if not hibi:
         return False
-    mam = kernel.mam
-    for g in kernel.generators:
+    for g in polynomial_kernel(mam):
         try:
             remainder = subduce(mam.instance, lift_to_generators(mam, g), mam=mam)
         except SubductionFailure:

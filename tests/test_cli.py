@@ -135,6 +135,31 @@ def test_no_check_builds_a_generator_polynomial(tmp_path, monkeypatch, m, n, fie
     assert calls == []
 
 
+@pytest.mark.parametrize("m,n", [(5, 3), (4, 2), (8, 1)])
+@pytest.mark.parametrize("field_name", ["Q", "Fp:32003"])
+def test_squarefree_multiplies_no_polynomial_and_builds_no_presentation_ring(tmp_path, monkeypatch, m, n, field_name):
+    # the kernel, its verdict and its texts are read off label pairs and tau
+    # positions: the one ring built is the instance's, and nothing is
+    # multiplied
+    from resint.ring import Polynomial, PolynomialRing, ambient_variables
+
+    rings, products = [], []
+    real_init, real_mul = PolynomialRing.__init__, Polynomial.__mul__
+
+    def init(ring, field, variables, order=None):
+        rings.append(tuple(variables))
+        real_init(ring, field, variables, order)
+
+    monkeypatch.setattr(PolynomialRing, "__init__", init)
+    monkeypatch.setattr(Polynomial, "__mul__", lambda f, g: products.append((f, g)) or real_mul(f, g))
+    report, code = cmd_verify(config(tmp_path, m=m, n=n, field_name=field_name), ["squarefree"])
+    assert code == 0
+    assert report["checks"]["squarefree"]["verdict"] is True
+    assert report["checks"]["squarefree"]["kernel"]
+    assert products == []
+    assert rings == [tuple(ambient_variables(m, n))]
+
+
 def test_verify_computes_shared_results_once(tmp_path, monkeypatch):
     shared = ("build_instance", "verify_asl1", "verify_asl2", "toric_kernel", "verify_transcendence_basis")
     calls = _count_calls(monkeypatch, shared + ("buchberger",))

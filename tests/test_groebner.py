@@ -8,6 +8,7 @@ literally as well.
 
 from __future__ import annotations
 
+import itertools
 import json
 import random
 import sys
@@ -477,6 +478,26 @@ def test_integer_key_is_linear(order, a, b):
     s = tuple(x + y for x, y in zip(a, b))
     assert pk.key(pk.pack(s)) == pk.key(pk.pack(a)) + pk.key(pk.pack(b))
     assert pk.pair_key(pk.pack(s)) == pk.pair_key(pk.pack(a)) + pk.pair_key(pk.pack(b))
+
+
+def test_grevlex_key_reads_the_exponent_bytes():
+    # a grevlex packing keys by the degree above the big-endian exponents,
+    # not by folded weights; on every monomial with exponents 0..2 in four
+    # variables, and at the top of the field, it orders as `GrevLex.key`
+    # and is linear
+    order = GrevLex()
+    ring = PolynomialRing(QQ, [yvar(i) for i in range(1, 5)], order)
+    pk = _Packing(ring)
+    top = EXPONENT_LIMIT - 1
+    monos = list(itertools.product(range(3), repeat=4)) + [(top, 0, 0, 0), (0, 0, 0, top), (top,) * 4]
+    key = {e: pk.key(pk.pack(e)) for e in monos}
+    assert sorted(monos, key=key.__getitem__) == sorted(monos, key=order.key)
+    assert key[(1, 2, 0, 1)] == (4 << 8 * 4 + 1) - int.from_bytes(bytes((1, 2, 0, 1)), "big")
+    for a, b in itertools.product(monos[:81], repeat=2):
+        s = tuple(x + y for x, y in zip(a, b))
+        assert pk.key(pk.pack(s)) == key[a] + key[b]
+    half = (top // 2,) * 4
+    assert pk.key(pk.pack((top - 1,) * 4)) == 2 * pk.key(pk.pack(half))
 
 
 @settings(max_examples=300, deadline=None)

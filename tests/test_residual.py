@@ -11,7 +11,7 @@ from fractions import Fraction
 
 import pytest
 
-from references import colon_identity_by_elimination, det_laplace
+from references import colon_identity_by_elimination, det_laplace, identity_assignment
 from resint.groebner import Budget, BudgetExceeded, IdealBasis, _Packing, buchberger, radical_membership
 from resint.labels import M, Q
 from resint.poset import StraighteningRelation
@@ -22,7 +22,6 @@ from resint.residual import (
     colon_family,
     expected_witness_count,
     hsop,
-    identity_assignment,
     specialize,
     upper_bound_table,
     verify_ara_witness,

@@ -10,13 +10,20 @@ import types
 
 import pytest
 
-from references import elimination_kernel, lift_to_generators, mam_image, sagbi_by_subduction
+from references import (
+    elimination_kernel,
+    lift_to_generators,
+    mam_image,
+    polynomial_kernel,
+    sagbi_by_subduction,
+    squarefree_by_leading_terms,
+)
 from resint import groebner
 from resint import sagbi as sagbi_module
 from resint.cli import RunConfig, cmd_verify
 from resint.groebner import BudgetExceeded
 from resint.labels import M, Q
-from resint.poset import incomparable, verify_asl1, verify_asl2
+from resint.poset import incomparable, incomparable_pairs, verify_asl1, verify_asl2
 from resint.residual import build_instance
 from resint.sagbi import (
     initial_generators,
@@ -72,21 +79,21 @@ def test_initial_generators_single_column():
 )
 def test_semigroup_dimension(m, n, expected):
     inst = build_instance(m, n)
-    assert semigroup_dimension(initial_generators(inst)) == expected
+    assert semigroup_dimension(inst) == expected
 
 
 def test_semigroup_dimension_single_column_records_m_plus_1():
     # the poset recipe would give m+1 witnesses at n=1; the semigroup rank
     # matches that number, while the true witness count is m
     inst = build_instance(4, 1)
-    assert semigroup_dimension(initial_generators(inst)) == 5
+    assert semigroup_dimension(inst) == 5
 
 
 @pytest.mark.parametrize("m", range(2, 7))
 def test_semigroup_dimension_equals_poset_rank(m):
     for n in range(2, m + 1):
         inst = build_instance(m, n)
-        assert semigroup_dimension(initial_generators(inst)) == inst.poset.poset_rank()
+        assert semigroup_dimension(inst) == inst.poset.poset_rank()
 
 
 # ---------------------------------------------------------------------------
@@ -151,7 +158,8 @@ def test_kernel_matches_elimination(m, n):
     kernel = certified_kernel(inst)
     assert kernel.hibi
     want = [poly_text(g) for g in elimination_kernel(inst)]
-    assert [poly_text(g) for g in kernel.generators] == want
+    assert [poly_text(g) for g in polynomial_kernel(initial_generators(inst))] == want
+    assert kernel.binomial_lines() == want
 
 
 #: the shapes of `test_kernel_matches_elimination`, and (7,3)
@@ -160,11 +168,51 @@ CROSS_CHECK_SHAPES = [(3, 2), (4, 2), (5, 2), (4, 3), (3, 3), (8, 1), (5, 3), (7
 
 @pytest.mark.parametrize("m,n", CROSS_CHECK_SHAPES)
 def test_kernel_is_its_own_reduced_tau_basis(m, n):
-    kernel = certified_kernel(build_instance(m, n))
-    texts = [poly_text(g) for g in kernel.generators]
+    binomials = polynomial_kernel(initial_generators(build_instance(m, n)))
+    texts = [poly_text(g) for g in binomials]
     # (3,3) is a chain: no pair, no binomial, nothing for Buchberger
-    basis = groebner.buchberger(kernel.generators).elements if texts else ()
+    basis = groebner.buchberger(binomials).elements if texts else ()
     assert [poly_text(g) for g in basis] == texts
+
+
+@pytest.mark.parametrize("m,n", CROSS_CHECK_SHAPES + [(6, 4)])
+def test_the_label_pair_kernel_prints_as_the_polynomial_kernel(m, n):
+    # texts, legend and verdict, byte for byte against the binomials built
+    # as `Polynomial` products in the presentation ring under tau
+    inst = build_instance(m, n)
+    kernel = certified_kernel(inst)
+    mam = initial_generators(inst)
+    binomials = polynomial_kernel(mam)
+    assert kernel.binomial_lines() == [poly_text(g) for g in binomials]
+    assert kernel.legend_lines() == [f"{v.text} = {mam.legend[v].text}" for v in mam.pring.vars]
+    assert verify_squarefree_initial(kernel) is squarefree_by_leading_terms(mam, binomials) is True
+    assert len(kernel.generators) == len(incomparable_pairs(inst.poset))
+    for (a, b), (low, high) in kernel.generators:
+        assert incomparable(a, b)
+        assert (low, high) == (inst.poset.meet(a, b), inst.poset.join(a, b))
+
+
+def test_the_label_pair_kernel_prints_as_the_polynomial_kernel_over_a_prime_field():
+    inst = build_instance(5, 3, field=GF(32003))
+    kernel = toric_kernel(inst, verify_asl1(inst))
+    mam = initial_generators(inst)
+    assert kernel.binomial_lines() == [poly_text(g) for g in polynomial_kernel(mam)]
+    assert kernel.legend_lines() == [f"{v.text} = {mam.legend[v].text}" for v in mam.pring.vars]
+
+
+def test_a_tau_order_that_is_no_linear_extension_fails_both_squarefree_checks(monkeypatch, inst42):
+    # with [2,3] first, the binomial of [1,4]*[2,3] leads with the chain
+    # [1,3]*[2,4] in the presentation ring
+    real = sagbi_module.tau_sequence
+
+    def mixed(instance):
+        first = instance.labels.index(M([2, 3]))
+        return [first] + [k for k in real(instance) if k != first]
+
+    monkeypatch.setattr(sagbi_module, "tau_sequence", mixed)
+    mam = initial_generators(inst42)
+    assert not squarefree_by_leading_terms(mam, polynomial_kernel(mam))
+    assert not verify_squarefree_initial(certified_kernel(inst42))
 
 
 @pytest.mark.parametrize("m,n", CROSS_CHECK_SHAPES)
@@ -172,7 +220,7 @@ def test_subduction_agrees_with_the_two_axioms(m, n):
     inst = build_instance(m, n)
     asl1 = verify_asl1(inst)
     assert asl1 and verify_asl2(inst)
-    assert sagbi_by_subduction(toric_kernel(inst, asl1))
+    assert sagbi_by_subduction(initial_generators(inst), asl1)
 
 
 def test_a_prime_field_instance_gives_the_q_kernel():
@@ -184,8 +232,9 @@ def test_a_prime_field_instance_gives_the_q_kernel():
         assert verify_asl2(fp)
         kernel, expected = toric_kernel(fp, asl1), toric_kernel(q, asl1)
         assert kernel.generators == expected.generators
-        assert kernel.mam.targets == expected.mam.targets
+        assert initial_generators(fp).targets == initial_generators(q).targets
         assert kernel.legend_lines() == expected.legend_lines()
+        assert kernel.binomial_lines() == expected.binomial_lines()
 
 
 def test_kernel_42_contains_minor_pair_binomial(inst42):
@@ -197,10 +246,9 @@ def test_kernel_42_contains_minor_pair_binomial(inst42):
         return tuple(x + y for x, y in zip(by_label[a], by_label[b]))
 
     assert times("[1,4]", "[2,3]") == times("[1,3]", "[2,4]")
-    kernel = certified_kernel(inst42)
     pos = {mam.legend[v].text: i for i, v in enumerate(mam.pring.vars)}
     wanted = None
-    for g in kernel.generators:
+    for g in polynomial_kernel(mam):
         lm = g._terms[0][0]
         support = {i for i, e in enumerate(lm) if e}
         if support == {pos["[1,4]"], pos["[2,3]"]}:
@@ -216,15 +264,15 @@ def test_kernel_42_size_matches_incomparable_pairs(inst42):
 
 
 def test_kernel_generators_map_to_zero(inst42):
-    kernel = certified_kernel(inst42)
-    for g in kernel.generators:
-        assert not mam_image(kernel.mam, g)
+    mam = initial_generators(inst42)
+    for g in polynomial_kernel(mam):
+        assert not mam_image(mam, g)
 
 
 def test_kernel_generators_are_binomial_differences(inst42):
-    kernel = certified_kernel(inst42)
-    one = kernel.mam.pring.field.one
-    for g in kernel.generators:
+    mam = initial_generators(inst42)
+    one = mam.pring.field.one
+    for g in polynomial_kernel(mam):
         assert len(g) == 2
         coeffs = sorted(c for _, c in g._terms)
         assert coeffs == [-one, one]
@@ -247,10 +295,9 @@ def test_squarefree_initial(m, n):
 
 
 def test_squarefree_leading_terms_are_incomparable_products(inst42):
-    kernel = certified_kernel(inst42)
-    mam = kernel.mam
+    mam = initial_generators(inst42)
     seen = set()
-    for g in kernel.generators:
+    for g in polynomial_kernel(mam):
         lm = g._terms[0][0]
         assert all(e <= 1 for e in lm)
         support = [mam.pring.vars[i] for i, e in enumerate(lm) if e]
@@ -291,10 +338,10 @@ def test_verify_sagbi(tmp_path, m, n):
 
 
 def test_kernel_lifts_subduce_to_zero(inst42):
-    kernel = certified_kernel(inst42)
-    for g in kernel.generators:
-        lifted = lift_to_generators(kernel.mam, g)
-        assert not subduce(inst42, lifted, mam=kernel.mam)
+    mam = initial_generators(inst42)
+    for g in polynomial_kernel(mam):
+        lifted = lift_to_generators(mam, g)
+        assert not subduce(inst42, lifted, mam=mam)
 
 
 def test_subduce_reads_the_clock_before_each_step(monkeypatch, inst42):
