@@ -26,8 +26,8 @@ D = build_D(m, n)
 print("D =", [l.text for l in D], f" (size {len(D)} = {n}*({m}-{n}+1)+1)")
 
 print("\nspecialized closed forms (each a single signed monomial):")
-for label, poly in specialize_D(inst).items():
-    print(f"  {label.text:6s} -> {poly}")
+for label, form in specialize_D(inst).items():
+    print(f"  {label.text:6s} -> {inst.unpack(form)}")
 
 report = independence_by_exponents(inst)
 print(f"\nexponent matrix rank {report.rank} of {report.size} rows: independent = {report.verdict}")
@@ -41,7 +41,7 @@ print("solved:", rel.text, "| re-expands:", rel.verify(inst))
 
 ctx = DContext(inst)
 frac = ctx.fraction(M([2, 3]))
-print("\n[2,3] over D:", json.dumps(_prefix(frac)))
+print("\n[2,3] over D:", json.dumps(_prefix(ctx, frac)))
 print("cleared-denominator identity holds:", verify_rewrite(ctx, M([2, 3]), frac))
 
 cert = verify_transcendence_basis(inst)

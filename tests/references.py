@@ -25,10 +25,14 @@ that cell by filtering its terms, where `poset._on_cell` builds the
 restriction in closed form; both give packed dicts {monomial:
 coefficient}, with monomials packed by `groebner._Packing`.
 `row_reduce_dense` eliminates on dense rows, where `linalg` eliminates on
-sparse ones.  `rewrite_in_full` substitutes the D
-polynomials into a fraction over D in all of K[X, y], where
-`transcendence.verify_rewrite` substitutes on the big cell of the main
-minor.  `cover_pairs_by_triples` finds the covers of a poset by testing
+sparse ones.  `special_assignment` is the specialization of
+`transcendence.specialize_D` as a map of `Polynomial`s, and `closed_form`
+its predicted value on a D element as a `Polynomial`, where
+`specialize_D` filters packed terms and compares them with packed closed
+forms.  `d_polynomials` unpacks a fraction over D into the presentation
+ring of D, and `rewrite_in_full` substitutes the D polynomials into it
+in all of K[X, y], where `transcendence.verify_rewrite` substitutes the
+packed cell tables on the big cell of the main minor.  `cover_pairs_by_triples` finds the covers of a poset by testing
 every triple, where `BPoset` lists them in closed form.
 `lattice_tables` reads every meet and join off the down-set bitsets and
 the up-sets `up_sets` transposes from them, where
@@ -58,7 +62,7 @@ import itertools
 
 from resint import groebner, linalg
 from resint.groebner import IdealBasis, _Packing
-from resint.labels import M
+from resint.labels import M, Q
 from resint.poset import (
     StraighteningRelation,
     bordered_relation,
@@ -74,6 +78,7 @@ from resint.ring import (
     PolynomialRing,
     _display_key,
     _unit_row,
+    pvar,
     q_entry,
     tvar,
     xvar,
@@ -378,13 +383,60 @@ def row_reduce_dense(field, a: list[list], cols: int) -> list[int]:
     return pivots
 
 
+def special_assignment(m: int, n: int, ring: PolynomialRing) -> dict:
+    """The specialized matrices: X keeps column 1, the diagonal, and the
+    rows below n (zero elsewhere); y becomes the first unit vector."""
+    out: dict = {}
+    for i in range(1, m + 1):
+        for j in range(1, n + 1):
+            zero = j != 1 and j != i and i <= n
+            out[xvar(i, j)] = ring.zero if zero else ring.var(xvar(i, j))
+    for j in range(1, n + 1):
+        out[yvar(j)] = ring.one if j == 1 else ring.zero
+    return out
+
+
+def closed_form(ring: PolynomialRing, n: int, label) -> Polynomial:
+    """The predicted specialization of a D element: Q_i -> x[i][1], the main
+    minor -> the diagonal product, M_{i,j} -> (-1)^(n+j) x[i][j] times the
+    diagonal with x[j][j] deleted."""
+    if label.is_q:
+        return ring.var(xvar(label.q_index, 1))
+    rows = label.rows
+    if rows == tuple(range(1, n + 1)):
+        prod = ring.one
+        for k in range(1, n + 1):
+            prod = prod * ring.var(xvar(k, k))
+        return prod
+    i = rows[-1]
+    j = next(r for r in range(1, n + 1) if r not in rows)
+    prod = ring.var(xvar(i, j))
+    for k in range(1, n + 1):
+        if k != j:
+            prod = prod * ring.var(xvar(k, k))
+    return prod if (n + j) % 2 == 0 else -prod
+
+
+def d_polynomials(context, frac) -> tuple[Polynomial, Polynomial]:
+    """frac's numerator and denominator as `Polynomial`s in the presentation
+    ring of D, over Q in lex order, where Y[k] stands for D[k-1]."""
+    size = len(context.D)
+    ring = PolynomialRing(QQ, [pvar(k) for k in range(1, size + 1)])
+    num = ring._from_dict({tuple(e.to_bytes(size, "little")): c for e, c in frac.num.items()})
+    den = [0] * size
+    for lab, power in zip((M(range(1, context.instance.n + 1)), Q(1)), frac.den):
+        den[context.position[lab]] = power
+    return num, ring._from_dict({tuple(den): 1})
+
+
 def rewrite_in_full(context, label, frac) -> bool:
     """Cleared-denominator identity poly(label) * den == num, with the D
     polynomials substituted into the fraction in all of K[X, y]."""
     instance = context.instance
-    assignment = {v: instance.polynomial(context.legend[v]) for v in context.dvars}
-    num = frac.num.substitute(assignment, instance.ring)
-    den = frac.den_poly().substitute(assignment, instance.ring)
+    num, den = d_polynomials(context, frac)
+    assignment = {v: instance.polynomial(lab) for v, lab in zip(num.ring.vars, context.D)}
+    num = num.substitute(assignment, instance.ring)
+    den = den.substitute(assignment, instance.ring)
     return instance.polynomial(label) * den == num
 
 

@@ -517,7 +517,7 @@ def test_specialize_partial_assignment_raises(inst42):
 
 
 def test_specialize_monomial_assignment(inst42):
-    from resint.transcendence import special_assignment
+    from references import special_assignment
 
     assignment = special_assignment(4, 2, inst42.ring)
     ideal, _ = specialize(inst42, assignment, inst42.ring)

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import det_laplace, monomial_text_by_sort, polynomial_kernel
+from references import d_polynomials, det_laplace, monomial_text_by_sort, polynomial_kernel
 from resint import ring as ring_module
 from resint.groebner import _extended_ring
 from resint.labels import GeneratorLabel, M, Q
@@ -425,8 +425,9 @@ def test_rational_coefficients_stay_ints(inst42):
     context = DContext(inst42)
     polys = inst42.generators()
     polys.append(expand_labels(inst42, (Q(3), M([1, 2]), M([2, 4]))))
-    polys.extend(context.fraction(label).num for label in inst42.labels)
     coefficients = [c for f in polys for _, c in f._terms]
+    # the fractions' numerators are packed dicts over D
+    coefficients += [c for label in inst42.labels for c in context.fraction(label).num.values()]
     assert coefficients and all(type(c) is int for c in coefficients)
 
 
@@ -549,13 +550,14 @@ def test_poly_text_matches_the_per_term_sort_on_the_presentation_ring(monkeypatc
 def test_poly_text_matches_the_per_term_sort_on_the_d_ring(monkeypatch):
     instance = build_instance(5, 3)
     context = DContext(instance)
-    dring = context.dring
-    fractions = [context.fraction(lab) for lab in instance.labels]
+    # the packed fractions unpacked into the presentation ring of D
+    pairs = [d_polynomials(context, context.fraction(lab)) for lab in instance.labels]
+    dring = pairs[0][0].ring
     product = dring.one
-    for v in context.dvars:
+    for v in dring.vars:
         product = product * dring.var(v)
-    polys = [frac.num for frac in fractions] + [frac.den_poly() for frac in fractions]
-    polys.append(product * dring.var(context.dvars[1]) - dring.const(Fraction(-5, 7)))
+    polys = [num for num, _ in pairs] + [den for _, den in pairs]
+    polys.append(product * dring.var(dring.vars[1]) - dring.const(Fraction(-5, 7)))
     _assert_renders_as_by_sort(polys, monkeypatch)
     assert poly_text(product).startswith("Y[1]*Y[2]*Y[3]*")
     assert poly_text(product).endswith("*Y[9]*Y[10]")

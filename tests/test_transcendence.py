@@ -10,13 +10,14 @@ from pathlib import Path
 
 import pytest
 
-from references import rewrite_in_full
+from references import closed_form as full_closed_form
+from references import rewrite_in_full, special_assignment
 from resint import transcendence as transcendence_module
 from resint.groebner import Budget, BudgetExceeded, _Packing
 from resint.labels import M, Q
-from resint.poset import StraighteningRelation
+from resint.poset import StraighteningRelation, add_product
 from resint.residual import build_instance
-from resint.ring import GF, IncompatibleField, ambient_ring, xvar, yvar
+from resint.ring import GF, ambient_ring, xvar, yvar
 from resint.sagbi import semigroup_dimension
 from resint.transcendence import (
     BadPluecker,
@@ -28,7 +29,6 @@ from resint.transcendence import (
     closed_form,
     independence_by_exponents,
     plucker_relation,
-    special_assignment,
     specialize_D,
     spot_check_label,
     verify_rewrite,
@@ -94,8 +94,9 @@ def test_special_pair_zero_pattern(m, n):
 
 
 def test_specialized_closed_forms_42():
-    specialized = specialize_D(build_instance(4, 2))
-    R = next(iter(specialized.values())).ring
+    inst = build_instance(4, 2)
+    specialized = {label: inst.unpack(form) for label, form in specialize_D(inst).items()}
+    R = inst.ring
     assert specialized[Q(3)] == R.var(xvar(3, 1))
     assert specialized[M([1, 2])] == R.var(xvar(1, 1)) * R.var(xvar(2, 2))
     assert specialized[M([1, 3])] == R.var(xvar(3, 2)) * R.var(xvar(1, 1))
@@ -103,9 +104,12 @@ def test_specialized_closed_forms_42():
 
 def test_closed_form_sign():
     # (-1)^(n+j) twists the sign when n + j is odd
-    R = ambient_ring(4, 3)
-    f = closed_form(R, 3, M([1, 3, 4]))  # deletes column j = 2: sign (-1)^5
+    inst = build_instance(4, 3)
+    R = inst.ring
+    f = full_closed_form(R, 3, M([1, 3, 4]))  # deletes column j = 2: sign (-1)^5
     assert f == -(R.var(xvar(4, 2)) * R.var(xvar(1, 1)) * R.var(xvar(3, 3)))
+    # the packed closed form is the same signed monomial
+    assert closed_form(inst, M([1, 3, 4])) == _Packing.pack_dict(f)
 
 
 @pytest.mark.parametrize("m", range(2, 7))
@@ -117,19 +121,35 @@ def test_closed_forms_match_substitution_everywhere(m):
         assignment = special_assignment(m, n, inst.ring)
         specialized = specialize_D(inst)
         assert list(specialized) == list(build_D(m, n))
-        for label, poly in specialized.items():
+        for label, form in specialized.items():
+            poly = inst.unpack(form)
             assert poly._terms == inst.polynomial(label).substitute(assignment, inst.ring)._terms
+            assert poly == full_closed_form(inst.ring, n, label)
 
 
 def test_a_wrong_D_polynomial_fails_the_specialization(monkeypatch):
     inst = build_instance(5, 3)
     label = M([1, 2, 4])  # M_{4,3}: one of its terms survives the specialization
     table = inst.packed[label]
-    (survivor,) = _Packing.pack_dict(closed_form(inst.ring, 3, label))
+    (survivor,) = closed_form(inst, label)
     flipped = {e: -c if e == survivor else c for e, c in table.items()}
     assert sum(flipped[e] != c for e, c in table.items()) == 1
     monkeypatch.setitem(inst.packed, label, flipped)
     with pytest.raises(StructureViolation):
+        specialize_D(inst)
+
+
+def test_a_wrong_packed_closed_form_fails_the_specialization(monkeypatch):
+    # the right table against a closed form with its sign flipped
+    inst = build_instance(5, 3)
+    real = transcendence_module.closed_form
+
+    def closed_form(instance, label):
+        form = real(instance, label)
+        return {e: -c for e, c in form.items()} if label == M([1, 2, 4]) else form
+
+    monkeypatch.setattr(transcendence_module, "closed_form", closed_form)
+    with pytest.raises(StructureViolation, match=r"\[1,2,4\] specialized to"):
         specialize_D(inst)
 
 
@@ -150,9 +170,10 @@ def test_independence_rank(m, n, rank):
 
 def test_independence_matrix_shape_42():
     # 7 specialized monomials over the 10 ambient variables
-    specialized = specialize_D(build_instance(4, 2))
+    inst = build_instance(4, 2)
+    specialized = specialize_D(inst)
     assert len(specialized) == 7
-    some_poly = next(iter(specialized.values()))
+    some_poly = inst.unpack(next(iter(specialized.values())))
     assert len(some_poly.ring.vars) == 10
 
 
@@ -242,9 +263,8 @@ def test_rewrite_23_over_D(inst42):
     ctx = DContext(inst42)
     frac = ctx.fraction(M([2, 3]))
     assert verify_rewrite(ctx, M([2, 3]), frac)
-    den = frac.den_poly()
-    legend_text = {v.text: ctx.legend[v].text for v in ctx.dring.vars}
-    den_vars = [legend_text[v.text] for v, e in zip(den.ring.vars, den.leading_monomial()) if e]
+    # the denominator is (power of [1,2], power of Q1)
+    den_vars = [lab.text for lab, e in zip((M([1, 2]), Q(1)), frac.den) if e]
     assert den_vars == ["Q1"]
 
 
@@ -254,25 +274,29 @@ def test_rewrite_24_over_D(inst42):
     assert verify_rewrite(ctx, M([2, 4]), frac)
 
 
-def test_rewrite_refuses_a_prime_field():
-    inst = build_instance(3, 2, field=GF(101))
-    with pytest.raises(IncompatibleField):
-        DContext(inst)
-    with pytest.raises(IncompatibleField):
-        verify_transcendence_basis(inst)
+@pytest.mark.parametrize("m,n", [(4, 2), (5, 3), (6, 4)])
+@pytest.mark.parametrize("p", [2, 32003])
+def test_a_prime_field_instance_gives_the_q_certificate(m, n, p):
+    # every table is integer, so the field the instance names is not read
+    q_cert = verify_transcendence_basis(build_instance(m, n))
+    p_cert = verify_transcendence_basis(build_instance(m, n, field=GF(p)))
+    assert p_cert.verdict is q_cert.verdict is True
+    assert p_cert.dimension == q_cert.dimension == n * (m - n + 1) + 1
+    assert p_cert.rewrites == q_cert.rewrites
+    assert p_cert.spot_check == q_cert.spot_check
+    assert p_cert.as_dict() == q_cert.as_dict()
 
 
 def test_rewrite_denominators_only_main_minor_and_q1():
+    # a denominator is the pair (power of [1..n], power of Q1), so it is
+    # supported on those two by type; the full substitution confirms it
     for m, n in ((4, 2), (5, 3), (6, 3)):
         inst = build_instance(m, n)
         ctx = DContext(inst)
-        allowed = {ctx.position[M(range(1, n + 1))], ctx.position[Q(1)]}
         for lab in inst.labels:
             frac = ctx.fraction(lab)
             assert verify_rewrite(ctx, lab, frac)
-            for i, e in enumerate(frac.den):
-                if e:
-                    assert i in allowed
+            assert len(frac.den) == 2
 
 
 @pytest.mark.parametrize("m,n", [(4, 2), (5, 3), (6, 3), (6, 4), (8, 3)])
@@ -292,8 +316,8 @@ def test_a_flipped_numerator_coefficient_fails_on_the_cell_and_in_full(m, n):
     ctx = DContext(inst)
     for lab in inst.labels:
         frac = ctx.fraction(lab)
-        (e, c), *_ = frac.num._terms
-        flipped = DFraction(ctx.dring._from_dict({**dict(frac.num._terms), e: -c}), frac.den)
+        e, c = next(iter(frac.num.items()))
+        flipped = DFraction({**frac.num, e: -c}, frac.den)
         assert not verify_rewrite(ctx, lab, flipped)
         assert not rewrite_in_full(ctx, lab, flipped)
 
@@ -305,8 +329,9 @@ def test_the_d_degree_guard_rejects_what_the_cell_misses(monkeypatch):
     ctx = DContext(inst)
     label = spot_check_label(ctx)
     frac = ctx.fraction(label)
-    main = ctx.dring.var(ctx.dvars[ctx.position[M([1, 2, 3])]])
-    wrong = DFraction(frac.num + frac.den_poly() * (main - ctx.dring.one), frac.den)
+    main, q1 = (_Packing.var(ctx.position[lab]) for lab in (M([1, 2, 3]), Q(1)))
+    den = frac.den[0] * main + frac.den[1] * q1
+    wrong = DFraction(add_product(dict(frac.num), {den: 1}, {main: 1, 0: -1}, 1), frac.den)
     assert not rewrite_in_full(ctx, label, wrong)
     assert not verify_rewrite(ctx, label, wrong)
     # with the guard switched off, the cell substitution alone accepts it
@@ -357,7 +382,7 @@ def d_table() -> dict[str, dict[str, list]]:
     for m, n in ((4, 2), (5, 3), (6, 3), (6, 4)):
         inst = build_instance(m, n)
         ctx = DContext(inst)
-        out[f"{m},{n}"] = {lab.text: _prefix(ctx.fraction(lab)) for lab in inst.labels}
+        out[f"{m},{n}"] = {lab.text: _prefix(ctx, ctx.fraction(lab)) for lab in inst.labels}
     return out
 
 
@@ -389,30 +414,72 @@ def test_certificate_json_roundtrip():
     assert [set(r) for r in cert.rewrites] == [{"label", "verified"}] * 6
 
 
-def test_a_flipped_identity_coefficient_fails_its_label(monkeypatch):
-    # the recorded identity of [2,3] is broken after it is solved: the
-    # per-label check sees it, and so does the spot-check, whose fraction
-    # is built from that recorded identity
-    real = DContext._build
+def test_a_flipped_identity_coefficient_fails_its_pattern(monkeypatch):
+    # the bordered relation is solved once, for the pattern [2,3] at (4,2),
+    # and that solution gets a coefficient flipped: every label of the
+    # pattern fails, and so does the spot-check, whose fraction is built
+    # from the renamed pattern identities
+    real = StraighteningRelation.solve
 
-    def build(self, label):
-        real(self, label)
-        if label == M([2, 3]):
-            rel = self.identities[label]
+    def solve(terms, left):
+        rel = real(terms, left)
+        if set(left) == {M([2, 3]), Q(1)}:
             (c, pair), *rest = rel.right
-            self.identities[label] = StraighteningRelation(rel.left, ((-c, pair), *rest))
+            rel = StraighteningRelation(rel.left, ((-c, pair), *rest))
+        return rel
 
-    monkeypatch.setattr(DContext, "_build", build)
+    monkeypatch.setattr(StraighteningRelation, "solve", staticmethod(solve))
     cert = verify_transcendence_basis(build_instance(4, 2))
-    assert [r["label"] for r in cert.rewrites if not r["verified"]] == ["[2,3]"]
+    assert [r["label"] for r in cert.rewrites if not r["verified"]] == ["[2,3]", "[2,4]", "[3,4]"]
     assert cert.spot_check == {"label": "[2,3]", "verified": False}
     assert not cert.verdict
 
 
+@pytest.mark.parametrize(
+    "m,n,patterns",
+    [(8, 4, 5), (12, 4, 5), (16, 4, 5), (9, 5, 12), (16, 5, 12), (4, 2, 1), (9, 3, 2)],
+)
+def test_one_identity_is_solved_per_row_pattern(m, n, patterns, monkeypatch):
+    # 2^(n-1) - n exchange patterns and one bordered one, whatever m
+    calls = []
+    for name in ("plucker_relation", "bordered_relation"):
+        real = getattr(transcendence_module, name)
+        monkeypatch.setattr(
+            transcendence_module, name, lambda *args, real=real: calls.append(args) or real(*args)
+        )
+    inst = build_instance(m, n)
+    cert = verify_transcendence_basis(inst)
+    assert cert.verdict
+    assert len(calls) == patterns < len(inst.labels) - len(build_D(m, n))
+
+
+@pytest.mark.parametrize("m,n", [(5, 3), (8, 4), (9, 5)])
+def test_each_identity_is_its_pattern_identity_renamed(m, n):
+    # the renamed identities against the direct solve on the label's rows
+    inst = build_instance(m, n)
+    ctx = DContext(inst)
+    main = M(range(1, n + 1))
+    for lab in inst.labels:
+        if lab in ctx.position:
+            continue
+        ctx.denominator(lab)
+        rows = lab.rows
+        if rows[0] == 1:
+            terms, pivot = plucker_relation(inst.ring, rows[:-1], main.rows + rows[-1:]), main
+        else:
+            terms, pivot = transcendence_module.bordered_relation((1,) + rows), Q(1)
+        assert ctx.identities[lab] == StraighteningRelation.solve(terms, (lab, pivot))
+        assert ctx.verdict(lab)
+
+
 def test_broken_fraction_addition_is_caught_by_the_spot_check(monkeypatch):
     # the identities never read a fraction, so all of them still verify
-    real = DFraction.__add__
-    monkeypatch.setattr(DFraction, "__add__", lambda self, other: real(self, other.scale(-1)))
+    real = DContext.add
+
+    def add(self, a, b):
+        return real(self, a, DFraction({e: -c for e, c in b.num.items()}, b.den))
+
+    monkeypatch.setattr(DContext, "add", add)
     cert = verify_transcendence_basis(build_instance(5, 3))
     assert all(r["verified"] for r in cert.rewrites)
     assert cert.spot_check == {"label": "[2,4,5]", "verified": False}
@@ -433,8 +500,8 @@ def test_spot_check_label(m, n, label):
     assert cert.spot_check == (label and {"label": label, "verified": True})
     if label and n > 2:
         ctx = DContext(inst)
-        den = ctx.fraction(spot_check_label(ctx)).den
-        assert den[ctx.position[M(range(1, n + 1))]] and den[ctx.position[Q(1)]]
+        main_power, q1_power = ctx.fraction(spot_check_label(ctx)).den
+        assert main_power and q1_power
 
 
 def test_certificate_honours_the_wall_budget():
@@ -444,17 +511,17 @@ def test_certificate_honours_the_wall_budget():
 
 
 def test_certificate_reads_the_budget_before_the_spot_check(monkeypatch):
-    # the clock passes the deadline while the identity of the last label,
-    # [3,4], is checked: only the spot-check is left to stop
+    # the clock passes the deadline while the verdict of the last label,
+    # [3,4], is read: only the spot-check is left to stop
     late = []
-    real = StraighteningRelation.verify
+    real = DContext.verdict
 
-    def verify(self, instance):
-        late.extend([True] if M([3, 4]) in self.left else [])
-        return real(self, instance)
+    def verdict(self, label):
+        late.extend([True] if label == M([3, 4]) else [])
+        return real(self, label)
 
     clock = types.SimpleNamespace(monotonic=lambda: time.monotonic() + (1e9 if late else 0))
-    monkeypatch.setattr(StraighteningRelation, "verify", verify)
+    monkeypatch.setattr(DContext, "verdict", verdict)
     monkeypatch.setattr(transcendence_module, "time", clock)
     with pytest.raises(BudgetExceeded) as hit:
         verify_transcendence_basis(build_instance(4, 2))
