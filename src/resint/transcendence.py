@@ -212,7 +212,7 @@ class DFraction:
     num: dict
     den: tuple[int, int]
 
-    def times(self, other: "DFraction", coeff: int = 1) -> "DFraction":
+    def times(self, other: "DFraction", coeff: int) -> "DFraction":
         """coeff * self * other."""
         return DFraction(
             add_product({}, self.num, other.num, coeff),
