@@ -31,6 +31,7 @@ import hashlib
 import itertools
 import json
 import math
+import operator
 import os
 import sys
 import time
@@ -49,7 +50,7 @@ from .residual import (
     verify_ara_witness,
     verify_colon_identity,
 )
-from .ring import DEFAULT_PRIME, GF, QQ, monomial_text
+from .ring import DEFAULT_PRIME, GF, QQ
 from .sagbi import semigroup_dimension, toric_kernel, verify_squarefree_initial
 from .transcendence import build_D, verify_transcendence_basis
 
@@ -128,12 +129,9 @@ def _sha256(text: str) -> str:
 # the texts of the generators and witnesses
 
 
-def _joined(terms: list[tuple[int, str]]) -> str:
-    """The text of a polynomial from its term texts, each " + body" or
-    " - body", in order: the first drops its spaces (and its plus)."""
-    text = "".join(map(itemgetter(1), terms))
-    if not text:
-        return "0"
+def _joined(text: str) -> str:
+    """The text of a polynomial from its term texts joined in order, each
+    " + body" or " - body": the first drops its spaces (and its plus)."""
     return "-" + text[3:] if text[1] == "-" else text[3:]
 
 
@@ -141,46 +139,98 @@ def _texts(instance, field) -> tuple[list[str], list[str]]:
     """The text of each generator, in label order, and of each witness of
     `hsop`, printed over `field` exactly as `poly_text` prints them.
 
-    Each term of each generator is printed once, from the generator's
-    integer table, with its coefficient coerced once into `field` (a term
-    whose image is 0 is left out).  A generator's text joins its term
-    texts in the ring order, lex, under which a packed monomial is its own
-    key.  For n >= 2 a witness is the sum of the generators of one rank
-    class, and its text merges their term texts in the ring order.  That
-    sum has no cancellation, because distinct generators share no
-    monomial: a minor's monomials have one x factor in each of its rows,
-    none in any other row and no y, so they fix its row set; a Q_i's
-    monomials x[i][j] * y_j have y-degree 1 and fix i.  So the witness's
-    terms are its generators' terms with their own coefficients, and they
-    print as those do.  For n = 1 the witnesses are the minors [i] = x[i][1],
-    whose texts are printed already."""
-    ring = instance.ring
-    nvars = len(ring.vars)
-    rational = field == QQ
+    Each text is filled in from one template per call, and no packed table
+    is read.  The minor [R], R = (R_1 < ... < R_n), is the image of the
+    template [1..n] under the ring map x[i][j] -> x[R_i][j], y_j -> y_j.
+    That map renames the rows in order, so it sends each term of [1..n] to
+    the term of [R] with the same column permutation and the same sign, and
+    the term's factors, printed in row order, stay in row order: the
+    display puts the x's first, row-major, and at most one factor lies in
+    each row.  So [R]'s text is the template's with each row slot replaced
+    by its row, and Q_r's is the n-term template of Q with its one slot
+    replaced by r.  The template of [1..n] is its expansion along the last
+    row, that row's column descending, each cofactor expanded the same way
+    (once per column set): every term comes signed, and in the
+    order of its columns read from the last row up.  Over F_p a term's
+    coefficient prints as its residue: -1 as p - 1, which is 1 at p = 2,
+    and 1 as nothing.
 
-    def terms(label) -> list[tuple[int, str]]:
-        out = []
-        for e, c in instance.packed[label].items():
-            if not rational:
-                c = field.coerce(c)
-                if not c:
-                    continue
-            sep = " + "
-            if rational and c < 0:
-                sep, c = " - ", -c
-            mono = monomial_text(ring, e.to_bytes(nvars, "little"))
-            out.append((e, sep + (str(c) if mono == "1" else mono if c == 1 else f"{c}*{mono}")))
-        out.sort(reverse=True)
-        return out
+    The ring order is lex from the largest variable, x[m][n], down.  Give
+    x[r][c] the digit n*r + c and y_j the digit j (the ambient index + 1),
+    and a squarefree monomial the key that reads its digits, descending, in
+    base B = n*(m + 1) + 1 from B^(n-1) down, the missing ones 0.  Two
+    squarefree monomials compare in lex as their descending digit
+    sequences compare, where a prefix is the smaller, and that is the
+    order of their keys.  A term of [R] with columns c_1..c_n in its rows
+    has the digits n*R_i + c_i, which ascend with i, so its key is
+    base(R) + key(c), base(R) = sum of n*R_i*B^(i-1) and key(c) = sum of
+    c_i*B^(i-1): the template's term order above is descending key(c), so
+    every [R] lists its terms in the ring order.  Q_r's term j, x[r][j]*y_j,
+    has key (n*r + j)*B^(n-1) + j*B^(n-2), descending as j does.
 
-    if instance.n == 1:
-        generators = [_joined(terms(lab)) for lab in instance.labels]
-        return generators, generators[instance.m :]
+    For n >= 2 a witness is the sum of the generators of one rank class,
+    and its text merges their term texts by key.  That sum has no
+    cancellation, because distinct generators share no monomial: a minor's
+    monomials have one x factor in each of its rows, none in any other row
+    and no y, so they fix its row set; a Q_i's monomials x[i][j] * y_j have
+    y-degree 1 and fix i.  So the witness's terms are its generators' terms
+    with their own coefficients, and they print as those do; their keys
+    are distinct, so the merge compares no text.  For n = 1 the witnesses
+    are the minors [i] = x[i][1], whose texts are printed already."""
+    m, n = instance.m, instance.n
+    minus = field.coerce(-1)
+    heads = {1: " + ", -1: " - " if field == QQ else " + " if minus == 1 else f" + {minus}*"}
+    # row slot k is chr(k), ASCII and in no text (n < 32: the template has
+    # n! terms); chr(0) ends a term
+    slots = [chr(k) for k in range(1, n + 1)]
+    base = n * (m + 1) + 1
+
+    # (sign, "*"-led factor text, key(c)) of each term of the minor on the
+    # template rows 1..k and the columns `cols`, a k-set, in the order above
+    expanded = {(): [(1, "", 0)]}
+    for k in range(1, n + 1):
+        weight = base ** (k - 1)
+        for cols in itertools.combinations(range(1, n + 1), k):
+            # the cofactor of column cols[t] in row k has the sign (-1)^(k + t + 1)
+            expanded[cols] = [
+                (sign if (k - t) % 2 else -sign, f"{text}*x[{slots[k - 1]}][{c}]", key + c * weight)
+                for t, c in reversed([*enumerate(cols)])
+                for sign, text, key in expanded[cols[:t] + cols[t + 1 :]]
+            ]
+    terms = expanded[tuple(range(1, n + 1))]
+    # each template: its text, its terms' keys, and the key weight of each slot
+    minor = (
+        "\0".join(heads[sign] + text[1:] for sign, text, _ in terms),
+        [key for _, _, key in terms],
+        [n * base**i for i in range(n)],
+    )
+    q = (
+        "\0".join(f" + x[{slots[0]}][{j}]*y[{j}]" for j in range(n, 0, -1)),
+        [j * (base ** (n - 1) + base ** (n - 2)) for j in range(n, 0, -1)] if n > 1 else [],
+        [n * base ** (n - 1)],
+    )
+
+    def filled(label) -> tuple[list[str], map]:
+        """The term texts of `label`'s generator and their keys, in the ring order."""
+        index, rows = label
+        text, keys, weights = q if rows is None else minor
+        rows = rows or (index,)
+        for slot, r in zip(slots, rows):
+            text = text.replace(slot, str(r))
+        return text.split("\0"), map(sum(map(operator.mul, weights, rows)).__add__, keys)
+
+    if n == 1:
+        generators = [_joined("".join(filled(lab)[0])) for lab in instance.labels]
+        return generators, generators[m:]
     by_label, witnesses = {}, []
     for cls in instance.poset.rank_classes():
-        parts = [terms(lab) for lab in cls]
-        by_label.update((lab, _joined(p)) for lab, p in zip(cls, parts))
-        witnesses.append(_joined(sorted(itertools.chain.from_iterable(parts), reverse=True)))
+        merged = []
+        for lab in cls:
+            parts, keys = filled(lab)
+            by_label[lab] = _joined("".join(parts))
+            merged += zip(keys, parts)
+        merged.sort(reverse=True)
+        witnesses.append(_joined("".join(map(itemgetter(1), merged))))
     return [by_label[lab] for lab in instance.labels], witnesses
 
 

@@ -1,5 +1,6 @@
 """Small exact linear algebra over the coefficient fields of `ring`: one
-Gaussian elimination, used for ranks and for solving linear systems.
+Gaussian elimination to echelon form, forward only, used for ranks and,
+with back substitution, for solving linear systems.
 
 Rows are sparse, dicts from column to nonzero entry: the systems the
 certificates solve are mostly zeros, so a pivot touches only the rows
@@ -11,10 +12,11 @@ from .ring import QQ
 
 
 def _row_reduce(field, rows: list[dict], cols: int) -> list[int]:
-    """Reduce the sparse rows in place over `field`, looking for pivots in
-    the first `cols` columns only; returns the pivot columns, ascending.
-    Pivot rows come first, each scaled to a leading 1 and cleared above and
-    below."""
+    """Reduce the sparse rows in place over `field` to echelon form,
+    looking for pivots in the first `cols` columns only; returns the pivot
+    columns, ascending.  Pivot rows come first, each scaled to a leading 1
+    and cleared below only; every row after them is zero in the first
+    `cols` columns."""
     zero, sub, mul = field.zero, field.sub, field.mul
     pivots: list[int] = []
     r = 0
@@ -27,8 +29,9 @@ def _row_reduce(field, rows: list[dict], cols: int) -> list[int]:
         rows[r], rows[pivot] = rows[pivot], rows[r]
         inv = field.inv(rows[r][c])
         rows[r] = prow = {j: mul(x, inv) for j, x in rows[r].items()}
-        for i, row in enumerate(rows):
-            if i != r and c in row:
+        # rows r + 1 .. pivot (the old row r there) hold no entry in column c
+        for row in rows[pivot + 1 :]:
+            if c in row:
                 f = row[c]
                 for j, y in prow.items():
                     x = sub(row.get(j, zero), mul(f, y))
@@ -57,14 +60,21 @@ def rank(matrix: list[list]) -> int:
 def solve_field(field, matrix: list[list], rhs: list) -> list | None:
     """Solve A x = b over one of the exact coefficient fields; None if inconsistent.
 
-    Free variables (underdetermined systems) are set to zero.
+    Free variables (underdetermined systems) are set to zero, and the
+    pivot variables are read off the echelon rows by back substitution,
+    the last pivot first.
     """
     rows = [_sparse(field, [*row, b]) for row, b in zip(matrix, rhs)]
     cols = len(matrix[0]) if rows else 0
     pivots = _row_reduce(field, rows, cols)
     if any(cols in row for row in rows[len(pivots):]):
         return None
-    x = [field.zero] * cols
-    for row, c in zip(rows, pivots):
-        x[c] = row.get(cols, field.zero)
+    zero, sub, mul = field.zero, field.sub, field.mul
+    x = [zero] * cols
+    for row, c in reversed([*zip(rows, pivots)]):
+        value = row.pop(cols, zero)
+        del row[c]
+        for j, a in row.items():
+            value = sub(value, mul(a, x[j]))
+        x[c] = value
     return x

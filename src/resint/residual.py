@@ -93,8 +93,10 @@ class ResidualInstance:
     dict {monomial: integer coefficient} (`groebner._Packing`), is built
     on first read and kept.  A minor's table is `poset.packed_minor` on
     the columns 1..n; Q_r's is its n terms x[r][j] * y_j.  The tables are
-    the same whatever `field` is: every check and every printed text reads
-    them, so a test that corrupts a generator sets its table.  `field` is
+    the same whatever `field` is: every check reads them, so a test that
+    corrupts a generator sets its table.  The printed texts of the
+    generators and witnesses (`cli._texts`) read no table: they are
+    filled in from templates, by row renaming.  `field` is
     the field of the `Polynomial` views only: `polynomial(label)`,
     `generators` and `hsop` unpack a table into the ring over `field` on
     every call and keep nothing; of the checks only the input hash of a

@@ -4,10 +4,8 @@ Everything downstream (Groebner engine, poset straightening, Sagbi
 subduction, transcendence certificates) is built on the types here:
 variables, monomial orders, polynomials, and the maximal minors (as sums
 over permutations) of the generic matrix of indeterminates.  A monomial
-is its exponent tuple over the ring's variable sequence; `monomial_text`
-prints one from that tuple or from the bytes of its packed form
-(`groebner._Packing`, one byte per variable), which is how the generator
-and witness texts of `resint verify` and `generate` are printed.
+is its exponent tuple over the ring's variable sequence, and
+`monomial_text` prints one from that tuple.
 
 Coefficients over Q are ints while they are integers and reduced
 Fractions only after a division leaves a remainder; over F_p they are
@@ -362,18 +360,10 @@ def _display_key(v: VariableId) -> tuple:
 
 
 def monomial_text(ring: "PolynomialRing", exps: Sequence[int]) -> str:
-    """Render exponents (a tuple, or the bytes of a packed monomial) with
-    x[i][j] factors first, then y, t, Y.
+    """Render an exponent tuple with x[i][j] factors first, then y, t, Y.
 
     Walks the ring's display table: its variable positions in display
-    order and their texts, both built once per ring.  Bytes whose
-    exponents are all 0 or 1 take a shortcut when the display order is the
-    variable sequence rotated (the ambient ring's y's then x's): the
-    factors are picked from the display texts by the bytes, rotated the
-    same way."""
-    shift = ring.display_shift
-    if shift is not None and type(exps) is bytes and not exps.translate(None, b"\0\1"):
-        return "*".join(itertools.compress(ring.display_texts, exps[shift:] + exps[:shift])) or "1"
+    order and their texts, both built once per ring."""
     texts = ring.var_texts
     parts = []
     for i in ring.display_order:
@@ -619,12 +609,6 @@ class PolynomialRing:
         self.display_order = tuple(
             sorted(range(len(self.vars)), key=lambda i: _display_key(self.vars[i]))
         )
-        self.display_texts = tuple(self.var_texts[i] for i in self.display_order)
-        # k when the display order is the sequence rotated left by k, else None
-        nv = len(self.vars)
-        k = self.display_order[0] if nv else 0
-        rotated = self.display_order == (*range(k, nv), *range(k))
-        self.display_shift = k if rotated else None
         self.order = order if order is not None else Lex()
         self._zero_exps = (0,) * len(self.vars)
         self.zero = Polynomial(self, ())

@@ -24,8 +24,10 @@ the big cell of one minor.  `on_cell_by_filter` restricts a generator to
 that cell by filtering its terms, where `poset._on_cell` builds the
 restriction in closed form; both give packed dicts {monomial:
 coefficient}, with monomials packed by `groebner._Packing`.
-`row_reduce_dense` eliminates on dense rows, where `linalg` eliminates on
-sparse ones.  `special_assignment` is the specialization of
+`row_reduce_dense` eliminates on dense rows to the reduced echelon form,
+cleared above and below each pivot, and `rank_by_rref` and
+`solve_by_rref` read a rank and a solution off it, where `linalg`
+eliminates forward only on sparse rows and solves by back substitution.  `special_assignment` is the specialization of
 `transcendence.specialize_D` as a map of `Polynomial`s, and `closed_form`
 its predicted value on a D element as a `Polynomial`, where
 `specialize_D` filters packed terms and compares them with packed closed
@@ -44,6 +46,9 @@ distributive from the row coordinates.  Both also decide posets that are
 not the generator poset.
 `monomial_text_by_sort` renders a monomial by sorting its variables per
 term, where `ring.monomial_text` walks the ring's display table.
+`texts_from_tables` prints every generator and witness term by term from
+the packed tables, where `cli._texts` fills one template of [1..n] and
+one of Q per call.
 `det_laplace` expands a determinant of polynomials by cofactors, where
 `ring.minor` sums signed permutations and `poset.packed_minor` expands
 packed dicts, memoised per (rows, columns).
@@ -59,6 +64,7 @@ expands every lifted binomial.
 from __future__ import annotations
 
 import itertools
+from operator import itemgetter
 
 from resint import groebner, linalg
 from resint.groebner import IdealBasis, _Packing
@@ -78,6 +84,7 @@ from resint.ring import (
     PolynomialRing,
     _display_key,
     _unit_row,
+    monomial_text,
     pvar,
     q_entry,
     tvar,
@@ -383,6 +390,26 @@ def row_reduce_dense(field, a: list[list], cols: int) -> list[int]:
     return pivots
 
 
+def rank_by_rref(matrix: list[list]) -> int:
+    """The rank over Q of a matrix of elements of Q, by `row_reduce_dense`."""
+    a = [[QQ.coerce(x) for x in row] for row in matrix]
+    return len(row_reduce_dense(QQ, a, len(a[0]) if a else 0))
+
+
+def solve_by_rref(field, matrix: list[list], rhs: list) -> list | None:
+    """A solution of A x = b over `field`, free variables 0, read off the
+    reduced rows of `row_reduce_dense`; None if inconsistent."""
+    a = [[field.coerce(x) for x in row] + [field.coerce(b)] for row, b in zip(matrix, rhs)]
+    cols = len(matrix[0]) if a else 0
+    pivots = row_reduce_dense(field, a, cols)
+    if any(row[cols] != field.zero for row in a[len(pivots) :]):
+        return None
+    x = [field.zero] * cols
+    for i, c in enumerate(pivots):
+        x[c] = a[i][cols]
+    return x
+
+
 def special_assignment(m: int, n: int, ring: PolynomialRing) -> dict:
     """The specialized matrices: X keeps column 1, the diagonal, and the
     rows below n (zero elsewhere); y becomes the first unit vector."""
@@ -485,6 +512,44 @@ def monomial_text_by_sort(ring: PolynomialRing, exps: tuple[int, ...]) -> str:
     )
     parts = [v.text if e == 1 else f"{v.text}^{e}" for v, e in pairs]
     return "*".join(parts) if parts else "1"
+
+
+def texts_from_tables(instance, field) -> tuple[list[str], list[str]]:
+    """The generator and witness texts of `cli._texts`, printed term by
+    term from the packed tables: each term's coefficient coerced into
+    `field` (a term whose image is 0 left out), its monomial unpacked and
+    printed by `monomial_text`, a generator's terms sorted by their packed
+    monomials (lex), and a witness's terms merged from its rank class's in
+    the same order."""
+    unpack, rational = instance.packing.unpack, field == QQ
+
+    def terms(label) -> list[tuple[int, str]]:
+        out = []
+        for e, c in instance.packed[label].items():
+            c = field.coerce(c)
+            if not c:
+                continue
+            sep = " + "
+            if rational and c < 0:
+                sep, c = " - ", -c
+            mono = monomial_text(instance.ring, unpack(e))
+            out.append((e, sep + (str(c) if mono == "1" else mono if c == 1 else f"{c}*{mono}")))
+        out.sort(reverse=True)
+        return out
+
+    def joined(terms) -> str:
+        text = "".join(map(itemgetter(1), terms))
+        return "-" + text[3:] if text[1] == "-" else text[3:]
+
+    if instance.n == 1:
+        generators = [joined(terms(lab)) for lab in instance.labels]
+        return generators, generators[instance.m :]
+    by_label, witnesses = {}, []
+    for cls in instance.poset.rank_classes():
+        parts = [terms(lab) for lab in cls]
+        by_label.update((lab, joined(p)) for lab, p in zip(cls, parts))
+        witnesses.append(joined(sorted(itertools.chain.from_iterable(parts), reverse=True)))
+    return [by_label[lab] for lab in instance.labels], witnesses
 
 
 def up_sets(poset) -> list[int]:

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from references import texts_from_tables
 from resint.cli import (
     ALL_CHECKS,
     RunConfig,
@@ -322,10 +323,11 @@ def test_a_budget_hit_is_attempted_once_per_run(tmp_path, monkeypatch):
 @pytest.mark.parametrize("m,n", [(4, 2), (5, 3), (6, 5), (9, 3), (8, 1), (5, 5)])
 @pytest.mark.parametrize("field_name", ["Q", "Fp:2", "Fp:32003"])
 def test_texts_from_the_packed_tables_match_poly_text(m, n, field_name):
-    # every generator and witness text, each term printed once from the
-    # packed tables, against poly_text of the generators built by minor and
-    # q_entry and of the witnesses summed from those generators (the
-    # variables x[i][1] at n = 1); hsop, merged from the tables, agrees
+    # every generator and witness text, filled in from the templates and
+    # printed term by term from the packed tables, against poly_text of the
+    # generators built by minor and q_entry and of the witnesses summed
+    # from those generators (the variables x[i][1] at n = 1); hsop, merged
+    # from the tables, agrees
     from resint.cli import _texts
     from resint.residual import build_instance, hsop
     from resint.ring import minor, poly_text, q_entry, xvar
@@ -333,6 +335,7 @@ def test_texts_from_the_packed_tables_match_poly_text(m, n, field_name):
     field = parse_field(field_name)
     inst = build_instance(m, n)
     generators, witnesses = _texts(inst, field)
+    assert texts_from_tables(inst, field) == (generators, witnesses)
     ring = inst.ring
     reference = {lab: q_entry(ring, lab.q_index) if lab.is_q else minor(ring, lab.rows) for lab in inst.labels}
     if n == 1:
@@ -342,6 +345,40 @@ def test_texts_from_the_packed_tables_match_poly_text(m, n, field_name):
     assert generators == [poly_text(reference[lab], field) for lab in inst.labels]
     assert witnesses == [poly_text(w, field) for w in summed]
     assert hsop(inst) == summed
+
+
+@pytest.mark.parametrize(
+    "m,n", [(1, 1), (8, 1), (3, 2), (5, 3), (6, 4), (8, 4), (5, 5), (6, 5), (7, 7), (10, 5), (12, 4)]
+)
+@pytest.mark.parametrize("field_name", ["Q", "Fp:2", "Fp:3", "Fp:32003"])
+def test_texts_from_the_templates_match_the_tables(m, n, field_name):
+    from resint.cli import _texts
+    from resint.residual import build_instance
+
+    field = parse_field(field_name)
+    assert _texts(build_instance(m, n), field) == texts_from_tables(build_instance(m, n), field)
+
+
+def test_texts_read_no_table():
+    # a fresh instance keeps no packed generator and no minor after _texts
+    from resint.cli import _texts
+    from resint.residual import build_instance
+
+    inst = build_instance(7, 3)
+    _texts(inst, QQ)
+    assert not inst.packed and not inst._minors
+
+
+def test_texts_keep_nothing_between_calls():
+    # alternating shapes and fields in one process: each call gives the
+    # reference, so no template outlives its call
+    from resint.cli import _texts
+    from resint.residual import build_instance
+
+    runs = [(5, 3, "Q"), (6, 3, "Fp:2"), (5, 3, "Fp:3"), (6, 4, "Q"), (5, 3, "Fp:2"), (6, 3, "Q")]
+    for m, n, field_name in runs * 2:
+        field = parse_field(field_name)
+        assert _texts(build_instance(m, n), field) == texts_from_tables(build_instance(m, n), field)
 
 
 def _swapped_minors(monkeypatch):

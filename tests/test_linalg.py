@@ -1,16 +1,18 @@
-"""The sparse elimination of `linalg` against the dense one it replaced:
-pivots, ranks, solutions and inconsistent systems, over Q (int and
-Fraction entries) and over a prime field."""
+"""The sparse forward elimination of `linalg` against the dense full
+reduction it replaced: pivots, echelon rows, ranks, solutions and
+inconsistent systems, over Q (int and Fraction entries) and over a prime
+field."""
 
 from __future__ import annotations
 
+import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from references import row_reduce_dense
+from references import rank_by_rref, row_reduce_dense, solve_by_rref
 from resint import linalg
 from resint.ring import GF, QQ
 
@@ -39,23 +41,6 @@ def systems(draw, entries):
     return matrix, rhs
 
 
-def dense_rank(matrix):
-    a = [[QQ.coerce(x) for x in row] for row in matrix]
-    return len(row_reduce_dense(QQ, a, len(a[0]) if a else 0))
-
-
-def dense_solve(field, matrix, rhs):
-    a = [[field.coerce(x) for x in row] + [field.coerce(b)] for row, b in zip(matrix, rhs)]
-    cols = len(matrix[0]) if a else 0
-    pivots = row_reduce_dense(field, a, cols)
-    if any(row[cols] != field.zero for row in a[len(pivots):]):
-        return None
-    x = [field.zero] * cols
-    for i, c in enumerate(pivots):
-        x[c] = a[i][cols]
-    return x
-
-
 @pytest.mark.parametrize("name", ENTRIES)
 @settings(max_examples=150, deadline=None)
 @given(data=st.data())
@@ -68,15 +53,18 @@ def test_sparse_elimination_matches_the_dense_one(name, data):
     sparse = [{j: x for j, x in enumerate(row) if x != field.zero} for row in coerced]
     pivots = linalg._row_reduce(field, sparse, cols)
     assert pivots == row_reduce_dense(field, dense, cols) == sorted(pivots)
-    # the reduced pivot rows are unique; every other row is cleared
-    assert [[row.get(j, field.zero) for j in range(cols)] for row in sparse[: len(pivots)]] == dense[
-        : len(pivots)
-    ]
+    # the pivot rows are an echelon form, a leading 1 at each pivot, that
+    # reduces to the unique reduced pivot rows; every other row is cleared
+    echelon = [[row.get(j, field.zero) for j in range(cols)] for row in sparse[: len(pivots)]]
+    for row, c in zip(echelon, pivots):
+        assert row[c] == field.one and not any(row[:c])
+    assert row_reduce_dense(field, echelon, cols) == pivots
+    assert echelon == dense[: len(pivots)]
     assert not any(sparse[len(pivots):])
     if field == QQ:
-        assert linalg.rank(matrix) == dense_rank(matrix) == len(pivots)
+        assert linalg.rank(matrix) == rank_by_rref(matrix) == len(pivots)
     x = linalg.solve_field(field, matrix, rhs)
-    assert x == dense_solve(field, matrix, rhs)
+    assert x == solve_by_rref(field, matrix, rhs)
     if x is not None:
         for row, b in zip(coerced, rhs):
             total = field.zero
@@ -97,3 +85,25 @@ def test_inconsistent_and_degenerate_systems():
     # over F_7, 7 is zero and the system below has rank 1
     assert linalg.solve_field(F7, [[1, 2], [3, 6]], [1, 3]) == [1, 0]
     assert linalg.solve_field(QQ, [[2, 0], [0, 3]], [1, 1]) == [Fraction(1, 2), Fraction(1, 3)]
+
+
+@pytest.mark.parametrize("field", [QQ, F7], ids=["Q", "F7"])
+def test_forward_elimination_matches_the_full_reduction_on_larger_systems(field):
+    # 300 seeded systems up to 24 x 24, sparse and dense, tall and wide:
+    # the rank and the solution (free variables 0) of the forward
+    # elimination with back substitution are those of the full reduction
+    rng = random.Random(2025)
+    for _ in range(300):
+        rows, cols = rng.randint(1, 24), rng.randint(1, 24)
+        density = rng.choice((0.1, 0.3, 0.8))
+        values = (1, -1, 2, 3, -4, Fraction(1, 2), Fraction(-2, 3))
+        pick = lambda: rng.choice(values) if rng.random() < density else 0
+        matrix = [[pick() for _ in range(cols)] for _ in range(rows)]
+        if rng.random() < 0.5:
+            x0 = [pick() for _ in range(cols)]
+            rhs = [sum((a * v for a, v in zip(row, x0)), 0) for row in matrix]
+        else:
+            rhs = [pick() for _ in range(rows)]
+        if field == QQ:
+            assert linalg.rank(matrix) == rank_by_rref(matrix)
+        assert linalg.solve_field(field, matrix, rhs) == solve_by_rref(field, matrix, rhs)
